@@ -2,7 +2,9 @@
 
 Measures what propagating alignment decisions back into the per-source
 story sets costs and buys: refinement time vs the F-measure delta of the
-integrated clustering, plus the number of corrections applied.
+integrated clustering, plus the number of corrections applied — and, pass
+by pass inside one ``finish()``, how much was scored and how much carried
+over (DESIGN.md, "What ``finish()`` costs").
 
     pytest benchmarks/bench_refinement.py --benchmark-only
 """
@@ -46,3 +48,36 @@ def test_refinement_phase_cost(benchmark):
     refinement_seconds = benchmark.pedantic(run, rounds=1, iterations=1,
                                             warmup_rounds=0)
     report(benchmark, refinement_seconds=round(refinement_seconds, 4))
+
+
+def test_refinement_work_per_pass(benchmark):
+    """Scored vs carried over: every alignment and vote pass of one finish()."""
+    corpus = corpus_for(800)
+    config = MethodSpec("t+a", "temporal", "greedy", refine=True).make_config()
+
+    def run():
+        pivot = StoryPivot(config)
+        for snippet in corpus.snippets_by_time():
+            pivot.add_snippet(snippet)
+        passes = []
+        align = pivot.aligner.align  # the refiner re-aligns with this aligner
+
+        def recording_align(story_sets):
+            alignment = align(story_sets)
+            passes.append(alignment.stats)
+            return alignment
+
+        pivot.aligner.align = recording_align
+        return pivot.finish().refinement, passes
+
+    refinement, passes = benchmark.pedantic(run, rounds=1, iterations=1,
+                                            warmup_rounds=0)
+    report(
+        benchmark,
+        rounds=refinement.rounds,
+        story_pairs_scored=[stats.story_pairs_scored for stats in passes],
+        story_edges_reused=[stats.story_pairs_reused for stats in passes],
+        snippet_pairs_scored=[stats.snippet_pairs_scored for stats in passes],
+        votes_recomputed=refinement.votes_recomputed,
+        votes_reused=refinement.votes_reused,
+    )

@@ -30,7 +30,6 @@ from repro.core.matchers import SnippetMatcher
 from repro.core.stories import Story, StorySet
 from repro.errors import AlignmentError
 from repro.eventdata.models import DEFAULT_TRUST, Snippet, format_timestamp
-from repro.text.similarity import temporal_proximity, weighted_jaccard
 
 _aligned_counter = itertools.count()
 
@@ -98,14 +97,21 @@ class AlignedStory:
 class SnippetLink:
     """A cross-source counterpart pair found during alignment."""
 
+    # tens of thousands per alignment, and the aligner's memory shares
+    # them between alignments: no per-instance __dict__
+    __slots__ = ("snippet_a", "snippet_b", "score")
     snippet_a: str
     snippet_b: str
     score: float
 
+    def __reduce__(self):  # frozen + slots: copy/pickle must go through __init__
+        return SnippetLink, (self.snippet_a, self.snippet_b, self.score)
+
 
 @dataclass
 class AlignmentStats:
-    story_pairs_scored: int = 0
+    story_pairs_scored: int = 0  # story_pair_score calls made by this pass
+    story_pairs_reused: int = 0  # edges carried over from the aligner's last pass
     edges: int = 0
     snippet_pairs_scored: int = 0
 
@@ -167,13 +173,50 @@ class Alignment:
         return sorted(found, key=lambda kv: -kv[1])
 
 
+def _count_jaccard(a: Mapping, mass_a: int, b: Mapping, mass_b: int) -> float:
+    """Min/max Jaccard of two integer count profiles, in one pass.
+
+    The same float, bit for bit, as ``weighted_jaccard(dict(a), dict(b))``:
+    counts are integers, so Σmax = mass_a + mass_b − Σmin holds exactly
+    and the one division rounds the same rational.
+    """
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    shared = 0
+    for key, count in a.items():
+        other = b.get(key)
+        if other:
+            shared += min(count, other)
+    return shared / (mass_a + mass_b - shared)
+
+
 class StoryAligner:
-    """Compute story alignment over per-source story sets."""
+    """Compute story alignment over per-source story sets.
+
+    The aligner remembers its last :meth:`align` — per story the object,
+    its sketch revision and its candidate features; the raw edges; the
+    snippet links of each integrated story — and the next call re-derives
+    only what involves a *touched* story (unseen, or revision moved).  An
+    aligner that has seen nothing finds every story touched: from scratch
+    is the same code.  ``config`` must not change between calls.
+    """
 
     def __init__(self, config: Optional[StoryPivotConfig] = None) -> None:
         self.config = config if config is not None else StoryPivotConfig()
         self.matcher = SnippetMatcher(self.config)
         self._source_trust: Dict[str, int] = {}
+        self._forget()
+
+    def _forget(self) -> None:
+        # story id -> (story object, revision, features).  Identity, not
+        # id: a shard restore or merged_pivot() re-creates a story under
+        # the same id with the same add-count.
+        self._seen: Dict[str, Tuple[Story, int, List[object]]] = {}
+        self._edges: List[Tuple[str, str, float]] = []  # before _one_to_one
+        # ((story, revision), ...) of an integrated story -> (links, roles)
+        self._classified: Dict[tuple, Tuple[List[SnippetLink], Dict[str, str]]] = {}
 
     def set_source_trust(self, trust: Mapping[str, int]) -> None:
         """Install per-source trust (0–10) for trust-weighted alignment.
@@ -182,6 +225,7 @@ class StoryAligner:
         sources absent from the mapping score as the neutral default 5.
         """
         self._source_trust = dict(trust)
+        self._forget()  # remembered edge scores carry the old trust
 
     # -- story-level similarity ----------------------------------------------
 
@@ -202,10 +246,15 @@ class StoryAligner:
         """Cross-source story similarity: content + evolution."""
         if len(a) == 0 or len(b) == 0:
             return 0.0
-        entity_sim = weighted_jaccard(
-            a.sketch.entity_profile(), b.sketch.entity_profile()
+        sketch_a, sketch_b = a.sketch, b.sketch
+        entity_sim = _count_jaccard(
+            sketch_a.entity_counts, sketch_a.entity_mass,
+            sketch_b.entity_counts, sketch_b.entity_mass,
         )
-        term_sim = weighted_jaccard(a.sketch.term_profile(), b.sketch.term_profile())
+        term_sim = _count_jaccard(
+            sketch_a.term_counts, sketch_a.term_mass,
+            sketch_b.term_counts, sketch_b.term_mass,
+        )
         temporal_sim = self._span_score(a, b)
         weights = self.config.weights
         total = sum(weights.values())
@@ -234,16 +283,24 @@ class StoryAligner:
         if not stories:
             return alignment
 
-        if self.config.alignment_strategy == "none":
-            edges: List[Tuple[str, str, float]] = []
-        else:
-            pairs = self._candidate_pairs(stories)
-            edges = []
-            for id_a, id_b in pairs:
+        touched = self._remember(stories)
+        edges: List[Tuple[str, str, float]] = []
+        if self.config.alignment_strategy != "none":
+            # an edge between two untouched stories stands: whether a pair
+            # is a candidate, and its score, depend on its two stories only
+            edges = [
+                edge for edge in self._edges
+                if edge[0] in stories and edge[1] in stories
+                and edge[0] not in touched and edge[1] not in touched
+            ]
+            alignment.stats.story_pairs_reused = len(edges)
+            for id_a, id_b in self._candidate_pairs(stories, touched):
                 score = self.story_pair_score(stories[id_a], stories[id_b])
                 alignment.stats.story_pairs_scored += 1
                 if score >= self.config.align_threshold:
                     edges.append((id_a, id_b, score))
+            edges.sort()
+            self._edges = edges
             if self.config.alignment_strategy == "optimal":
                 edges = self._one_to_one(edges, stories)
         alignment.stats.edges = len(edges)
@@ -298,27 +355,46 @@ class StoryAligner:
 
     # -- candidates ---------------------------------------------------------
 
+    def _remember(self, stories: Dict[str, Story]) -> Set[str]:
+        """Replace the per-story memory; return the ids of touched stories."""
+        seen: Dict[str, Tuple[Story, int, List[object]]] = {}
+        touched: Set[str] = set()
+        for story_id, story in stories.items():
+            entry = self._seen.get(story_id)
+            revision = story.sketch.revision
+            if entry is None or entry[0] is not story or entry[1] != revision:
+                touched.add(story_id)
+                features: List[object] = [
+                    ("e", entity) for entity, _ in story.sketch.top_entities(8)
+                ]
+                features += [("t", term) for term, _ in story.sketch.top_terms(10)]
+                entry = (story, revision, features)
+            seen[story_id] = entry
+        self._seen = seen
+        return touched
+
     def _candidate_pairs(
-        self, stories: Dict[str, Story]
+        self, stories: Dict[str, Story], touched: Set[str]
     ) -> List[Tuple[str, str]]:
-        """Cross-source story pairs sharing at least one salient feature.
+        """Cross-source story pairs, at least one side touched, sharing at
+        least one salient feature.
 
         Uses an inverted index over each story's top entities/terms; pairs
         whose spans are farther apart than 3× the alignment tolerance are
         dropped outright.
         """
         feature_map: Dict[object, List[str]] = defaultdict(list)
-        for story_id, story in stories.items():
-            for entity, _ in story.sketch.top_entities(8):
-                feature_map[("e", entity)].append(story_id)
-            for term, _ in story.sketch.top_terms(10):
-                feature_map[("t", term)].append(story_id)
+        for story_id in stories:
+            for feature in self._seen[story_id][2]:
+                feature_map[feature].append(story_id)
         tolerance = max(1.0, self.config.alignment_tolerance * self.config.window)
         pairs: Set[Tuple[str, str]] = set()
         for ids in feature_map.values():
             if len(ids) < 2:
                 continue
             for id_a, id_b in itertools.combinations(sorted(ids), 2):
+                if id_a not in touched and id_b not in touched:
+                    continue
                 story_a, story_b = stories[id_a], stories[id_b]
                 if story_a.source_id == story_b.source_id:
                     continue
@@ -380,30 +456,49 @@ class StoryAligner:
     # -- snippet roles -----------------------------------------------------------
 
     def _classify_snippets(self, alignment: Alignment) -> None:
-        """Label every snippet aligning/enriching and record counterpart links."""
+        """Label every snippet aligning/enriching and record counterpart links.
+
+        An integrated story whose members are the same objects at the same
+        revisions as last time keeps its links and roles unscored.
+        """
         alignment.links = []
         alignment.roles = {}
+        remembered, self._classified = self._classified, {}
+        for aligned in alignment.aligned.values():
+            key = tuple((story, story.sketch.revision) for story in aligned.stories)
+            entry = remembered.get(key)
+            if entry is None:
+                entry = self._classify_one(aligned, alignment.stats)
+            self._classified[key] = entry
+            alignment.links.extend(entry[0])
+            alignment.roles.update(entry[1])
+
+    def _classify_one(
+        self, aligned: AlignedStory, stats: AlignmentStats
+    ) -> Tuple[List[SnippetLink], Dict[str, str]]:
+        links: List[SnippetLink] = []
+        roles: Dict[str, str] = {}
         threshold = self.config.snippet_align_threshold
         tolerance = self.config.snippet_align_tolerance
-        for aligned in alignment.aligned.values():
-            snippets = aligned.snippets()  # time-ordered
-            for i, snippet_a in enumerate(snippets):
-                # two-pointer: later snippets are time-sorted, so stop at
-                # the first one beyond the tolerance window
-                for snippet_b in snippets[i + 1 :]:
-                    if snippet_b.timestamp - snippet_a.timestamp > tolerance:
-                        break
-                    if snippet_a.source_id == snippet_b.source_id:
-                        continue
-                    score = self.matcher.snippet_score(snippet_a, snippet_b)
-                    alignment.stats.snippet_pairs_scored += 1
-                    if score >= threshold:
-                        alignment.links.append(
-                            SnippetLink(
-                                snippet_a.snippet_id, snippet_b.snippet_id, score
-                            )
+        snippets = aligned.snippets()  # time-ordered
+        for i, snippet_a in enumerate(snippets):
+            # two-pointer: later snippets are time-sorted, so stop at
+            # the first one beyond the tolerance window
+            for snippet_b in snippets[i + 1 :]:
+                if snippet_b.timestamp - snippet_a.timestamp > tolerance:
+                    break
+                if snippet_a.source_id == snippet_b.source_id:
+                    continue
+                score = self.matcher.snippet_score(snippet_a, snippet_b)
+                stats.snippet_pairs_scored += 1
+                if score >= threshold:
+                    links.append(
+                        SnippetLink(
+                            snippet_a.snippet_id, snippet_b.snippet_id, score
                         )
-                        alignment.roles[snippet_a.snippet_id] = "aligning"
-                        alignment.roles[snippet_b.snippet_id] = "aligning"
-            for snippet in snippets:
-                alignment.roles.setdefault(snippet.snippet_id, "enriching")
+                    )
+                    roles[snippet_a.snippet_id] = "aligning"
+                    roles[snippet_b.snippet_id] = "aligning"
+        for snippet in snippets:
+            roles.setdefault(snippet.snippet_id, "enriching")
+        return links, roles

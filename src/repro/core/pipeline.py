@@ -62,7 +62,9 @@ class StoryPivot:
         self.config = config if config is not None else StoryPivotConfig()
         self.aligner = StoryAligner(self.config)
         self.decisions = decision_log
-        self.refiner = StoryRefiner(self.config, decisions=decision_log)
+        self.refiner = StoryRefiner(
+            self.config, decisions=decision_log, aligner=self.aligner
+        )
         self._identifiers: Dict[str, BaseIdentifier] = {}
         self._snippet_count = 0
 

@@ -16,6 +16,13 @@ story sets, so transitive gluing caused by a mis-assignment (the crash and
 Gaza stories fused through ``v^1_4`` in Figure 1(c)) comes apart.  The
 process repeats until no snippet moves or ``max_refinement_rounds`` is
 reached; every move is recorded so the demo can explain the correction.
+
+Only the first round of a :meth:`StoryRefiner.refine` computes every
+counterpart vote.  A snippet's votes change only when one of its
+counterparts changes story, so later rounds recompute (never adjust: float
+order would differ) the votes of snippets near a moved snippet and keep the
+rest; the re-alignments are the shared aligner's, which re-scores only the
+stories the moves touched.
 """
 
 from __future__ import annotations
@@ -51,11 +58,20 @@ class RefinementResult:
     moves: List[Move] = field(default_factory=list)
     rounds: int = 0
     conflicts_checked: int = 0
+    #: per round: snippets whose counterpart votes were computed / kept
+    votes_recomputed: List[int] = field(default_factory=list)
+    votes_reused: List[int] = field(default_factory=list)
     alignment: Optional[Alignment] = None
 
     @property
     def num_moves(self) -> int:
         return len(self.moves)
+
+
+def _feature_keys(snippet: Snippet) -> List[Tuple[str, str]]:
+    """The snippet's entities and terms as keys of the feature indexes."""
+    entities, terms = snippet_features(snippet)
+    return [("e", e) for e in entities] + [("t", t) for t in terms]
 
 
 class StoryRefiner:
@@ -65,10 +81,14 @@ class StoryRefiner:
         self,
         config: Optional[StoryPivotConfig] = None,
         decisions=None,
+        aligner: Optional[StoryAligner] = None,
     ) -> None:
         self.config = config if config is not None else StoryPivotConfig()
         self.matcher = SnippetMatcher(self.config)
-        self._aligner = StoryAligner(self.config)
+        #: the aligner that made the alignment ``refine`` is handed, so that
+        #: re-alignments diff against it (and score with its source trust);
+        #: a private one has seen nothing and re-aligns from scratch once
+        self._aligner = aligner if aligner is not None else StoryAligner(self.config)
         #: optional repro.obs.decisions.DecisionLog; every applied Move
         #: is recorded as a "refined" event with its evidence mass
         self.decisions = decisions
@@ -85,8 +105,17 @@ class StoryRefiner:
         happened; callers should use ``result.alignment``).
         """
         result = RefinementResult(alignment=alignment)
+        # the snippets are the same all the way through (moves only change
+        # which story holds them), so one set of indexes serves every round;
+        # indexes and votes are locals: nothing of a refine outlives it
+        indexes = self._build_indexes(story_sets)
+        votes_of: Dict[str, Dict[str, Dict[str, float]]] = {}
+        moves: List[Move] = []
         for _ in range(self.config.max_refinement_rounds):
-            moves = self._one_round(story_sets, result)
+            votes_of = self._refresh_votes(
+                votes_of, moves, indexes, story_sets, result
+            )
+            moves = self._one_round(story_sets, votes_of, result)
             result.rounds += 1
             if not moves:
                 break
@@ -108,14 +137,60 @@ class StoryRefiner:
                 for snippet in story.snippets():
                     snippets[snippet.snippet_id] = snippet
                     time_index.insert(snippet.snippet_id, snippet.timestamp)
-                    entities, terms = snippet_features(snippet)
-                    feature_index.insert(
-                        snippet.snippet_id,
-                        [("e", e) for e in entities] + [("t", t) for t in terms],
-                    )
+                    feature_index.insert(snippet.snippet_id, _feature_keys(snippet))
             temporal[source_id] = time_index
             features[source_id] = feature_index
         return snippets, temporal, features
+
+    def _refresh_votes(
+        self,
+        votes_of: Dict[str, Dict[str, Dict[str, float]]],
+        moves: List[Move],
+        indexes: Tuple[
+            Dict[str, Snippet], Dict[str, TemporalIndex], Dict[str, InvertedIndex]
+        ],
+        story_sets: Mapping[str, StorySet],
+        result: RefinementResult,
+    ) -> Dict[str, Dict[str, Dict[str, float]]]:
+        """This round's votes: last round's, recomputed where ``moves`` reach.
+
+        Stale is every snippet that may count a moved snippet as a
+        counterpart: the other-source snippets sharing a feature with it
+        inside its own tolerance window, widened by a second against the
+        rounding of the window's bounds.  A superset is safe — stale votes
+        are recomputed with the exact predicate.
+        """
+        snippets, temporal, features = indexes
+        radius = self.config.snippet_align_tolerance + 1.0
+        stale: Set[str] = set()
+        for move in moves:
+            moved = snippets[move.snippet_id]
+            query = _feature_keys(moved)
+            for source_id, index in temporal.items():
+                if source_id != moved.source_id:
+                    stale.update(
+                        features[source_id].candidates(query)
+                        & set(index.around(moved.timestamp, radius))
+                    )
+        # only members of multi-member stories can be in (or resolve) a
+        # conflict, so singleton stories carry no votes at all
+        current: Dict[str, Dict[str, Dict[str, float]]] = {}
+        recomputed = 0
+        for story_set in story_sets.values():
+            for story in story_set:
+                if len(story) < 2:
+                    continue
+                for snippet in story.snippets():
+                    votes = votes_of.get(snippet.snippet_id)
+                    if votes is None or snippet.snippet_id in stale:
+                        votes = self._counterpart_votes(
+                            snippet, snippets, temporal, features, story_sets
+                        )
+                        recomputed += 1
+                    current[snippet.snippet_id] = votes
+        result.votes_recomputed.append(recomputed)
+        result.votes_reused.append(len(current) - recomputed)
+        return current
 
     def _counterpart_votes(
         self,
@@ -133,8 +208,7 @@ class StoryRefiner:
         """
         tolerance = self.config.snippet_align_tolerance
         threshold = self.config.snippet_align_threshold
-        entities, terms = snippet_features(snippet)
-        query = [("e", e) for e in entities] + [("t", t) for t in terms]
+        query = _feature_keys(snippet)
         votes: Dict[str, Dict[str, float]] = {}
         for source_id, index in temporal.items():
             if source_id == snippet.source_id:
@@ -156,21 +230,9 @@ class StoryRefiner:
     def _one_round(
         self,
         story_sets: Mapping[str, StorySet],
+        votes_of: Dict[str, Dict[str, Dict[str, float]]],
         result: RefinementResult,
     ) -> List[Move]:
-        snippets, temporal, features = self._build_indexes(story_sets)
-
-        # counterpart votes — only members of multi-member stories can be in
-        # (or resolve) a conflict, so singleton stories are skipped entirely
-        votes_of: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for story_set in story_sets.values():
-            for story in story_set:
-                if len(story) < 2:
-                    continue
-                for snippet in story.snippets():
-                    votes_of[snippet.snippet_id] = self._counterpart_votes(
-                        snippet, snippets, temporal, features, story_sets
-                    )
         # reverse index: evidence story -> snippets voting for it
         voted_by: Dict[str, Set[str]] = {}
         for snippet_id, per_source_votes in votes_of.items():

@@ -38,6 +38,13 @@ class StorySketch:
         self.decay_half_life = decay_half_life
         self.entity_counts: Counter = Counter()
         self.term_counts: Counter = Counter()
+        #: sum(entity_counts.values()) / sum(term_counts.values())
+        self.entity_mass = 0
+        self.term_mass = 0
+        #: bumped by every add/remove: same object and same revision means
+        #: same members, which is what lets alignment skip unchanged stories
+        self.revision = 0
+        self._span: Optional[Tuple[float, float]] = None  # None = recompute
         self._timestamps: Dict[str, float] = {}
         self._entities: Dict[str, Tuple[str, ...]] = {}
         self._terms: Dict[str, Tuple[str, ...]] = {}
@@ -70,11 +77,19 @@ class StorySketch:
             raise ValueError(f"snippet {snippet_id!r} already in sketch")
         entity_tuple = tuple(entities)
         term_tuple = tuple(terms)
+        self.revision += 1
+        if not self._timestamps:
+            self._span = (timestamp, timestamp)
+        elif self._span is not None:
+            start, end = self._span
+            self._span = (min(start, timestamp), max(end, timestamp))
         self._timestamps[snippet_id] = timestamp
         self._entities[snippet_id] = entity_tuple
         self._terms[snippet_id] = term_tuple
         self.entity_counts.update(entity_tuple)
         self.term_counts.update(term_tuple)
+        self.entity_mass += len(entity_tuple)
+        self.term_mass += len(term_tuple)
         if self._minhash is not None:
             elements = shingles if shingles is not None else set(term_tuple)
             signature = self._minhash.signature(elements)
@@ -89,13 +104,20 @@ class StorySketch:
     def remove(self, snippet_id: str) -> None:
         """Exactly undo one snippet's contribution (KeyError if absent)."""
         del self._timestamps[snippet_id]
+        self.revision += 1
+        self._span = None
         entity_tuple = self._entities.pop(snippet_id)
         term_tuple = self._terms.pop(snippet_id)
-        self.entity_counts.subtract(entity_tuple)
-        self.term_counts.subtract(term_tuple)
-        for counter in (self.entity_counts, self.term_counts):
-            for key in [k for k, v in counter.items() if v <= 0]:
-                del counter[key]
+        self.entity_mass -= len(entity_tuple)
+        self.term_mass -= len(term_tuple)
+        # only the removed snippet's own keys can have dropped to zero
+        for counter, removed in (
+            (self.entity_counts, entity_tuple), (self.term_counts, term_tuple)
+        ):
+            counter.subtract(removed)
+            for key in set(removed):
+                if counter[key] <= 0:
+                    del counter[key]
         if self._minhash is not None:
             self._signatures.pop(snippet_id, None)
             self._merged_signature = None
@@ -109,17 +131,23 @@ class StorySketch:
 
     # -- temporal view ----------------------------------------------------------
 
+    def _cached_span(self) -> Tuple[float, float]:
+        """(start, end): kept current by add, recomputed after a remove."""
+        if self._span is None:
+            if not self._timestamps:
+                raise ValueError("empty sketch has no start or end")
+            self._span = (
+                min(self._timestamps.values()), max(self._timestamps.values())
+            )
+        return self._span
+
     @property
     def start(self) -> float:
-        if not self._timestamps:
-            raise ValueError("empty sketch has no start")
-        return min(self._timestamps.values())
+        return self._cached_span()[0]
 
     @property
     def end(self) -> float:
-        if not self._timestamps:
-            raise ValueError("empty sketch has no end")
-        return max(self._timestamps.values())
+        return self._cached_span()[1]
 
     def timestamp_of(self, snippet_id: str) -> float:
         return self._timestamps[snippet_id]
