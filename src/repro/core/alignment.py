@@ -192,15 +192,20 @@ def _count_jaccard(a: Mapping, mass_a: int, b: Mapping, mass_b: int) -> float:
     return shared / (mass_a + mass_b - shared)
 
 
+#: story id -> (snapshot of its members, its candidate features)
+_Seen = Dict[str, Tuple[Dict[str, Snippet], List[object]]]
+
+
 class StoryAligner:
     """Compute story alignment over per-source story sets.
 
-    The aligner remembers its last :meth:`align` — per story the object,
-    its sketch revision and its candidate features; the raw edges; the
-    snippet links of each integrated story — and the next call re-derives
-    only what involves a *touched* story (unseen, or revision moved).  An
-    aligner that has seen nothing finds every story touched: from scratch
-    is the same code.  ``config`` must not change between calls.
+    The aligner remembers its last :meth:`align` — per story a snapshot
+    of its members and its candidate features; the raw edges; the snippet
+    links of each integrated story — and the next call re-derives only
+    what involves a *touched* story (unseen, or members differ from the
+    snapshot).  An aligner that has seen nothing finds every story
+    touched: from scratch is the same code.  ``config`` must not change
+    between calls.
     """
 
     def __init__(self, config: Optional[StoryPivotConfig] = None) -> None:
@@ -210,13 +215,15 @@ class StoryAligner:
         self._forget()
 
     def _forget(self) -> None:
-        # story id -> (story object, revision, features).  Identity, not
-        # id: a shard restore or merged_pivot() re-creates a story under
-        # the same id with the same add-count.
-        self._seen: Dict[str, Tuple[Story, int, List[object]]] = {}
+        # story id -> (members snapshot, features).  Members, not the
+        # story object: merged_pivot() re-creates every story each
+        # generation, and all that alignment reads of a story (profiles,
+        # span, features, signature, links) is a function of its members.
+        self._seen: _Seen = {}
         self._edges: List[Tuple[str, str, float]] = []  # before _one_to_one
-        # ((story, revision), ...) of an integrated story -> (links, roles)
-        self._classified: Dict[tuple, Tuple[List[SnippetLink], Dict[str, str]]] = {}
+        # member story ids of an integrated story -> (snapshots of their
+        # members, links, roles); stands while the members equal them
+        self._classified: Dict[tuple, tuple] = {}
 
     def set_source_trust(self, trust: Mapping[str, int]) -> None:
         """Install per-source trust (0–10) for trust-weighted alignment.
@@ -283,7 +290,7 @@ class StoryAligner:
         if not stories:
             return alignment
 
-        touched = self._remember(stories)
+        seen, touched = self._diff(stories)
         edges: List[Tuple[str, str, float]] = []
         if self.config.alignment_strategy != "none":
             # an edge between two untouched stories stands: whether a pair
@@ -294,15 +301,17 @@ class StoryAligner:
                 and edge[0] not in touched and edge[1] not in touched
             ]
             alignment.stats.story_pairs_reused = len(edges)
-            for id_a, id_b in self._candidate_pairs(stories, touched):
+            for id_a, id_b in self._candidate_pairs(stories, seen, touched):
                 score = self.story_pair_score(stories[id_a], stories[id_b])
                 alignment.stats.story_pairs_scored += 1
                 if score >= self.config.align_threshold:
                     edges.append((id_a, id_b, score))
             edges.sort()
             self._edges = edges
-            if self.config.alignment_strategy == "optimal":
-                edges = self._one_to_one(edges, stories)
+        # only now, beside the edges: a pass that raised remembered nothing
+        self._seen = seen
+        if self.config.alignment_strategy == "optimal":
+            edges = self._one_to_one(edges, stories)
         alignment.stats.edges = len(edges)
 
         graph = nx.Graph()
@@ -355,26 +364,27 @@ class StoryAligner:
 
     # -- candidates ---------------------------------------------------------
 
-    def _remember(self, stories: Dict[str, Story]) -> Set[str]:
-        """Replace the per-story memory; return the ids of touched stories."""
-        seen: Dict[str, Tuple[Story, int, List[object]]] = {}
+    def _diff(self, stories: Dict[str, Story]) -> Tuple[_Seen, Set[str]]:
+        """The per-story memory of ``stories`` and the ids of the touched."""
+        seen: _Seen = {}
         touched: Set[str] = set()
         for story_id, story in stories.items():
             entry = self._seen.get(story_id)
-            revision = story.sketch.revision
-            if entry is None or entry[0] is not story or entry[1] != revision:
+            # exact: dict == compares every member, and is a pointer
+            # check per member while the snippets are the same objects
+            if entry is None or entry[0] != story.members:
                 touched.add(story_id)
                 features: List[object] = [
                     ("e", entity) for entity, _ in story.sketch.top_entities(8)
                 ]
                 features += [("t", term) for term, _ in story.sketch.top_terms(10)]
-                entry = (story, revision, features)
+                # a copy: a live story's own map changes under us
+                entry = (dict(story.members), features)
             seen[story_id] = entry
-        self._seen = seen
-        return touched
+        return seen, touched
 
     def _candidate_pairs(
-        self, stories: Dict[str, Story], touched: Set[str]
+        self, stories: Dict[str, Story], seen: _Seen, touched: Set[str]
     ) -> List[Tuple[str, str]]:
         """Cross-source story pairs, at least one side touched, sharing at
         least one salient feature.
@@ -385,12 +395,13 @@ class StoryAligner:
         """
         feature_map: Dict[object, List[str]] = defaultdict(list)
         for story_id in stories:
-            for feature in self._seen[story_id][2]:
+            for feature in seen[story_id][1]:
                 feature_map[feature].append(story_id)
         tolerance = max(1.0, self.config.alignment_tolerance * self.config.window)
         pairs: Set[Tuple[str, str]] = set()
         for ids in feature_map.values():
-            if len(ids) < 2:
+            # a posting list nobody touched yields no pair: skip it whole
+            if len(ids) < 2 or touched.isdisjoint(ids):
                 continue
             for id_a, id_b in itertools.combinations(sorted(ids), 2):
                 if id_a not in touched and id_b not in touched:
@@ -458,20 +469,23 @@ class StoryAligner:
     def _classify_snippets(self, alignment: Alignment) -> None:
         """Label every snippet aligning/enriching and record counterpart links.
 
-        An integrated story whose members are the same objects at the same
-        revisions as last time keeps its links and roles unscored.
+        An integrated story made of the same stories as last time, each
+        with the members it had then, keeps its links and roles unscored.
         """
         alignment.links = []
         alignment.roles = {}
         remembered, self._classified = self._classified, {}
         for aligned in alignment.aligned.values():
-            key = tuple((story, story.sketch.revision) for story in aligned.stories)
+            key = tuple(story.story_id for story in aligned.stories)
             entry = remembered.get(key)
-            if entry is None:
-                entry = self._classify_one(aligned, alignment.stats)
+            if entry is None or entry[0] != tuple(s.members for s in aligned.stories):
+                entry = (
+                    tuple(dict(s.members) for s in aligned.stories),
+                    *self._classify_one(aligned, alignment.stats),
+                )
             self._classified[key] = entry
-            alignment.links.extend(entry[0])
-            alignment.roles.update(entry[1])
+            alignment.links.extend(entry[1])
+            alignment.roles.update(entry[2])
 
     def _classify_one(
         self, aligned: AlignedStory, stats: AlignmentStats

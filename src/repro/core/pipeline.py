@@ -87,6 +87,17 @@ class StoryPivot:
         for identifier in self._identifiers.values():
             identifier.decisions = decision_log
 
+    def adopt(self, refiner: StoryRefiner) -> None:
+        """Align and refine with a refiner that outlives this pivot.
+
+        Installs the refiner *and* the aligner it re-aligns with — the two
+        must never disagree — so that ``finish()`` re-derives only what
+        differs from what they last saw (another pivot's state included:
+        they compare members and snippets, not pivots).
+        """
+        self.refiner = refiner
+        self.aligner = refiner.aligner
+
     def add_snippet(self, snippet: Snippet):
         """Integrate one snippet into its source's stories.
 
@@ -119,7 +130,7 @@ class StoryPivot:
     def remove_snippet(self, snippet_id: str) -> Snippet:
         """Withdraw a snippet from whichever source holds it."""
         for identifier in self._identifiers.values():
-            if snippet_id in identifier.stories._story_of:
+            if snippet_id in identifier.stories.snippet_homes:
                 self._snippet_count -= 1
                 return identifier.remove(snippet_id)
         raise UnknownSnippetError(snippet_id)

@@ -17,16 +17,18 @@ Gaza stories fused through ``v^1_4`` in Figure 1(c)) comes apart.  The
 process repeats until no snippet moves or ``max_refinement_rounds`` is
 reached; every move is recorded so the demo can explain the correction.
 
-Only the first round of a :meth:`StoryRefiner.refine` computes every
-counterpart vote.  A snippet's votes change only when one of its
-counterparts changes story, so later rounds recompute (never adjust: float
-order would differ) the votes of snippets near a moved snippet and keep the
-rest; the re-alignments are the shared aligner's, which re-scores only the
-stories the moves touched.
+Only a refiner that remembers nothing computes every counterpart vote.  A
+snippet's votes change only when one of its counterparts arrives, leaves or
+changes story, so every round — the first of a later :meth:`StoryRefiner.
+refine` included — recomputes (never adjusts: float order would differ) the
+votes of snippets near a changed snippet and keeps the rest; the
+re-alignments are the shared aligner's, which re-scores only the stories
+whose members changed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -61,6 +63,9 @@ class RefinementResult:
     #: per round: snippets whose counterpart votes were computed / kept
     votes_recomputed: List[int] = field(default_factory=list)
     votes_reused: List[int] = field(default_factory=list)
+    #: per round: multi-member stories not re-scanned for conflicts, their
+    #: members' votes being those of an earlier conflict-free scan
+    stories_certified: List[int] = field(default_factory=list)
     alignment: Optional[Alignment] = None
 
     @property
@@ -74,8 +79,19 @@ def _feature_keys(snippet: Snippet) -> List[Tuple[str, str]]:
     return [("e", e) for e in entities] + [("t", t) for t in terms]
 
 
+Votes = Dict[str, Dict[str, float]]  # other source -> story id -> vote mass
+
+
 class StoryRefiner:
-    """Resolve SI/SA conflicts by moving snippets between stories."""
+    """Resolve SI/SA conflicts by moving snippets between stories.
+
+    The refiner remembers what its last round saw — the snippets it
+    indexed, a copy of the snippet → story map, every snippet's votes and
+    the stories found free of conflicts — and each round brings that up to
+    date with one diff.  A refiner that remembers nothing finds every
+    snippet changed: from scratch is the same code.  ``config`` must not
+    change between calls.
+    """
 
     def __init__(
         self,
@@ -88,10 +104,24 @@ class StoryRefiner:
         #: the aligner that made the alignment ``refine`` is handed, so that
         #: re-alignments diff against it (and score with its source trust);
         #: a private one has seen nothing and re-aligns from scratch once
-        self._aligner = aligner if aligner is not None else StoryAligner(self.config)
+        self.aligner = aligner if aligner is not None else StoryAligner(self.config)
         #: optional repro.obs.decisions.DecisionLog; every applied Move
         #: is recorded as a "refined" event with its evidence mass
         self.decisions = decisions
+        self._forget()
+
+    def _forget(self) -> None:
+        self._snippets: Dict[str, Snippet] = {}  # what the indexes hold
+        self._temporal: Dict[str, TemporalIndex] = defaultdict(TemporalIndex)
+        self._features: Dict[str, InvertedIndex] = defaultdict(InvertedIndex)
+        self._votes_of: Dict[str, Votes] = {}
+        # snippet id -> story id the votes were computed under.  A copy,
+        # never the story sets' own map: moves and canonicalize_result_ids
+        # rewrite that in place, and the diff would see nothing
+        self._homes: Dict[str, str] = {}
+        # story id -> its members' votes, in time order, as of a scan that
+        # found no conflict; _find_conflict reads nothing else of a story
+        self._certified: Dict[str, Tuple[Votes, ...]] = {}
 
     def refine(
         self,
@@ -105,101 +135,94 @@ class StoryRefiner:
         happened; callers should use ``result.alignment``).
         """
         result = RefinementResult(alignment=alignment)
-        # the snippets are the same all the way through (moves only change
-        # which story holds them), so one set of indexes serves every round;
-        # indexes and votes are locals: nothing of a refine outlives it
-        indexes = self._build_indexes(story_sets)
-        votes_of: Dict[str, Dict[str, Dict[str, float]]] = {}
-        moves: List[Move] = []
-        for _ in range(self.config.max_refinement_rounds):
-            votes_of = self._refresh_votes(
-                votes_of, moves, indexes, story_sets, result
-            )
-            moves = self._one_round(story_sets, votes_of, result)
-            result.rounds += 1
-            if not moves:
-                break
-            result.alignment = self._aligner.align(story_sets)
+        try:
+            for _ in range(self.config.max_refinement_rounds):
+                self._refresh_votes(story_sets, result)
+                moves = self._one_round(story_sets, result)
+                result.rounds += 1
+                if not moves:
+                    break
+                result.alignment = self.aligner.align(story_sets)
+        except BaseException:
+            self._forget()  # half-updated: the next refine starts over
+            raise
         return result
 
     # -- counterpart computation ------------------------------------------
 
-    def _build_indexes(
-        self, story_sets: Mapping[str, StorySet]
-    ) -> Tuple[Dict[str, Snippet], Dict[str, TemporalIndex], Dict[str, InvertedIndex]]:
-        snippets: Dict[str, Snippet] = {}
-        temporal: Dict[str, TemporalIndex] = {}
-        features: Dict[str, InvertedIndex] = {}
-        for source_id, story_set in story_sets.items():
-            time_index = TemporalIndex()
-            feature_index = InvertedIndex()
-            for story in story_set:
-                for snippet in story.snippets():
-                    snippets[snippet.snippet_id] = snippet
-                    time_index.insert(snippet.snippet_id, snippet.timestamp)
-                    feature_index.insert(snippet.snippet_id, _feature_keys(snippet))
-            temporal[source_id] = time_index
-            features[source_id] = feature_index
-        return snippets, temporal, features
-
     def _refresh_votes(
-        self,
-        votes_of: Dict[str, Dict[str, Dict[str, float]]],
-        moves: List[Move],
-        indexes: Tuple[
-            Dict[str, Snippet], Dict[str, TemporalIndex], Dict[str, InvertedIndex]
-        ],
-        story_sets: Mapping[str, StorySet],
-        result: RefinementResult,
-    ) -> Dict[str, Dict[str, Dict[str, float]]]:
-        """This round's votes: last round's, recomputed where ``moves`` reach.
+        self, story_sets: Mapping[str, StorySet], result: RefinementResult
+    ) -> None:
+        """Bring indexes and votes up to date with ``story_sets``.
 
-        Stale is every snippet that may count a moved snippet as a
-        counterpart: the other-source snippets sharing a feature with it
-        inside its own tolerance window, widened by a second against the
-        rounding of the window's bounds.  A superset is safe — stale votes
-        are recomputed with the exact predicate.
+        *Changed* is a snippet that is new, gone, under another story id,
+        or another object under its id than the one indexed.  Stale is
+        every snippet that may count a changed snippet as a counterpart:
+        the other-source snippets sharing a feature with it inside its own
+        tolerance window, widened by a second against the rounding of the
+        window's bounds.  A superset is safe — stale votes are recomputed
+        with the exact predicate.
         """
-        snippets, temporal, features = indexes
+        stories = [story for story_set in story_sets.values() for story in story_set]
+        homes: Dict[str, str] = {}
+        for story_set in story_sets.values():
+            homes.update(story_set.snippet_homes)
+        current: Dict[str, Snippet] = {}
+        for story in stories:
+            current.update(story.members)
+        known, self._snippets = self._snippets, current
+        changed = {snippet_id for snippet_id, _ in homes.items() ^ self._homes.items()}
+        changed.update(  # new ids are in the map's diff already
+            snippet_id for snippet_id, snippet in current.items()
+            if known.get(snippet_id, snippet) is not snippet
+        )
+        reach: List[Snippet] = []  # votes of snippets near these are stale
+        for snippet_id in changed:
+            old, new = known.get(snippet_id), current.get(snippet_id)
+            if old is not new:
+                self._votes_of.pop(snippet_id, None)
+                if old is not None:
+                    self._temporal[old.source_id].remove(snippet_id)
+                    self._features[old.source_id].remove(snippet_id)
+                    reach.append(old)
+                if new is not None:
+                    self._temporal[new.source_id].insert(snippet_id, new.timestamp)
+                    self._features[new.source_id].insert(
+                        snippet_id, _feature_keys(new)
+                    )
+            if new is not None:
+                reach.append(new)
         radius = self.config.snippet_align_tolerance + 1.0
         stale: Set[str] = set()
-        for move in moves:
-            moved = snippets[move.snippet_id]
-            query = _feature_keys(moved)
-            for source_id, index in temporal.items():
-                if source_id != moved.source_id:
-                    stale.update(
-                        features[source_id].candidates(query)
-                        & set(index.around(moved.timestamp, radius))
-                    )
+        if self._votes_of:  # else nothing to invalidate: all are computed
+            for snippet in reach:
+                query = _feature_keys(snippet)
+                for source_id, index in self._temporal.items():
+                    if source_id != snippet.source_id:
+                        stale.update(
+                            self._features[source_id].candidates(query)
+                            & set(index.around(snippet.timestamp, radius))
+                        )
         # only members of multi-member stories can be in (or resolve) a
         # conflict, so singleton stories carry no votes at all
-        current: Dict[str, Dict[str, Dict[str, float]]] = {}
+        votes_of: Dict[str, Votes] = {}
         recomputed = 0
-        for story_set in story_sets.values():
-            for story in story_set:
-                if len(story) < 2:
-                    continue
-                for snippet in story.snippets():
-                    votes = votes_of.get(snippet.snippet_id)
-                    if votes is None or snippet.snippet_id in stale:
-                        votes = self._counterpart_votes(
-                            snippet, snippets, temporal, features, story_sets
-                        )
-                        recomputed += 1
-                    current[snippet.snippet_id] = votes
+        for story in stories:
+            if len(story) < 2:
+                continue
+            for snippet_id, snippet in story.members.items():
+                votes = self._votes_of.get(snippet_id)
+                if votes is None or snippet_id in stale:
+                    votes = self._counterpart_votes(snippet, story_sets)
+                    recomputed += 1
+                votes_of[snippet_id] = votes
+        self._votes_of, self._homes = votes_of, homes
         result.votes_recomputed.append(recomputed)
-        result.votes_reused.append(len(current) - recomputed)
-        return current
+        result.votes_reused.append(len(votes_of) - recomputed)
 
     def _counterpart_votes(
-        self,
-        snippet: Snippet,
-        snippets: Dict[str, Snippet],
-        temporal: Dict[str, TemporalIndex],
-        features: Dict[str, InvertedIndex],
-        story_sets: Mapping[str, StorySet],
-    ) -> Dict[str, Dict[str, float]]:
+        self, snippet: Snippet, story_sets: Mapping[str, StorySet]
+    ) -> Votes:
         """Per other source: counterpart story id → vote mass.
 
         A counterpart is a cross-source snippet within the align tolerance
@@ -209,18 +232,22 @@ class StoryRefiner:
         tolerance = self.config.snippet_align_tolerance
         threshold = self.config.snippet_align_threshold
         query = _feature_keys(snippet)
-        votes: Dict[str, Dict[str, float]] = {}
-        for source_id, index in temporal.items():
+        votes: Votes = {}
+        # in the story sets' source order, not the indexes': the order a
+        # snippet's votes are summed in must not depend on what is remembered
+        for source_id, story_set in story_sets.items():
             if source_id == snippet.source_id:
                 continue
-            sharing = features[source_id].candidates(query)
-            for other_id in index.around(snippet.timestamp, tolerance):
+            sharing = self._features[source_id].candidates(query)
+            for other_id in self._temporal[source_id].around(
+                snippet.timestamp, tolerance
+            ):
                 if other_id not in sharing:
                     continue
-                score = self.matcher.snippet_score(snippet, snippets[other_id])
+                score = self.matcher.snippet_score(snippet, self._snippets[other_id])
                 if score < threshold:
                     continue
-                story_id = story_sets[source_id].story_of(other_id).story_id
+                story_id = story_set.snippet_homes[other_id]
                 per_source = votes.setdefault(source_id, {})
                 per_source[story_id] = per_source.get(story_id, 0.0) + score
         return votes
@@ -230,9 +257,9 @@ class StoryRefiner:
     def _one_round(
         self,
         story_sets: Mapping[str, StorySet],
-        votes_of: Dict[str, Dict[str, Dict[str, float]]],
         result: RefinementResult,
     ) -> List[Move]:
+        votes_of = self._votes_of
         # reverse index: evidence story -> snippets voting for it
         voted_by: Dict[str, Set[str]] = {}
         for snippet_id, per_source_votes in votes_of.items():
@@ -244,17 +271,28 @@ class StoryRefiner:
         # fresh stories created this round, keyed by (source, evidence
         # stories): conflicting snippets sharing evidence group together
         fresh_homes: Dict[Tuple[str, frozenset], Story] = {}
+        certified, self._certified = self._certified, {}
+        skipped = 0
 
         for source_id, story_set in sorted(story_sets.items()):
             for story in list(story_set):
                 members = story.snippets()
                 if len(members) < 2:
                     continue
+                ballots = tuple(votes_of[s.snippet_id] for s in members)
+                if certified.get(story.story_id) == ballots:
+                    # the same votes in the same order: no conflict again
+                    self._certified[story.story_id] = ballots
+                    result.conflicts_checked += len(members)
+                    skipped += 1
+                    continue
+                clean = True
                 for snippet in members:
                     conflict = self._find_conflict(snippet, members, votes_of)
                     result.conflicts_checked += 1
                     if conflict is None:
                         continue
+                    clean = False
                     evidence_stories, evidence_mass = conflict
                     move = self._apply_move(
                         snippet, story, story_set, voted_by,
@@ -263,13 +301,16 @@ class StoryRefiner:
                     if move is not None:
                         moves.append(move)
                         result.moves.append(move)
+                if clean:
+                    self._certified[story.story_id] = ballots
+        result.stories_certified.append(skipped)
         return moves
 
     def _find_conflict(
         self,
         snippet: Snippet,
         members: List[Snippet],
-        votes_of: Dict[str, Dict[str, Dict[str, float]]],
+        votes_of: Dict[str, Votes],
     ) -> Optional[Tuple[Set[str], float]]:
         """Does the snippet's evidence point elsewhere than its story-mates'?
 

@@ -9,7 +9,7 @@ bookkeeping identification needs (snippet → story lookup, merge, split).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import UnknownSnippetError, UnknownStoryError
 from repro.eventdata.models import Snippet, format_timestamp
@@ -92,6 +92,15 @@ class Story:
         return self._snippets[snippet_id]
 
     @property
+    def members(self) -> Mapping[str, Snippet]:
+        """The live snippet id → snippet map (read-only by convention).
+
+        Everything alignment derives from a story is a function of this
+        map, so two stories with equal members align identically.
+        """
+        return self._snippets
+
+    @property
     def start(self) -> float:
         return self.sketch.start
 
@@ -162,6 +171,12 @@ class StorySet:
 
     def story_ids(self) -> List[str]:
         return sorted(self._stories)
+
+    @property
+    def snippet_homes(self) -> Mapping[str, str]:
+        """The live snippet id → story id map (read-only by convention;
+        copy it to keep it: moves and re-keying rewrite it in place)."""
+        return self._story_of
 
     def new_story(self) -> Story:
         """Create and register an empty story with a globally fresh id."""

@@ -17,7 +17,10 @@ swap; it keys the response cache, feeds ETags, and is echoed in the
 :class:`~repro.runtime.runtime.ShardedRuntime`: it polls the runtime's
 accepted count on the realignment cadence and, when ingestion has
 advanced, merges the shards (a read-only snapshot under the shard locks),
-runs alignment and swaps in the fresh view.
+runs alignment and swaps in the fresh view.  The merged pivot is new every
+generation — a published view's stories are never touched again — while
+what alignment and refinement *remember* stays with the refresher, so a
+refresh re-derives what arrived since the last one, not the corpus.
 """
 
 from __future__ import annotations
@@ -361,6 +364,12 @@ class ViewRefresher:
             if decisions is not None
             else getattr(runtime, "decisions", None)
         )
+        #: one refresh at a time: the memory below and the build
+        #: bookkeeping are single-writer
+        self._refresh_lock = threading.Lock()
+        #: the StoryRefiner (with its aligner) every generation's merged
+        #: pivot adopts; None = the next refresh starts from scratch
+        self._refiner = None
         self._built_at_count = -1
         self._built_at_wall: Optional[float] = None
         self._started_at_wall = time.time()
@@ -372,9 +381,18 @@ class ViewRefresher:
 
     def refresh(self, force: bool = False) -> ReadView:
         """Rebuild now (if ingestion advanced, or ``force``); returns current."""
+        with self._refresh_lock:
+            try:
+                return self._rebuild_locked(force)
+            except BaseException:
+                self._refiner = None  # whatever it half-remembers: start over
+                raise
+
+    def _rebuild_locked(self, force: bool) -> ReadView:
         accepted = self.runtime.accepted
         if not force and accepted == self._built_at_count:
             return self.store.current()
+        started = time.perf_counter()
         root = self.tracer.start_trace("view.refresh", accepted=accepted)
         # link the ingest traces this rebuild folds in (same degradation
         # idiom as the process-executor boundary: ids, not live spans)
@@ -386,9 +404,14 @@ class ViewRefresher:
         try:
             with self.tracer.attach(root):
                 merged = self.runtime.merged_pivot()
+                merged_at = time.perf_counter()
+                if self._refiner is None or self._refiner.config != merged.config:
+                    self._refiner = merged.refiner  # with its own aligner
+                merged.adopt(self._refiner)
                 if self.decisions is not None:
                     merged.refiner.decisions = self.decisions
                 result = merged.finish()
+                finished_at = time.perf_counter()
                 if self.pin_generations:
                     # replication mode: ids must be a function of story
                     # content, or leader and follower ETags diverge
@@ -412,9 +435,25 @@ class ViewRefresher:
                 ):
                     self.bus.note_view(view)
                     self._notified_generation = view.generation
-            root.set(generation=view.generation, stories=len(view.stories))
+            stats, refinement = result.alignment.stats, result.refinement
+            root.set(
+                generation=view.generation, stories=len(view.stories),
+                merge_s=round(merged_at - started, 6),
+                align_s=round(result.timings["alignment"], 6),
+                refine_s=round(result.timings["refinement"], 6),
+                install_s=round(time.perf_counter() - finished_at, 6),
+                # of the refresh's last alignment pass / all its vote passes
+                story_pairs_scored=stats.story_pairs_scored,
+                story_pairs_reused=stats.story_pairs_reused,
+                votes_recomputed=sum(refinement.votes_recomputed) if refinement else 0,
+                votes_reused=sum(refinement.votes_reused) if refinement else 0,
+            )
         finally:
             root.end()
+        if self.metrics is not None:
+            self.metrics.histogram("view.refresh_seconds").observe(
+                time.perf_counter() - started
+            )
         view.trace_id = root.trace_id or None
         self._built_at_count = accepted
         self._built_at_wall = time.time()

@@ -41,9 +41,6 @@ class StorySketch:
         #: sum(entity_counts.values()) / sum(term_counts.values())
         self.entity_mass = 0
         self.term_mass = 0
-        #: bumped by every add/remove: same object and same revision means
-        #: same members, which is what lets alignment skip unchanged stories
-        self.revision = 0
         self._span: Optional[Tuple[float, float]] = None  # None = recompute
         self._timestamps: Dict[str, float] = {}
         self._entities: Dict[str, Tuple[str, ...]] = {}
@@ -77,7 +74,6 @@ class StorySketch:
             raise ValueError(f"snippet {snippet_id!r} already in sketch")
         entity_tuple = tuple(entities)
         term_tuple = tuple(terms)
-        self.revision += 1
         if not self._timestamps:
             self._span = (timestamp, timestamp)
         elif self._span is not None:
@@ -104,7 +100,6 @@ class StorySketch:
     def remove(self, snippet_id: str) -> None:
         """Exactly undo one snippet's contribution (KeyError if absent)."""
         del self._timestamps[snippet_id]
-        self.revision += 1
         self._span = None
         entity_tuple = self._entities.pop(snippet_id)
         term_tuple = self._terms.pop(snippet_id)

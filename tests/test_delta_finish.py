@@ -167,15 +167,18 @@ class TestDifferentialOracle:
 
 class TestIdentityNotId:
     def test_restored_stories_under_the_same_ids_are_rescored(self, corpora):
+        """Members, not identity and not id: every story below is a new
+        object under an old id; only the two whose members changed are
+        touched."""
         config = StoryPivotConfig.temporal()
         identified_once = StoryPivot(config)
         for snippet in corpora[26].snippets_by_time():
             identified_once.add_snippet(snippet)
-        live = restored(identified_once)  # every revision == the add-count
+        live = restored(identified_once)
         aligner = StoryAligner(config)
-        aligner.align(live.story_sets())
+        first = aligner.align(live.story_sets())
 
-        # the same ids and the same add-counts, one snippet swapped
+        # the same ids and the same sizes, one snippet swapped
         source_id, story_set = sorted(live.story_sets().items())[0]
         one, other = [list(s.snippets()) for s in story_set.stories_by_size()[:2]]
         one[0], other[0] = other[0], one[0]
@@ -190,14 +193,18 @@ class TestIdentityNotId:
                     swapped.get(story.story_id, story.snippets()),
                 )
         for story_id in swapped:
-            assert (
-                rebuilt.story_sets()[source_id].story(story_id).sketch.revision
-                == story_set.story(story_id).sketch.revision
+            assert len(rebuilt.story_sets()[source_id].story(story_id)) == len(
+                story_set.story(story_id)
             )
 
         again = aligner.align(rebuilt.story_sets())
         fresh = StoryAligner(config).align(rebuilt.story_sets())
-        assert again.stats.story_pairs_reused == 0
+        # every edge is carried but those of the two swapped stories, and
+        # only pairs with one of those two were scored
+        assert again.stats.story_pairs_reused == sum(
+            1 for pair in first.edge_scores if not set(pair) & set(swapped)
+        ) > 0
+        assert 0 < again.stats.story_pairs_scored < fresh.stats.story_pairs_scored
         assert again.edge_scores == fresh.edge_scores
         assert again.links == fresh.links
         assert again.roles == fresh.roles
@@ -268,14 +275,11 @@ _adds = st.lists(
 class TestStorySketchBookkeeping:
     @given(_adds, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_span_masses_and_revision_track_the_members(self, steps, rng):
+    def test_span_and_masses_track_the_members(self, steps, rng):
         sketch = StorySketch()
         members = {}
-        revisions = [sketch.revision]
 
         def check():
-            revisions.append(sketch.revision)
-            assert revisions[-1] > revisions[-2]
             assert sketch.entity_mass == sum(sketch.entity_counts.values())
             assert sketch.term_mass == sum(sketch.term_counts.values())
             assert sketch.entity_counts == _recount(members, 1)

@@ -1,0 +1,456 @@
+"""A delta refresh equals a full rebuild, bit for bit, at every generation.
+
+What alignment and refinement remember now outlives ``finish()`` — with a
+``ViewRefresher`` across merged pivots, with a ``StoryPivot`` across its own
+``finish()`` calls.  The oracle is a brand-new ``merged_pivot().finish()``
+(or a restored fresh pivot): nothing remembered, the same code.  Both sides
+mint ids from the same counter value, so everything — founded-story ids
+included — is compared with ``==``; floats too.
+"""
+
+import dataclasses
+import json
+import threading
+import time
+
+import pytest
+
+from repro.core.config import StoryPivotConfig
+from repro.core.pipeline import StoryPivot
+from repro.core.refinement import StoryRefiner
+from repro.eventdata.sourcegen import synthetic_corpus
+from repro.obs.store import SpanStore
+from repro.obs.trace import Tracer
+from repro.replication import ReplicaRuntime, ReplicationServer
+from repro.runtime import ShardedRuntime
+from repro.runtime.metrics import MetricsRegistry
+from repro.server import ViewRefresher, ViewStore, make_etag
+
+from test_delta_finish import everything, restored, same_ids, trust_of
+
+SEEDS = (5, 18, 26)
+GENERATIONS = 5
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return {
+        seed: synthetic_corpus(total_events=60, num_sources=4, seed=seed)
+        for seed in SEEDS
+    }
+
+
+def batches(corpus, generations=GENERATIONS):
+    """Publication order: half up front, the rest in equal arrivals."""
+    snippets = corpus.snippets_by_publication()
+    half = len(snippets) // 2
+    step = -(-(len(snippets) - half) // (generations - 1))
+    return [snippets[:half]] + [
+        snippets[at:at + step] for at in range(half, len(snippets), step)
+    ]
+
+
+class RecordingStore(ViewStore):
+    """Keeps the ``PivotResult`` a view was built from."""
+
+    result = None
+
+    def install(self, result, **kwargs):
+        self.result = result
+        return super().install(result, **kwargs)
+
+
+def warm_and_cold(refresher, runtime, monkeypatch, generation):
+    """One refresh by the long-lived refresher, one rebuild from nothing."""
+    same_ids(monkeypatch, first_story=1_000_000 * (generation + 1))
+    refresher.refresh(force=True)
+    warm = refresher.store.result
+    same_ids(monkeypatch, first_story=1_000_000 * (generation + 1))
+    cold = runtime.merged_pivot().finish()
+    return warm, cold
+
+
+def assert_same(got, expected):
+    assert everything(got.story_sets, got.refinement) == everything(
+        expected.story_sets, expected.refinement
+    )
+
+
+class TestRefresherEqualsColdRebuild:
+    @pytest.mark.parametrize("trusted", (False, True), ids=("plain", "trust"))
+    @pytest.mark.parametrize("strategy", ("greedy", "optimal"))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_at_every_generation(
+        self, corpora, monkeypatch, seed, strategy, trusted
+    ):
+        self.check(corpora[seed], monkeypatch, StoryPivotConfig.temporal(
+            alignment_strategy=strategy, trust_weighted_alignment=trusted
+        ))
+
+    def test_when_the_last_round_still_moved(self, corpora, monkeypatch):
+        """The round budget ran out on a round with moves: what is
+        remembered (votes, certificates) predates them."""
+        self.check(corpora[18], monkeypatch, StoryPivotConfig.temporal(
+            max_refinement_rounds=1
+        ))
+
+    def check(self, corpus, monkeypatch, config):
+        runtime = ShardedRuntime(config, num_shards=2).start()
+        refresher = ViewRefresher(runtime, RecordingStore())
+        try:
+            moves = certified = 0
+            for generation, batch in enumerate(batches(corpus)):
+                runtime.consume(batch).drain()
+                warm, cold = warm_and_cold(
+                    refresher, runtime, monkeypatch, generation
+                )
+                assert_same(warm, cold)
+                moves += warm.refinement.num_moves
+                if generation:
+                    # not vacuous: only a refiner that remembers the last
+                    # generation has first-round votes and certificates
+                    assert warm.refinement.votes_reused[0] > 0
+                    assert cold.refinement.votes_reused[0] == 0
+                    certified += warm.refinement.stories_certified[0]
+                    assert cold.refinement.stories_certified[0] == 0
+            assert moves > 0 and certified > 0
+        finally:
+            runtime.stop(checkpoint=False)
+
+
+def view_etag(view):
+    """One strong ETag over everything the view serves."""
+    body = json.dumps(
+        [view.stories, view.story_details, view.story_snippets,
+         view.source_stories, view.sources, view.stats],
+        sort_keys=True,
+    )
+    return make_etag(view.generation, body.encode())
+
+
+class TestPinnedGenerations:
+    def test_leader_follower_and_cold_rebuild_agree(self, corpora, tmp_path):
+        """``canonicalize_result_ids`` rewrites the story ids in place after
+        every ``finish()``; the memory must neither follow it (a snapshot
+        that aliases the live map sees no change, and saves nothing) nor
+        leak its own ids into the view."""
+        runtime = ShardedRuntime(
+            StoryPivotConfig.temporal(), num_shards=2,
+            wal_dir=str(tmp_path / "wal"),
+        ).start()
+        ship = ReplicationServer(runtime).start()
+        replica = None
+        try:
+            leader = ViewRefresher(
+                runtime, RecordingStore(), pin_generations=True
+            )
+            for generation, batch in enumerate(batches(corpora[18])):
+                runtime.consume(batch).drain()
+                if replica is None:
+                    replica = ReplicaRuntime(
+                        ship.address, poll_interval=0.01
+                    ).start()
+                    follower = ViewRefresher(
+                        replica, RecordingStore(), pin_generations=True
+                    )
+                deadline = time.time() + 30
+                while (replica.accepted != runtime.accepted
+                       or replica.lag_records()):
+                    assert time.time() < deadline, "follower never converged"
+                    time.sleep(0.01)
+                cold = ViewRefresher(
+                    runtime, ViewStore(), pin_generations=True
+                ).refresh(force=True)
+                etags = {
+                    view_etag(leader.refresh(force=True)),
+                    view_etag(follower.refresh(force=True)),
+                    view_etag(cold),
+                }
+                assert len(etags) == 1
+                if generation:
+                    for node in (leader, follower):
+                        refinement = node.store.result.refinement
+                        assert refinement.votes_reused[0] > 0
+        finally:
+            if replica is not None:
+                replica.stop()
+            ship.close()
+            runtime.stop(checkpoint=False)
+
+
+class TestLongLivedPivot:
+    """The demo and ``StreamProcessor`` path: ``finish()`` over and over on
+    one live pivot, which keeps refinement's moves, between edits."""
+
+    @pytest.mark.parametrize("trusted", (False, True), ids=("plain", "trust"))
+    def test_every_finish_equals_a_restored_fresh_pivot(
+        self, corpora, monkeypatch, trusted
+    ):
+        corpus = corpora[18]
+        config = StoryPivotConfig.temporal(trust_weighted_alignment=trusted)
+        trust = trust_of(corpus) if trusted else {}
+        snippets = corpus.snippets_by_time()
+        gone_source = snippets[0].source_id
+        pivot = StoryPivot(config)
+        pivot.aligner.set_source_trust(trust)
+        edits = [
+            lambda: [pivot.add_snippet(s) for s in snippets[:-60]],
+            lambda: [pivot.add_snippet(s) for s in snippets[-60:-25]],
+            lambda: [pivot.remove_snippet(s.snippet_id)
+                     for s in snippets[10:40:3]],
+            lambda: pivot.remove_source(gone_source),
+            lambda: [pivot.add_snippet(s) for s in snippets[-25:]
+                     if s.source_id != gone_source],
+            lambda: None,  # nothing arrived: the moves of the last finish()
+            # the source comes back, now last in the pivot's source order
+            lambda: [pivot.add_snippet(s) for s in snippets
+                     if s.source_id == gone_source],
+        ]
+        reused = []
+        for step, edit in enumerate(edits):
+            edit()
+            fresh = restored(pivot)
+            fresh.aligner.set_source_trust(trust)
+            same_ids(monkeypatch, first_story=1_000_000 * (step + 1))
+            got = pivot.finish()
+            same_ids(monkeypatch, first_story=1_000_000 * (step + 1))
+            assert_same(got, fresh.finish())
+            reused.append(got.refinement.votes_reused[0])
+            # evidence is summed over a snippet's votes in their order: it
+            # must be the pivot's source order, whatever is remembered
+            order = list(pivot.story_sets())
+            for votes in pivot.refiner._votes_of.values():
+                assert list(votes) == [s for s in order if s in votes]
+        assert reused[0] == 0 and all(reused[1:])
+
+    def test_a_finish_that_raised_is_forgotten(self, corpora, monkeypatch):
+        """Interrupted between the indexes and the votes, the refiner
+        cannot tell what it had brought up to date: it starts over."""
+        snippets = corpora[26].snippets_by_time()
+        pivot = StoryPivot(StoryPivotConfig.temporal())
+        for snippet in snippets[:-30]:
+            pivot.add_snippet(snippet)
+        pivot.finish()
+        for snippet in snippets[-30:]:
+            pivot.add_snippet(snippet)
+        for snippet in snippets[5:60:4]:
+            pivot.remove_snippet(snippet.snippet_id)
+        fresh = restored(pivot)
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                StoryRefiner, "_counterpart_votes",
+                lambda *args: (_ for _ in ()).throw(RuntimeError("injected")),
+            )
+            with pytest.raises(RuntimeError, match="injected"):
+                pivot.finish()
+        same_ids(monkeypatch, first_story=1_000_000)
+        got = pivot.finish()
+        same_ids(monkeypatch, first_story=1_000_000)
+        assert_same(got, fresh.finish())
+        assert got.refinement.votes_reused[0] == 0
+
+    def test_zero_rounds_build_nothing_and_equal_no_refinement(self, corpora):
+        """PR 17 built every index before looking at the round budget."""
+        zero = StoryPivot(StoryPivotConfig.temporal(max_refinement_rounds=0))
+        for snippet in corpora[5].snippets_by_time():
+            zero.add_snippet(snippet)
+        off = restored(zero)  # the same stories under the same ids
+        off.config = off.aligner.config = StoryPivotConfig.temporal(
+            enable_refinement=False
+        )
+        got, expected = zero.finish(), off.finish()
+        assert expected.refinement is None
+        assert got.refinement.votes_recomputed == []
+        assert got.refinement.rounds == 0 and got.refinement.moves == []
+        assert zero.refiner._snippets == {} and zero.refiner._temporal == {}
+        assert got.alignment.edge_scores == expected.alignment.edge_scores
+        assert got.alignment.links == expected.alignment.links
+        assert got.alignment.roles == expected.alignment.roles
+        assert sorted(map(sorted, got.global_clusters().values())) == sorted(
+            map(sorted, expected.global_clusters().values())
+        )
+
+
+class TestReplacedSnippets:
+    """A shard restart or a checkpoint restore brings every snippet back as
+    a new object under its old id."""
+
+    def adopted(self, pivot, refiner, replace):
+        """``pivot``'s stories under their ids, snippets through ``replace``,
+        in a new pivot that aligns and refines with ``refiner``."""
+        again = StoryPivot(pivot.config)
+        for source_id, story_set in pivot.story_sets().items():
+            for story in story_set:
+                again.restore_story(
+                    source_id, story.story_id,
+                    [replace(s) for s in story.snippets()],
+                )
+        if refiner is not None:
+            again.adopt(refiner)
+        return again
+
+    def run(self, corpus, monkeypatch, replace):
+        config = StoryPivotConfig.temporal()
+        identified = StoryPivot(config)
+        for snippet in corpus.snippets_by_time():
+            identified.add_snippet(snippet)
+        first = self.adopted(identified, None, lambda s: s)
+        first.finish()
+        copies = {}
+
+        def once(snippet):  # the same replacement on both sides
+            return copies.setdefault(snippet.snippet_id, replace(snippet))
+
+        same_ids(monkeypatch, first_story=1_000_000)
+        got = self.adopted(identified, first.refiner, once).finish()
+        same_ids(monkeypatch, first_story=1_000_000)
+        assert_same(got, self.adopted(identified, None, once).finish())
+        return got
+
+    def test_equal_new_objects_are_still_exact(self, corpora, monkeypatch):
+        got = self.run(corpora[26], monkeypatch, dataclasses.replace)
+        # equal members: no story is touched, every edge is carried
+        assert got.alignment.stats.story_pairs_reused > 0
+
+    def test_other_content_under_an_old_id_is_seen(self, corpora, monkeypatch):
+        """Same ids, same stories, but every seventh snippet now says
+        something else a week later: only the object tells."""
+        def replace(snippet):
+            if int(snippet.snippet_id[-3:], 36) % 7:
+                return snippet
+            return dataclasses.replace(
+                snippet, timestamp=snippet.timestamp + 7 * 86400.0,
+                entities=frozenset(sorted(snippet.entities)[:1]),
+            )
+
+        got = self.run(corpora[26], monkeypatch, replace)
+        assert got.refinement.votes_reused[0] > 0
+
+
+class TestFailedRefresh:
+    def test_last_good_view_is_served_and_the_retry_is_exact(
+        self, corpora, monkeypatch
+    ):
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        refresher = ViewRefresher(runtime, RecordingStore())
+        first, second, third = batches(corpora[18], generations=3)
+        try:
+            runtime.consume(first).drain()
+            good = refresher.refresh(force=True)
+
+            one_round = StoryRefiner._one_round
+            calls = []
+
+            def failing_second_round(self, story_sets, result):
+                calls.append(1)
+                if len(calls) == 2:  # after a round of moves and a re-align
+                    raise RuntimeError("injected")
+                return one_round(self, story_sets, result)
+
+            monkeypatch.setattr(StoryRefiner, "_one_round", failing_second_round)
+            runtime.consume(second).drain()
+            with pytest.raises(RuntimeError, match="injected"):
+                refresher.refresh(force=True)
+            assert refresher.store.current() is good
+            assert refresher.staleness() > 0.0
+
+            warm, cold = warm_and_cold(refresher, runtime, monkeypatch, 1)
+            assert_same(warm, cold)
+            assert warm.refinement.votes_reused[0] == 0  # from scratch
+            runtime.consume(third).drain()
+            warm, cold = warm_and_cold(refresher, runtime, monkeypatch, 2)
+            assert_same(warm, cold)
+            assert warm.refinement.votes_reused[0] > 0  # and warm again
+        finally:
+            runtime.stop(checkpoint=False)
+
+
+class SlowFirstMerge:
+    """A runtime whose first ``merged_pivot`` caller is overtaken by every
+    later one — unless refreshes are serialized."""
+
+    def __init__(self, runtime):
+        self.runtime = runtime
+        self.first_inside = threading.Event()
+        self.release = threading.Event()
+        self._calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.runtime, name)
+
+    def merged_pivot(self):
+        self._calls += 1
+        merged = self.runtime.merged_pivot()
+        if self._calls == 1:
+            self.first_inside.set()
+            self.release.wait(timeout=10)
+        return merged
+
+
+class TestRefreshIsSerialized:
+    def test_bookkeeping_matches_the_installed_generation(self, corpora):
+        """Unsynchronized, the slow *older* build finished last and wrote
+        its accepted count and build time over the newer build's."""
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        first, second, _ = batches(corpora[5], generations=3)
+        try:
+            runtime.consume(first).drain()
+            slow = SlowFirstMerge(runtime)
+            refresher = ViewRefresher(slow, ViewStore(), pin_generations=True)
+            older = threading.Thread(target=refresher.refresh)
+            older.start()
+            assert slow.first_inside.wait(timeout=10)
+            runtime.consume(second).drain()
+            newer = threading.Thread(target=refresher.refresh)
+            newer.start()
+            newer.join(timeout=0.3)
+            assert newer.is_alive(), "the second refresh overtook the first"
+            slow.release.set()
+            older.join(timeout=30)
+            newer.join(timeout=30)
+            assert not older.is_alive() and not newer.is_alive()
+            assert refresher.store.generation == runtime.accepted
+            assert refresher._built_at_count == runtime.accepted
+            assert refresher.staleness() == 0.0
+        finally:
+            runtime.stop(checkpoint=False)
+
+
+class TestRefreshIsObservable:
+    def test_duration_histogram_and_root_span_attributes(self, corpora):
+        metrics = MetricsRegistry()
+        spans = SpanStore()
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        refresher = ViewRefresher(
+            runtime, ViewStore(), metrics=metrics,
+            tracer=Tracer(store=spans, metrics=metrics),
+        )
+        try:
+            for batch in batches(corpora[5], generations=3):
+                runtime.consume(batch).drain()
+                refresher.refresh()
+        finally:
+            runtime.stop(checkpoint=False)
+        histogram = metrics.snapshot()["view.refresh_seconds"]
+        assert histogram["count"] == 3 and histogram["min"] > 0.0
+        roots = sorted(
+            (span for trace in spans.traces() if trace["name"] == "view.refresh"
+             for span in trace["spans"] if span["parent_id"] is None),
+            key=lambda span: span["started_at"],
+        )
+        assert len(roots) == 3
+        cold, warm = roots[0]["attrs"], roots[-1]["attrs"]
+        for attributes in (cold, warm):
+            parts = [attributes[key] for key in
+                     ("merge_s", "align_s", "refine_s", "install_s")]
+            assert all(part > 0.0 for part in parts)
+            assert attributes["votes_recomputed"] > 0
+            assert attributes["story_pairs_scored"] >= 0
+        # the share of the vote passes that was carried over
+        shares = [
+            attributes["votes_reused"]
+            / (attributes["votes_reused"] + attributes["votes_recomputed"])
+            for attributes in (cold, warm)
+        ]
+        assert shares[0] < shares[1]
+        assert warm["story_pairs_reused"] > 0

@@ -109,14 +109,18 @@ class TestBootstrap:
         replica = ReplicaRuntime(ship.address, poll_interval=POLL).start()
         try:
             assert wait_converged(runtime, replica)
-            # wind the follower's cursors far behind the leader's
-            # retention window: tailing cannot bridge that gap
-            for wal_shard in replica._shards:
-                wal_shard.cursor = 0
+            # prune first: rewound before that, the poll thread could
+            # bridge the gap from segments the leader still had
             for shard_id in range(runtime.options.num_shards):
                 wal = runtime.shard_wal(shard_id)
                 wal.keep_segments = 0
                 runtime._checkpoint_shard(runtime._shards[shard_id])
+            # wind the follower's cursors far behind the leader's
+            # retention window: tailing cannot bridge that gap.  Under the
+            # shard's lock, or an apply in flight writes its cursor back
+            for wal_shard in replica._shards:
+                with wal_shard.lock:
+                    wal_shard.cursor = 0
             runtime.consume(stream[cut:])
             runtime.drain()
             assert wait_converged(runtime, replica)
