@@ -69,28 +69,33 @@ class AlignedStory:
         return format_timestamp(self.start), format_timestamp(self.end)
 
     def entity_profile(self) -> Dict[str, float]:
-        profile: Dict[str, float] = defaultdict(float)
-        for story in self.stories:
-            for entity, weight in story.sketch.entity_profile().items():
-                profile[entity] += weight
-        return dict(profile)
+        return _merged(s.sketch.entity_counts for s in self.stories)
 
     def term_profile(self) -> Dict[str, float]:
-        profile: Dict[str, float] = defaultdict(float)
-        for story in self.stories:
-            for term, weight in story.sketch.term_profile().items():
-                profile[term] += weight
-        return dict(profile)
+        return _merged(s.sketch.term_counts for s in self.stories)
+
+    def entity_set(self) -> Set[str]:
+        """The keys of :meth:`entity_profile`, without merging the counts."""
+        return set().union(*(s.sketch.entity_counts for s in self.stories))
 
     def top_entities(self, k: int = 5) -> List[Tuple[str, int]]:
-        profile = self.entity_profile()
-        ranked = sorted(profile.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(entity, int(round(weight))) for entity, weight in ranked[:k]]
+        return _top(self.entity_profile(), k)
 
     def top_terms(self, k: int = 9) -> List[Tuple[str, int]]:
-        profile = self.term_profile()
-        ranked = sorted(profile.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [(term, int(round(weight))) for term, weight in ranked[:k]]
+        return _top(self.term_profile(), k)
+
+
+def _merged(member_counts: Iterable[Mapping[str, int]]) -> Dict[str, float]:
+    profile: Dict[str, float] = defaultdict(float)
+    for counts in member_counts:
+        for key, count in counts.items():
+            profile[key] += count
+    return dict(profile)
+
+
+def _top(profile: Dict[str, float], k: int) -> List[Tuple[str, int]]:
+    ranked = sorted(profile.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(name, int(round(weight))) for name, weight in ranked[:k]]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ evolving stories.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.core.config import StoryPivotConfig
 from repro.core.stories import Story
@@ -83,23 +83,24 @@ class SnippetMatcher:
             return 0.0
         if decayed is None:
             decayed = self.config.identification_mode == "temporal"
-        reference = at_time if at_time is not None else snippet.timestamp
-        entity_profile = story.sketch.entity_profile(reference if decayed else None)
-        term_profile = story.sketch.term_profile(reference if decayed else None)
+        sketch = story.sketch
         entities, terms = snippet_features(snippet)
+        if decayed:
+            reference = at_time if at_time is not None else snippet.timestamp
+            entity_weights, entity_mass, term_weights, term_mass, nearest = (
+                sketch.decayed_shares(entities, terms, reference, snippet.timestamp)
+            )
+        else:
+            entity_weights, entity_mass = sketch.entity_counts, sketch.entity_mass
+            term_weights, term_mass = sketch.term_counts, sketch.term_mass
+            nearest = sketch.nearest(snippet.timestamp)
         scores = {
-            "entity": _profile_overlap(entities, entity_profile),
-            "term": _profile_overlap(terms, term_profile),
-            "temporal": self._story_temporal_score(snippet, story),
+            "entity": _profile_overlap(entities, entity_weights, entity_mass),
+            "term": _profile_overlap(terms, term_weights, term_mass),
+            # proximity of the snippet to the story's nearest member
+            "temporal": temporal_proximity(0.0, nearest, self.config.window),
         }
         return combine_weighted(scores, self.config.weights)
-
-    def _story_temporal_score(self, snippet: Snippet, story: Story) -> float:
-        """Proximity of the snippet to the story's nearest member."""
-        nearest = min(
-            abs(snippet.timestamp - t) for t in story.sketch.timestamps()
-        )
-        return temporal_proximity(0.0, nearest, self.config.window)
 
     # -- story vs story (identification-time merges) ----------------------------
 
@@ -109,10 +110,10 @@ class SnippetMatcher:
             return 0.0
         scores = {
             "entity": weighted_jaccard(
-                a.sketch.entity_profile(), b.sketch.entity_profile()
+                a.sketch.entity_counts, b.sketch.entity_counts
             ),
             "term": weighted_jaccard(
-                a.sketch.term_profile(), b.sketch.term_profile()
+                a.sketch.term_counts, b.sketch.term_counts
             ),
             "temporal": temporal_proximity(
                 _midpoint(a.sketch), _midpoint(b.sketch), 2 * self.config.window
@@ -121,21 +122,25 @@ class SnippetMatcher:
         return combine_weighted(scores, self.config.weights)
 
 
-def _profile_overlap(features: frozenset, profile: Dict[str, float]) -> float:
+def _profile_overlap(
+    features: frozenset, weights: Mapping[str, float], mass: float
+) -> float:
     """Overlap-coefficient analogue of a feature set vs a weighted profile.
 
     The shared mass (sum of profile weights on shared features, capped by
     each side's own mass) over the smaller side's mass.  Reduces to the set
-    overlap coefficient when all profile weights are 1.
+    overlap coefficient when all profile weights are 1.  The profile is
+    read through its ``weights`` on the shared features and its total
+    ``mass``, so a caller need not materialize the rest of it.
     """
-    if not features or not profile:
-        return 0.0
-    feature_mass = float(len(features))
-    profile_mass = sum(profile.values())
-    shared = sum(min(1.0, profile.get(f, 0.0)) for f in features)
-    denominator = min(feature_mass, profile_mass)
+    denominator = min(float(len(features)), mass)
     if denominator <= 0:
         return 0.0
+    shared = 0.0
+    for feature in features:
+        weight = weights.get(feature)
+        if weight:
+            shared += weight if weight < 1.0 else 1.0
     return min(1.0, shared / denominator)
 
 

@@ -23,7 +23,6 @@ from repro.core.stories import StorySet
 from repro.errors import UnknownSnippetError, UnknownSourceError
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet
-from repro.text.stem import stem
 
 
 @dataclass
@@ -243,20 +242,10 @@ class StoryPivot:
         limit: int = 10,
     ) -> List[Tuple[AlignedStory, float]]:
         """Integrated stories mentioning ``entity`` and/or ``keyword``."""
-        if entity is None and keyword is None:
-            raise ValueError("query needs an entity or a keyword")
-        stemmed = stem(keyword) if keyword is not None else None
-        scored: List[Tuple[AlignedStory, float]] = []
-        for aligned in alignment.aligned.values():
-            relevance = 0.0
-            if entity is not None:
-                relevance += aligned.entity_profile().get(entity, 0.0)
-            if stemmed is not None:
-                relevance += aligned.term_profile().get(stemmed, 0.0)
-            if relevance > 0:
-                scored.append((aligned, relevance))
-        scored.sort(key=lambda kv: (-kv[1], kv[0].aligned_id))
-        return scored[:limit]
+        # imported here: repro.query reads repro.core.alignment
+        from repro.query.engine import QueryEngine
+
+        return QueryEngine(alignment).mentioning(entity, keyword, limit)
 
     # -- statistics (the Figure 7 dataset card) ------------------------------
 

@@ -12,6 +12,7 @@ out-of-order; Section 2.4).
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
@@ -44,9 +45,19 @@ def format_timestamp(timestamp: float, with_time: bool = False) -> str:
     >>> format_timestamp(parse_timestamp("07/17/2014"))
     'Jul 17, 2014'
     """
-    moment = _dt.datetime.fromtimestamp(timestamp, tz=_dt.timezone.utc)
-    if with_time:
-        return moment.strftime("%b %d, %Y %H:%M")
+    day, second = divmod(timestamp, DAY)
+    # fromtimestamp rounds to the microsecond, so a day's last instant
+    # may render as the next day's date: that second goes the long way
+    if with_time or second > DAY - 1.0:
+        moment = _dt.datetime.fromtimestamp(timestamp, tz=_dt.timezone.utc)
+        return moment.strftime("%b %d, %Y %H:%M" if with_time else "%b %d, %Y")
+    return _format_day(day)
+
+
+@functools.lru_cache(maxsize=4096)
+def _format_day(day: float) -> str:
+    # memoized: a view build renders thousands of dates on a few hundred days
+    moment = _dt.datetime.fromtimestamp(day * DAY, tz=_dt.timezone.utc)
     return moment.strftime("%b %d, %Y")
 
 

@@ -265,7 +265,7 @@ class EventBus:
         aligned_of: Dict[str, str] = {}
         for aligned in view.alignment.aligned.values():
             entities = frozenset(
-                name.lower() for name in aligned.entity_profile()
+                name.lower() for name in aligned.entity_set()
             )
             entity_index[aligned.aligned_id] = entities
             for story_id in aligned.story_ids:

@@ -1,41 +1,93 @@
 """Query execution over alignments and corpora.
 
-Story-level execution scores each integrated story against the query's
-entity/keyword terms (profile mass), applies the hard filters (sources,
-time range) and returns relevance-ranked :class:`StoryHit` rows with
-per-term match explanations — the demo's query box with explanations.
+Story-level execution answers from a postings index over the integrated
+stories' entity/term counts (profile mass): the query terms' postings
+are intersected smallest first, the hard filters (sources, time range)
+are applied to the survivors, and relevance-ranked :class:`StoryHit`
+rows come back with per-term match explanations — the demo's query box
+with explanations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+import threading
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.core.alignment import AlignedStory, Alignment
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet
-from repro.query.parser import StoryQuery, parse_query
+from repro.query.parser import parse_query
 from repro.text.stem import stem
 
-#: entity vocabularies cached per alignment instance, so constructing a
-#: throwaway engine per request (the API server's pattern) costs nothing
-#: beyond the first request against each snapshot.
-_ENTITY_CACHE: "WeakKeyDictionary[Alignment, FrozenSet[str]]" = (
-    WeakKeyDictionary()
-)
+
+class StoryIndex:
+    """What queries read of one alignment's integrated stories, inverted.
+
+    Per entity and per stemmed term, the stories mentioning it with their
+    counts (what ``AlignedStory.entity_profile/term_profile`` merge, as
+    the integers they are); per story, the row the hard filters test.
+    Building it costs about one scan — what every query used to cost.
+    """
+
+    def __init__(self, alignment: Alignment) -> None:
+        self.aligned = alignment.aligned
+        self.num_stories = len(alignment.story_to_aligned)
+        #: entity / stemmed term -> {aligned id: its count in that story}
+        self.entities: Dict[str, Dict[str, int]] = {}
+        self.terms: Dict[str, Dict[str, int]] = {}
+        #: aligned id -> (sources, start, end, number of snippets)
+        self.rows: Dict[str, Tuple[FrozenSet[str], float, float, int]] = {}
+        for aligned_id, aligned in self.aligned.items():
+            self.rows[aligned_id] = (
+                frozenset(aligned.source_ids), aligned.start, aligned.end,
+                len(aligned),
+            )
+            for story in aligned.stories:
+                for postings, counts in (
+                    (self.entities, story.sketch.entity_counts),
+                    (self.terms, story.sketch.term_counts),
+                ):
+                    for key, count in counts.items():
+                        row = postings.setdefault(key, {})
+                        row[aligned_id] = row.get(aligned_id, 0) + count
+        #: the known entities bare query tokens resolve against
+        self.vocabulary: FrozenSet[str] = frozenset(self.entities)
+
+    def covers(self, alignment: Alignment) -> bool:
+        """False once ``canonicalize_result_ids`` has re-keyed the stories
+        into a new dict (it runs after ``finish()``) or ``StoryAligner.
+        extend`` has grown the alignment in place: answer neither from here."""
+        return (
+            self.aligned is alignment.aligned
+            and self.num_stories == len(alignment.story_to_aligned)
+        )
+
+
+#: one index per alignment instance, so a throwaway engine per request
+#: (the API server's pattern) costs nothing beyond the first request
+_INDEXES: "WeakKeyDictionary[Alignment, StoryIndex]" = WeakKeyDictionary()
+_INDEXES_LOCK = threading.Lock()
+
+
+def story_index(alignment: Alignment) -> StoryIndex:
+    """The index of ``alignment``, built by the first query against it.
+
+    Never ahead of one: a live view is replaced several times a second
+    and receives less than one query on average.
+    """
+    with _INDEXES_LOCK:
+        index = _INDEXES.get(alignment)
+        if index is None or not index.covers(alignment):
+            index = _INDEXES[alignment] = StoryIndex(alignment)
+    return index
 
 
 def known_entities(alignment: Alignment) -> FrozenSet[str]:
-    """Entity codes mentioned anywhere in ``alignment`` (cached per instance)."""
-    cached = _ENTITY_CACHE.get(alignment)
-    if cached is None:
-        entities = set()
-        for aligned in alignment.aligned.values():
-            entities |= set(aligned.entity_profile())
-        cached = frozenset(entities)
-        _ENTITY_CACHE[alignment] = cached
-    return cached
+    """Entity codes mentioned anywhere in ``alignment`` (the index's keys)."""
+    return story_index(alignment).vocabulary
 
 
 @dataclass(frozen=True)
@@ -50,9 +102,9 @@ class StoryHit:
 class QueryEngine:
     """Execute parsed (or raw) queries.
 
-    Construction is O(1): the known-entity vocabulary used to resolve bare
-    query tokens is computed lazily on first use and shared across every
-    engine over the same :class:`Alignment`.
+    Construction is O(1): the :class:`StoryIndex` (and with it the
+    vocabulary that resolves bare query tokens) is built on first use
+    and shared by every engine over the same :class:`Alignment`.
     """
 
     def __init__(self, alignment: Alignment,
@@ -74,59 +126,89 @@ class QueryEngine:
         entry point.  Ranking ties break on ``aligned_id``, so pages are
         deterministic and non-overlapping.
         """
+        index = story_index(self.alignment)
         if isinstance(query, str):
-            query = parse_query(query, known_entities=self._known_entities)
+            query = parse_query(query, known_entities=index.vocabulary)
         if query.is_empty:
             raise ValueError("empty query")
         if limit <= 0:
             raise ValueError("limit must be positive")
         if offset < 0:
             raise ValueError("offset must be non-negative")
-        hits: List[StoryHit] = []
-        for aligned in self.alignment.aligned.values():
-            hit = self._match_story(aligned, query)
-            if hit is not None:
-                hits.append(hit)
-        hits.sort(key=lambda h: (-h.relevance, h.story.aligned_id))
-        return hits[offset:offset + limit]
+        # (explanation prefix, the term's postings); a repeated term counts twice
+        terms = [
+            (f"entity {entity}", index.entities.get(entity))
+            for entity in query.entities
+        ]
+        for keyword in query.keywords:
+            stemmed = stem(keyword)
+            terms.append(
+                (f"keyword {keyword} ({stemmed})", index.terms.get(stemmed))
+            )
+        postings = [row for _, row in terms]
+        if None in postings:
+            return []  # conjunctive: every term must match somewhere
+        if postings:
+            first, *rest = sorted(postings, key=len)
+            candidates = [
+                aligned_id for aligned_id in first
+                if all(aligned_id in row for row in rest)
+            ]
+        else:
+            candidates = index.rows  # filter-only query
+        required = frozenset(query.sources)
+        after, before = query.after, query.before
+        ranked = []
+        for aligned_id in candidates:
+            sources, start, end, size = index.rows[aligned_id]
+            if not required <= sources:
+                continue
+            if after is not None and end < after:
+                continue
+            if before is not None and start > before:
+                continue
+            relevance = size  # a filter-only query ranks by size
+            if postings:
+                # counts are integers: the sum is exact in any order
+                relevance = sum(row[aligned_id] for row in postings)
+            ranked.append((-float(relevance), aligned_id))
+        ranked.sort()
+        return [
+            StoryHit(
+                story=index.aligned[aligned_id],
+                relevance=-negated,
+                matched=tuple(
+                    f"{prefix} ×{row[aligned_id]:g}" for prefix, row in terms
+                ) or ("matched filters",),
+            )
+            for negated, aligned_id in ranked[offset:offset + limit]
+        ]
 
     def search(self, query, limit: int = 10) -> List[StoryHit]:
         """Ranked stories matching ``query`` (a string or StoryQuery)."""
         return self.execute(query, limit=limit)
 
-    def _match_story(
-        self, aligned: AlignedStory, query: StoryQuery
-    ) -> Optional[StoryHit]:
-        # hard filters first
-        if query.sources and not set(query.sources) <= set(aligned.source_ids):
-            return None
-        if query.after is not None and aligned.end < query.after:
-            return None
-        if query.before is not None and aligned.start > query.before:
-            return None
+    def mentioning(
+        self, entity: Optional[str], keyword: Optional[str], limit: int = 10
+    ) -> List[Tuple[AlignedStory, float]]:
+        """Stories mentioning ``entity`` and/or ``keyword``, ranked.
 
-        relevance = 0.0
-        matched: List[str] = []
-        entity_profile = aligned.entity_profile()
-        term_profile = aligned.term_profile()
-        for entity in query.entities:
-            weight = entity_profile.get(entity, 0.0)
-            if weight <= 0:
-                return None  # conjunctive: every entity term must match
-            relevance += weight
-            matched.append(f"entity {entity} ×{weight:g}")
-        for keyword in query.keywords:
-            stemmed = stem(keyword)
-            weight = term_profile.get(stemmed, 0.0)
-            if weight <= 0:
-                return None
-            relevance += weight
-            matched.append(f"keyword {keyword} ({stemmed}) ×{weight:g}")
-        if not query.entities and not query.keywords:
-            relevance = float(len(aligned))  # filter-only query: rank by size
-            matched.append("matched filters")
-        return StoryHit(story=aligned, relevance=relevance,
-                        matched=tuple(matched))
+        Either suffices (unlike :meth:`execute`, which is conjunctive);
+        relevance is the summed counts.  ``StoryPivot.query`` is this.
+        """
+        if entity is None and keyword is None:
+            raise ValueError("query needs an entity or a keyword")
+        index = story_index(self.alignment)
+        relevance: Counter = Counter()  # update() adds a mapping's counts
+        if entity is not None:
+            relevance.update(index.entities.get(entity, {}))
+        if keyword is not None:
+            relevance.update(index.terms.get(stem(keyword), {}))
+        ranked = sorted(relevance.items(), key=lambda kv: (-kv[1], kv[0]))
+        return [
+            (index.aligned[aligned_id], float(count))
+            for aligned_id, count in ranked[:limit]
+        ]
 
     # -- snippet-level -----------------------------------------------------
 

@@ -182,7 +182,8 @@ def query(view: ReadView, params: Dict[str, str]) -> RouteResult:
     if not text:
         raise ApiError(400, "missing or empty query parameter 'q'")
     limit, offset = _page_params(params)
-    engine = QueryEngine(view.alignment)  # O(1): vocab cached per alignment
+    # O(1): the first query against a view's alignment builds its index
+    engine = QueryEngine(view.alignment)
     try:
         # fetch one extra hit to learn whether a next page exists
         hits = engine.execute(text, limit=limit + 1, offset=offset)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.alignment import AlignedStory, Alignment
 from repro.core.pipeline import PivotResult
@@ -100,40 +100,42 @@ def canonicalize_result_ids(result: PivotResult) -> Dict[str, str]:
     return mapping
 
 
-def _story_summary(aligned: AlignedStory) -> Dict[str, object]:
-    start, end = aligned.date_range()
-    return {
+def _story_records(aligned: AlignedStory) -> Tuple[dict, dict]:
+    """(listing row, detail record) of one integrated story, from one
+    merge of each profile: the row's top-3 heads the record's top-5/9."""
+    start_timestamp, end_timestamp = aligned.start, aligned.end
+    start = format_timestamp(start_timestamp)
+    end = format_timestamp(end_timestamp)
+    sources = aligned.source_ids
+    entities = aligned.top_entities(5)
+    terms = aligned.top_terms(9)
+    summary = {
         "id": aligned.aligned_id,
-        "sources": aligned.source_ids,
-        "num_sources": len(aligned.source_ids),
+        "sources": sources,
+        "num_sources": len(sources),
         "num_snippets": len(aligned),
-        "entities": [name for name, _ in aligned.top_entities(3)],
-        "description": [term for term, _ in aligned.top_terms(3)],
+        "entities": [name for name, _ in entities[:3]],
+        "description": [term for term, _ in terms[:3]],
         "start": start,
         "end": end,
     }
-
-
-def _story_detail(aligned: AlignedStory, alignment: Alignment) -> Dict[str, object]:
-    start, end = aligned.date_range()
-    return {
+    detail = {
         "id": aligned.aligned_id,
-        "sources": aligned.source_ids,
+        "sources": sources,
         "story_ids": aligned.story_ids,
-        "num_snippets": len(aligned),
+        "num_snippets": summary["num_snippets"],
         "entities": [
-            {"name": name, "count": count}
-            for name, count in aligned.top_entities(5)
+            {"name": name, "count": count} for name, count in entities
         ],
         "description": [
-            {"term": term, "count": count}
-            for term, count in aligned.top_terms(9)
+            {"term": term, "count": count} for term, count in terms
         ],
         "start": start,
         "end": end,
-        "start_timestamp": aligned.start,
-        "end_timestamp": aligned.end,
+        "start_timestamp": start_timestamp,
+        "end_timestamp": end_timestamp,
     }
+    return summary, detail
 
 
 class ReadView:
@@ -164,12 +166,12 @@ class ReadView:
             alignment.aligned.values(),
             key=lambda a: (-len(a), a.aligned_id),
         )
-        self.stories: List[Dict[str, object]] = [
-            _story_summary(a) for a in ranked
-        ]
-        self.story_details: Dict[str, Dict[str, object]] = {
-            a.aligned_id: _story_detail(a, alignment) for a in ranked
-        }
+        self.stories: List[Dict[str, object]] = []
+        self.story_details: Dict[str, Dict[str, object]] = {}
+        for aligned in ranked:
+            summary, detail = _story_records(aligned)
+            self.stories.append(summary)
+            self.story_details[aligned.aligned_id] = detail
         self.story_snippets: Dict[str, List[Dict[str, object]]] = {
             a.aligned_id: [
                 _snippet_record(s, alignment.role(s.snippet_id))
@@ -208,7 +210,7 @@ class ReadView:
         entities = set()
         timestamps: List[float] = []
         for aligned in ranked:
-            entities |= set(aligned.entity_profile())
+            entities |= aligned.entity_set()
             timestamps.append(aligned.start)
             timestamps.append(aligned.end)
         self.stats: Dict[str, object] = {

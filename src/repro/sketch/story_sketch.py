@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.eventdata.models import DAY
 from repro.sketch.minhash import MinHash, MinHashSignature
@@ -150,6 +150,10 @@ class StorySketch:
     def timestamps(self) -> List[float]:
         return sorted(self._timestamps.values())
 
+    def nearest(self, timestamp: float) -> float:
+        """Distance from ``timestamp`` to the closest member's."""
+        return min(abs(timestamp - t) for t in self._timestamps.values())
+
     # -- profiles -----------------------------------------------------------------
 
     def _decay_weight(self, timestamp: float, at_time: float) -> float:
@@ -177,6 +181,43 @@ class StorySketch:
             for term in term_tuple:
                 profile[term] = profile.get(term, 0.0) + weight
         return profile
+
+    def decayed_shares(
+        self, entities: AbstractSet[str], terms: AbstractSet[str],
+        at_time: float, near: float,
+    ) -> Tuple[Dict[str, float], float, Dict[str, float], float, float]:
+        """(entity weights, entity mass, term weights, term mass, nearest):
+        what scoring a snippet reads of the decayed profiles, in one pass.
+
+        The weights are :meth:`entity_profile`/:meth:`term_profile` at
+        ``at_time`` on ``entities``/``terms`` only, accumulated in member
+        insertion order as the profiles are: the same floats, bit for bit.
+        A mass is Σ weight·|features| over members — the sum of the whole
+        profile's values, up to rounding.  ``nearest`` is that of ``near``.
+        """
+        half_life = self.decay_half_life
+        entity_shared: Dict[str, float] = {}
+        term_shared: Dict[str, float] = {}
+        entity_mass = term_mass = 0.0
+        nearest = math.inf
+        # add() and remove() keep the three per-member maps in one order
+        for timestamp, entity_tuple, term_tuple in zip(
+            self._timestamps.values(), self._entities.values(), self._terms.values()
+        ):
+            distance = abs(near - timestamp)
+            if distance < nearest:
+                nearest = distance
+            # _decay_weight, inlined: the same expression, the same float
+            weight = math.pow(0.5, abs(at_time - timestamp) / half_life)
+            entity_mass += weight * len(entity_tuple)
+            for entity in entity_tuple:
+                if entity in entities:
+                    entity_shared[entity] = entity_shared.get(entity, 0.0) + weight
+            term_mass += weight * len(term_tuple)
+            for term in term_tuple:
+                if term in terms:
+                    term_shared[term] = term_shared.get(term, 0.0) + weight
+        return entity_shared, entity_mass, term_shared, term_mass, nearest
 
     def entity_set(self) -> Set[str]:
         return set(self.entity_counts)
