@@ -32,13 +32,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.core.alignment import Alignment, StoryAligner
+from repro.core.alignment import Alignment, AlignmentStats, StoryAligner
 from repro.core.config import StoryPivotConfig
 from repro.core.matchers import SnippetMatcher, snippet_features
 from repro.core.stories import Story, StorySet
 from repro.errors import UnknownSnippetError
 from repro.eventdata.models import Snippet
-from repro.storage.inverted_index import InvertedIndex
 from repro.storage.temporal_index import TemporalIndex
 
 
@@ -67,19 +66,21 @@ class RefinementResult:
     #: members' votes being those of an earlier conflict-free scan
     stories_certified: List[int] = field(default_factory=list)
     alignment: Optional[Alignment] = None
+    #: of every alignment pass: the one handed over, then one per moving round
+    passes: List[AlignmentStats] = field(default_factory=list)
 
     @property
     def num_moves(self) -> int:
         return len(self.moves)
 
 
-def _feature_keys(snippet: Snippet) -> List[Tuple[str, str]]:
-    """The snippet's entities and terms as keys of the feature indexes."""
-    entities, terms = snippet_features(snippet)
-    return [("e", e) for e in entities] + [("t", t) for t in terms]
-
-
 Votes = Dict[str, Dict[str, float]]  # other source -> story id -> vote mass
+
+
+def _disjoint(entities: frozenset, terms: frozenset, other: Snippet) -> bool:
+    """No entity and no term in common (apart: an entity is never a term)."""
+    other_entities, other_terms = snippet_features(other)
+    return entities.isdisjoint(other_entities) and terms.isdisjoint(other_terms)
 
 
 class StoryRefiner:
@@ -113,7 +114,6 @@ class StoryRefiner:
     def _forget(self) -> None:
         self._snippets: Dict[str, Snippet] = {}  # what the indexes hold
         self._temporal: Dict[str, TemporalIndex] = defaultdict(TemporalIndex)
-        self._features: Dict[str, InvertedIndex] = defaultdict(InvertedIndex)
         self._votes_of: Dict[str, Votes] = {}
         # snippet id -> story id the votes were computed under.  A copy,
         # never the story sets' own map: moves and canonicalize_result_ids
@@ -134,7 +134,7 @@ class StoryRefiner:
         the passed ``alignment`` object stays valid only if no moves
         happened; callers should use ``result.alignment``).
         """
-        result = RefinementResult(alignment=alignment)
+        result = RefinementResult(alignment=alignment, passes=[alignment.stats])
         try:
             for _ in range(self.config.max_refinement_rounds):
                 self._refresh_votes(story_sets, result)
@@ -143,6 +143,7 @@ class StoryRefiner:
                 if not moves:
                     break
                 result.alignment = self.aligner.align(story_sets)
+                result.passes.append(result.alignment.stats)
         except BaseException:
             self._forget()  # half-updated: the next refine starts over
             raise
@@ -183,26 +184,22 @@ class StoryRefiner:
                 self._votes_of.pop(snippet_id, None)
                 if old is not None:
                     self._temporal[old.source_id].remove(snippet_id)
-                    self._features[old.source_id].remove(snippet_id)
                     reach.append(old)
                 if new is not None:
                     self._temporal[new.source_id].insert(snippet_id, new.timestamp)
-                    self._features[new.source_id].insert(
-                        snippet_id, _feature_keys(new)
-                    )
             if new is not None:
                 reach.append(new)
         radius = self.config.snippet_align_tolerance + 1.0
         stale: Set[str] = set()
         if self._votes_of:  # else nothing to invalidate: all are computed
             for snippet in reach:
-                query = _feature_keys(snippet)
+                entities, terms = snippet_features(snippet)
                 for source_id, index in self._temporal.items():
-                    if source_id != snippet.source_id:
-                        stale.update(
-                            self._features[source_id].candidates(query)
-                            & set(index.around(snippet.timestamp, radius))
-                        )
+                    if source_id == snippet.source_id:
+                        continue
+                    for other_id in index.around(snippet.timestamp, radius):
+                        if not _disjoint(entities, terms, current[other_id]):
+                            stale.add(other_id)
         # only members of multi-member stories can be in (or resolve) a
         # conflict, so singleton stories carry no votes at all
         votes_of: Dict[str, Votes] = {}
@@ -225,26 +222,26 @@ class StoryRefiner:
     ) -> Votes:
         """Per other source: counterpart story id → vote mass.
 
-        A counterpart is a cross-source snippet within the align tolerance
-        whose similarity clears the snippet-align threshold; its vote mass
-        is that similarity, accumulated on the story that holds it.
+        A counterpart is a cross-source snippet within the align tolerance,
+        sharing a feature, whose similarity clears the snippet-align
+        threshold; its vote mass is that similarity, on the story holding it.
         """
         tolerance = self.config.snippet_align_tolerance
         threshold = self.config.snippet_align_threshold
-        query = _feature_keys(snippet)
+        entities, terms = snippet_features(snippet)
         votes: Votes = {}
         # in the story sets' source order, not the indexes': the order a
         # snippet's votes are summed in must not depend on what is remembered
         for source_id, story_set in story_sets.items():
             if source_id == snippet.source_id:
                 continue
-            sharing = self._features[source_id].candidates(query)
             for other_id in self._temporal[source_id].around(
                 snippet.timestamp, tolerance
             ):
-                if other_id not in sharing:
+                other = self._snippets[other_id]
+                if _disjoint(entities, terms, other):
                     continue
-                score = self.matcher.snippet_score(snippet, self._snippets[other_id])
+                score = self.matcher.snippet_score(snippet, other)
                 if score < threshold:
                     continue
                 story_id = story_set.snippet_homes[other_id]
@@ -393,15 +390,12 @@ class StoryRefiner:
         if best_story is None:
             key = (snippet.source_id, frozenset(evidence_stories))
             best_story = fresh_homes.get(key)
-            if best_story is None:
-                story_set.unassign(snippet.snippet_id)
-                best_story = story_set.new_story()
-                fresh_homes[key] = best_story
-                founded = True
-            else:
-                story_set.unassign(snippet.snippet_id)
-        else:
-            story_set.unassign(snippet.snippet_id)
+            founded = best_story is None
+            if founded:
+                # before the snippet leaves: were it the last member of the
+                # highest founded story, the id would name both stories
+                best_story = fresh_homes[key] = story_set.found_story()
+        story_set.unassign(snippet.snippet_id)
         story_set.assign(snippet, best_story)
         if self.decisions is not None:
             details = {"from_story": from_story_id}

@@ -186,6 +186,24 @@ class StorySet:
         # sit ahead of it — never clobber, skip to the next free id
         while story_id in self._stories:
             story_id = f"{self.source_id}/c{next(_story_counter):06d}"
+        return self._register(story_id)
+
+    def found_story(self) -> Story:
+        """Create and register the empty story a refinement move founds.
+
+        ``{source}/r{n:06d}``, one past the highest such id the set holds: a
+        function of the set alone — equal sets found equal ids, on every
+        node and in every generation — that sorts after every ``c`` id, in
+        founding order, as ids from the counter did.
+        """
+        prefix = f"{self.source_id}/r"
+        numbers = [
+            int(story_id[len(prefix):]) for story_id in self._stories
+            if story_id.startswith(prefix) and story_id[len(prefix):].isdigit()
+        ]
+        return self._register(f"{prefix}{max(numbers, default=-1) + 1:06d}")
+
+    def _register(self, story_id: str) -> Story:
         story = Story(
             story_id,
             self.source_id,

@@ -53,7 +53,7 @@ class DecisionLog:
         self._by_story: Dict[str, List[dict]] = {}
         self._absorbed_into: Dict[str, str] = {}  # absorbed id -> keeper id
         self._split_from: Dict[str, str] = {}  # child id -> parent id
-        self._aligned_map: Dict[str, str] = {}  # story id -> last aligned id
+        self._aligned_map: Dict[str, object] = {}  # story id -> last membership
         self._seq = 0
         self._file = None
         self.recorded = 0
@@ -150,15 +150,20 @@ class DecisionLog:
 
         Alignment runs repeatedly (every view refresh); recording every
         mapping every time would bury the signal, so only stories whose
-        integrated story changed get an ``aligned`` event.
+        integrated story changed its *members* get an ``aligned`` event:
+        its id is minted anew by every alignment, and is only the payload.
         """
+        mapping = alignment.story_to_aligned
+        membership = dict(mapping)  # a bare mapping has only ids to compare
+        for integrated in getattr(alignment, "aligned", {}).values():
+            members = tuple(integrated.story_ids)
+            membership.update(dict.fromkeys(members, members))
         changed = 0
-        mapping = dict(alignment.story_to_aligned)
-        for story_id, aligned_id in sorted(mapping.items()):
-            if self._aligned_map.get(story_id) != aligned_id:
-                self.record("aligned", story_id, aligned_id=aligned_id)
+        for story_id, members in sorted(membership.items()):
+            if self._aligned_map.get(story_id) != members:
+                self.record("aligned", story_id, aligned_id=mapping[story_id])
                 changed += 1
-        self._aligned_map = mapping
+        self._aligned_map = membership
         return changed
 
     def close(self) -> None:

@@ -313,7 +313,8 @@ class ViewStore:
 class ViewRefresher:
     """Background rebuilds of a :class:`ViewStore` off a live runtime.
 
-    Polls ``runtime.accepted`` every ``interval`` seconds; when ingestion
+    Polls ``runtime.accepted`` every ``interval`` seconds, start to start
+    (a refresh's duration is part of the period); when ingestion
     has advanced since the last build (or on :meth:`refresh` being called
     directly), takes a read-only merged snapshot of the shards, runs
     alignment/refinement on it, and swaps the result in.  The runtime is
@@ -374,6 +375,7 @@ class ViewRefresher:
         self._refiner = None
         self._built_at_count = -1
         self._built_at_wall: Optional[float] = None
+        self._clock = time.monotonic  # what _loop schedules by
         self._started_at_wall = time.time()
         self._consecutive_failures = 0
         self._last_error: Optional[str] = None
@@ -414,6 +416,9 @@ class ViewRefresher:
                     merged.refiner.decisions = self.decisions
                 result = merged.finish()
                 finished_at = time.perf_counter()
+                if self.decisions is not None:
+                    # by live ids, which last: canonical ones are ranks
+                    self.decisions.note_alignment(result.alignment)
                 if self.pin_generations:
                     # replication mode: ids must be a function of story
                     # content, or leader and follower ETags diverge
@@ -429,26 +434,32 @@ class ViewRefresher:
                     corpus=self.corpus,
                     generation=accepted if self.pin_generations else None,
                 )
-                if self.decisions is not None:
-                    self.decisions.note_alignment(result.alignment)
                 if (
                     self.bus is not None
                     and view.generation > self._notified_generation
                 ):
                     self.bus.note_view(view)
                     self._notified_generation = view.generation
-            stats, refinement = result.alignment.stats, result.refinement
+            refinement = result.refinement  # None: refinement is off
+            passes = refinement.passes if refinement else [result.alignment.stats]
+            recomputed = refinement.votes_recomputed if refinement else []
+            reused = refinement.votes_reused if refinement else []
             root.set(
                 generation=view.generation, stories=len(view.stories),
                 merge_s=round(merged_at - started, 6),
                 align_s=round(result.timings["alignment"], 6),
                 refine_s=round(result.timings["refinement"], 6),
                 install_s=round(time.perf_counter() - finished_at, 6),
-                # of the refresh's last alignment pass / all its vote passes
-                story_pairs_scored=stats.story_pairs_scored,
-                story_pairs_reused=stats.story_pairs_reused,
-                votes_recomputed=sum(refinement.votes_recomputed) if refinement else 0,
-                votes_reused=sum(refinement.votes_reused) if refinement else 0,
+                # totals, then each alignment pass and each vote round
+                story_pairs_scored=sum(p.story_pairs_scored for p in passes),
+                story_pairs_reused=sum(p.story_pairs_reused for p in passes),
+                votes_recomputed=sum(recomputed),
+                votes_reused=sum(reused),
+                pass_story_pairs_scored=[p.story_pairs_scored for p in passes],
+                pass_story_pairs_reused=[p.story_pairs_reused for p in passes],
+                pass_snippet_pairs_scored=[p.snippet_pairs_scored for p in passes],
+                round_votes_recomputed=list(recomputed),
+                round_votes_reused=list(reused),
             )
         finally:
             root.end()
@@ -464,11 +475,18 @@ class ViewRefresher:
         return view
 
     def _loop(self) -> None:
+        started = self._clock()
+        due = started + self.interval
         while not self._stop.is_set():
-            self._wake.wait(timeout=self.interval)
+            self._wake.wait(timeout=max(0.0, due - self._clock()))
             self._wake.clear()
             if self._stop.is_set():
                 return
+            last, started = started, self._clock()
+            if self.metrics is not None:  # of the polls, rebuilt or not
+                self.metrics.histogram("view.refresh_period_seconds").observe(
+                    started - last
+                )
             try:
                 self.refresh()
             except Exception as exc:  # keep serving the last good view
@@ -482,6 +500,11 @@ class ViewRefresher:
                 self.metrics.gauge("view.stale_seconds").set(
                     round(self.staleness(), 3)
                 )
+            # starts are ``interval`` apart whatever a refresh costs; one that
+            # overran gets interval/2 of quiet, never a back-to-back rebuild
+            due, ended = started + self.interval, self._clock()
+            if ended > due:
+                due = ended + self.interval / 2.0
 
     # -- degradation signals ----------------------------------------------
 

@@ -6,6 +6,13 @@ from repro.core.config import StoryPivotConfig
 from repro.core.matchers import SnippetMatcher, snippet_features
 from repro.core.stories import Story
 from repro.eventdata.models import DAY
+from repro.eventdata.sourcegen import synthetic_corpus
+from repro.text.similarity import (
+    combine_weighted,
+    jaccard_similarity,
+    overlap_coefficient,
+    temporal_proximity,
+)
 from tests.conftest import make_snippet
 
 
@@ -63,6 +70,44 @@ class TestSnippetScore:
         a = crash_snippet("a")
         for other in (crash_snippet("b"), vote_snippet("c")):
             assert 0.0 <= matcher.snippet_score(a, other) <= 1.0
+
+
+class TestSnippetScoreKernel:
+    """The inlined kernel against its definition in ``text.similarity``,
+    compared with ``==``: the same values summed in the same order."""
+
+    WEIGHTS = (
+        {"entity": 0.45, "term": 0.45, "temporal": 0.10},
+        {"temporal": 0.5, "entity": 0.25, "term": 0.25},  # another order
+        {"term": 0.3, "entity": 0.7},  # a channel left out
+        {"entity": 0.2, "term": 0.2, "temporal": 0.1, "tone": 0.5},  # unscored
+        {"entity": 1e-3, "term": 0.7, "temporal": 1e3},
+    )
+
+    @pytest.mark.parametrize("weights", WEIGHTS, ids=lambda w: "+".join(w))
+    def test_equals_the_definition(self, weights):
+        config = StoryPivotConfig(weights=weights)
+        matcher = SnippetMatcher(config)
+        snippets = synthetic_corpus(
+            total_events=60, num_sources=4, seed=4
+        ).snippets_by_time()
+        snippets.append(make_snippet("bare", entities=(), keywords=()))
+        scored = 0
+        for index, a in enumerate(snippets):
+            for b in snippets[index:index + 40]:
+                entities_a, terms_a = snippet_features(a)
+                entities_b, terms_b = snippet_features(b)
+                expected = combine_weighted({
+                    "entity": overlap_coefficient(entities_a, entities_b),
+                    "term": jaccard_similarity(terms_a, terms_b),
+                    "temporal": temporal_proximity(
+                        a.timestamp, b.timestamp, config.window
+                    ),
+                }, weights)
+                assert matcher.snippet_score(a, b) == expected
+                assert matcher.snippet_score(b, a) == expected
+                scored += 1
+        assert scored > 2000
 
 
 class TestStoryScore:

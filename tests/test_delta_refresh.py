@@ -3,21 +3,26 @@
 What alignment and refinement remember now outlives ``finish()`` — with a
 ``ViewRefresher`` across merged pivots, with a ``StoryPivot`` across its own
 ``finish()`` calls.  The oracle is a brand-new ``merged_pivot().finish()``
-(or a restored fresh pivot): nothing remembered, the same code.  Both sides
-mint ids from the same counter value, so everything — founded-story ids
-included — is compared with ``==``; floats too.
+(or a restored fresh pivot): nothing remembered, the same code.  Everything
+is compared with ``==``, floats too, and so are the ids of the stories
+refinement founds: they are a function of the story set, not of a counter.
+(Integrated ids ``c'N`` still come from one; both sides restart it.)
 """
 
 import dataclasses
+import itertools
 import json
 import threading
 import time
+import types
 
 import pytest
 
+from repro.core import alignment as alignment_module
 from repro.core.config import StoryPivotConfig
 from repro.core.pipeline import StoryPivot
 from repro.core.refinement import StoryRefiner
+from repro.core.stories import StorySet
 from repro.eventdata.sourcegen import synthetic_corpus
 from repro.obs.store import SpanStore
 from repro.obs.trace import Tracer
@@ -26,7 +31,7 @@ from repro.runtime import ShardedRuntime
 from repro.runtime.metrics import MetricsRegistry
 from repro.server import ViewRefresher, ViewStore, make_etag
 
-from test_delta_finish import everything, restored, same_ids, trust_of
+from test_delta_finish import everything, restored, trust_of
 
 SEEDS = (5, 18, 26)
 GENERATIONS = 5
@@ -60,12 +65,19 @@ class RecordingStore(ViewStore):
         return super().install(result, **kwargs)
 
 
-def warm_and_cold(refresher, runtime, monkeypatch, generation):
+def same_ids(monkeypatch):
+    """Restart the integrated-id counter, so two passes mint the same
+    ``c'N``.  The story counter is left alone: no id compared here may
+    depend on it."""
+    monkeypatch.setattr(alignment_module, "_aligned_counter", itertools.count())
+
+
+def warm_and_cold(refresher, runtime, monkeypatch):
     """One refresh by the long-lived refresher, one rebuild from nothing."""
-    same_ids(monkeypatch, first_story=1_000_000 * (generation + 1))
+    same_ids(monkeypatch)
     refresher.refresh(force=True)
     warm = refresher.store.result
-    same_ids(monkeypatch, first_story=1_000_000 * (generation + 1))
+    same_ids(monkeypatch)
     cold = runtime.merged_pivot().finish()
     return warm, cold
 
@@ -101,9 +113,7 @@ class TestRefresherEqualsColdRebuild:
             moves = certified = 0
             for generation, batch in enumerate(batches(corpus)):
                 runtime.consume(batch).drain()
-                warm, cold = warm_and_cold(
-                    refresher, runtime, monkeypatch, generation
-                )
+                warm, cold = warm_and_cold(refresher, runtime, monkeypatch)
                 assert_same(warm, cold)
                 moves += warm.refinement.num_moves
                 if generation:
@@ -116,6 +126,78 @@ class TestRefresherEqualsColdRebuild:
             assert moves > 0 and certified > 0
         finally:
             runtime.stop(checkpoint=False)
+
+
+class TestFoundedIds:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_quiet_generation_founds_the_ids_of_the_last(
+        self, corpora, monkeypatch, seed
+    ):
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        refresher = ViewRefresher(runtime, RecordingStore())
+        founded = 0
+        try:
+            for batch in batches(corpora[seed]):
+                runtime.consume(batch).drain()
+                refresher.refresh(force=True)
+                arrived = refresher.store.result.refinement
+                warm, cold = warm_and_cold(refresher, runtime, monkeypatch)
+                assert_same(warm, cold)
+                assert warm.refinement.moves == arrived.moves
+                founded += sum("/r0" in move.to_story for move in arrived.moves)
+            assert founded > 0
+        finally:
+            runtime.stop(checkpoint=False)
+
+    def test_the_next_free_id_of_the_set(self):
+        story_set = StorySet("s1")
+        story_set.new_story()
+        assert story_set.found_story().story_id == "s1/r000000"
+        assert story_set.found_story().story_id == "s1/r000001"
+        # a restored set: stories arrive under the ids they were saved with
+        restored_set = StorySet("s1")
+        restored_set.rebind_story_id(
+            restored_set.new_story().story_id, "s1/r000000"
+        )
+        restored_set.rebind_story_id(
+            restored_set.new_story().story_id, "s1/rumours"
+        )
+        assert restored_set.found_story().story_id == "s1/r000001"
+        assert sorted(restored_set.story_ids())[-2:] == ["s1/r000001", "s1/rumours"]
+
+    def test_a_move_never_lands_on_the_id_it_left(self, corpora):
+        """The last member of the highest founded story founds another: its
+        old story is pruned, and the id must not pass to the new one."""
+        snippet = corpora[18].snippets_by_time()[0]
+        story_set = StorySet(snippet.source_id)
+        story_set.assign(snippet, story_set.found_story())
+        left = story_set.story_of(snippet.snippet_id)
+        move = StoryRefiner()._apply_move(
+            snippet, left, story_set, {}, {"elsewhere/c000001"}, 1.0, {}
+        )
+        assert move.from_story == left.story_id == f"{snippet.source_id}/r000000"
+        assert move.to_story == f"{snippet.source_id}/r000001"
+        assert story_set.story_ids() == [move.to_story]
+
+    def test_a_restored_pivot_that_holds_one_founds_past_it(self, corpora):
+        config = StoryPivotConfig.temporal()
+        identified = StoryPivot(config)
+        for snippet in corpora[18].snippets_by_time():
+            identified.add_snippet(snippet)
+        plain = restored(identified).finish()
+        source_id = plain.refinement.moves[0].source_id
+        assert plain.refinement.moves[0].to_story == f"{source_id}/r000000"
+        holding = restored(identified)
+        story_set = holding.story_sets()[source_id]
+        # the last story of the set, so that it stays the last under its new id
+        story_set.rebind_story_id(story_set.story_ids()[-1], f"{source_id}/r000000")
+        got = holding.finish()
+        assert got.refinement.moves[0].to_story == f"{source_id}/r000001"
+        assert [
+            (move.snippet_id, repr(move.evidence)) for move in got.refinement.moves
+        ] == [
+            (move.snippet_id, repr(move.evidence)) for move in plain.refinement.moves
+        ]
 
 
 def view_etag(view):
@@ -211,9 +293,9 @@ class TestLongLivedPivot:
             edit()
             fresh = restored(pivot)
             fresh.aligner.set_source_trust(trust)
-            same_ids(monkeypatch, first_story=1_000_000 * (step + 1))
+            same_ids(monkeypatch)
             got = pivot.finish()
-            same_ids(monkeypatch, first_story=1_000_000 * (step + 1))
+            same_ids(monkeypatch)
             assert_same(got, fresh.finish())
             reused.append(got.refinement.votes_reused[0])
             # evidence is summed over a snippet's votes in their order: it
@@ -243,9 +325,9 @@ class TestLongLivedPivot:
             )
             with pytest.raises(RuntimeError, match="injected"):
                 pivot.finish()
-        same_ids(monkeypatch, first_story=1_000_000)
+        same_ids(monkeypatch)
         got = pivot.finish()
-        same_ids(monkeypatch, first_story=1_000_000)
+        same_ids(monkeypatch)
         assert_same(got, fresh.finish())
         assert got.refinement.votes_reused[0] == 0
 
@@ -301,9 +383,9 @@ class TestReplacedSnippets:
         def once(snippet):  # the same replacement on both sides
             return copies.setdefault(snippet.snippet_id, replace(snippet))
 
-        same_ids(monkeypatch, first_story=1_000_000)
+        same_ids(monkeypatch)
         got = self.adopted(identified, first.refiner, once).finish()
-        same_ids(monkeypatch, first_story=1_000_000)
+        same_ids(monkeypatch)
         assert_same(got, self.adopted(identified, None, once).finish())
         return got
 
@@ -354,11 +436,11 @@ class TestFailedRefresh:
             assert refresher.store.current() is good
             assert refresher.staleness() > 0.0
 
-            warm, cold = warm_and_cold(refresher, runtime, monkeypatch, 1)
+            warm, cold = warm_and_cold(refresher, runtime, monkeypatch)
             assert_same(warm, cold)
             assert warm.refinement.votes_reused[0] == 0  # from scratch
             runtime.consume(third).drain()
-            warm, cold = warm_and_cold(refresher, runtime, monkeypatch, 2)
+            warm, cold = warm_and_cold(refresher, runtime, monkeypatch)
             assert_same(warm, cold)
             assert warm.refinement.votes_reused[0] > 0  # and warm again
         finally:
@@ -454,3 +536,80 @@ class TestRefreshIsObservable:
         ]
         assert shares[0] < shares[1]
         assert warm["story_pairs_reused"] > 0
+        # every alignment pass and every vote round, not the last or the sum
+        for attributes in (cold, warm):
+            passes = attributes["pass_story_pairs_scored"]
+            assert 1 < len(passes) == len(attributes["pass_story_pairs_reused"])
+            assert len(passes) == len(attributes["pass_snippet_pairs_scored"])
+            assert sum(passes) == attributes["story_pairs_scored"]
+            rounds = attributes["round_votes_recomputed"]
+            assert len(passes) - 1 <= len(rounds) <= len(passes)
+            assert sum(rounds) == attributes["votes_recomputed"]
+            assert sum(attributes["round_votes_reused"]) == attributes["votes_reused"]
+        assert cold["pass_story_pairs_reused"][0] == 0 < warm["pass_story_pairs_reused"][0]
+
+
+class SteppedTime:
+    """The clock ``_loop`` reads and the wake event it waits on, in one:
+    waiting is what moves the time."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.poked = False
+
+    def clock(self):
+        return self.now
+
+    def wait(self, timeout):
+        if not self.poked:
+            self.now += timeout
+        return self.poked
+
+    def set(self):
+        self.poked = True
+
+    def clear(self):
+        self.poked = False
+
+
+class TestThePeriodIsStartToStart:
+    def starts(self, durations, poke_during=(), metrics=None):
+        """When each rebuild of ``_loop`` began, at ``interval=1.0``."""
+        time_ = SteppedTime()
+        refresher = ViewRefresher(
+            types.SimpleNamespace(accepted=0),  # staleness() reads no more
+            ViewStore(), interval=1.0, metrics=metrics,
+        )
+        refresher._clock, refresher._wake = time_.clock, time_
+        began = []
+
+        def rebuild(force):
+            began.append(time_.now)
+            time_.now += durations[len(began) - 1]
+            if len(began) in poke_during:
+                refresher.poke()
+            if len(began) == len(durations):
+                refresher._stop.set()
+
+        refresher._rebuild_locked = rebuild
+        refresher._loop()
+        return began
+
+    def test_a_refresh_is_part_of_the_period(self):
+        metrics = MetricsRegistry()
+        assert self.starts([0.4] * 4, metrics=metrics) == pytest.approx(
+            [1.0, 2.0, 3.0, 4.0]
+        )
+        period = metrics.snapshot()["view.refresh_period_seconds"]
+        assert period["count"] == 4
+        assert period["min"] == pytest.approx(1.0) == period["max"]
+
+    def test_an_overrun_is_followed_by_half_a_period_of_quiet(self):
+        assert self.starts([0.4, 1.5, 0.4, 0.4]) == pytest.approx(
+            [1.0, 2.0, 2.0 + 1.5 + 0.5, 5.0]
+        )
+
+    def test_a_poke_does_not_wait(self):
+        assert self.starts([0.4, 0.4, 0.4], poke_during=(1,)) == pytest.approx(
+            [1.0, 1.4, 2.4]
+        )

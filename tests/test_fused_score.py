@@ -11,6 +11,13 @@ each, against digests recorded from the commit before the fused pass::
 
     PYTHONPATH=<that tree>/src python tests/test_fused_score.py > \\
         tests/fixtures/fused_score_parent.json
+
+Re-recorded at PR 22, which renamed refinement-founded stories
+(``{source}/r000000`` …, not ids from the global counter): three digests
+per ``batch_density`` corpus contain those strings.  Before re-recording,
+parent and change were shown equal on all 12 corpora under digests that
+replace each founded id by its rank among founded ids (DESIGN.md,
+"Founded ids that repeat").
 """
 
 import hashlib

@@ -13,6 +13,23 @@ from repro.runtime.runtime import RuntimeOptions, ShardedRuntime
 from conftest import make_snippet
 
 
+def aligned_events(log):
+    return [e for e in log.events() if e["event"] == "aligned"]
+
+
+def finished_pivot():
+    """A log, the pivot recording into it, and its first ``finish()``."""
+    from repro.eventdata.sourcegen import synthetic_corpus
+
+    log = DecisionLog()
+    pivot = StoryPivot(StoryPivotConfig.temporal(), decision_log=log)
+    for snippet in synthetic_corpus(
+        total_events=30, num_sources=3, seed=5
+    ).snippets_by_time():
+        pivot.add_snippet(snippet)
+    return log, pivot, pivot.finish()
+
+
 class TestRecording:
     def test_source_derived_from_story_id(self):
         log = DecisionLog()
@@ -53,6 +70,51 @@ class TestRecording:
         assert log.note_alignment(FakeAlignment({"s1/a": "c'1"})) == 1
         aligned = [e for e in log.events() if e["event"] == "aligned"]
         assert len(aligned) == 2
+        # every align() mints new c'N: an unchanged pivot finished twice
+        # has new integrated ids everywhere, and no news
+        log, pivot, first = finished_pivot()
+        assert len(aligned_events(log)) == first.num_stories
+        second = pivot.finish()
+        assert set(second.alignment.aligned).isdisjoint(first.alignment.aligned)
+        assert len(aligned_events(log)) == first.num_stories
+        assert log.note_alignment(second.alignment) == 0
+
+    def test_note_alignment_compares_membership_not_the_minted_id(self):
+        log, pivot, first = finished_pivot()
+        second = pivot.finish()
+        # one story leaves its integrated story: that is news for its mates
+        crowd = max(second.alignment.aligned.values(), key=lambda a: len(a.stories))
+        mates = len(crowd.stories) - 1
+        assert mates > 0
+        second.alignment.story_to_aligned.pop(crowd.stories.pop().story_id)
+        assert log.note_alignment(second.alignment) == mates
+        # the id of the day is the payload
+        assert log.events()[-1]["details"]["aligned_id"] == crowd.aligned_id
+
+    @pytest.mark.parametrize("pinned", (False, True))
+    def test_a_refresher_records_only_changes(self, pinned):
+        """Also under ``pin_generations``: canonical ids are ranks by start,
+        so late snippets that start a source's first story rename every
+        later one — which is no news about any of them."""
+        from repro.eventdata.sourcegen import synthetic_corpus
+        from repro.server import ViewRefresher, ViewStore
+
+        snippets = synthetic_corpus(
+            total_events=120, num_sources=3, seed=5
+        ).snippets_by_time()
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        try:
+            refresher = ViewRefresher(runtime, ViewStore(), pin_generations=pinned)
+            runtime.consume(snippets[8:]).drain()
+            refresher.refresh()
+            first = len(aligned_events(runtime.decisions))
+            refresher.refresh(force=True)
+            assert len(aligned_events(runtime.decisions)) == first
+            runtime.consume(snippets[:8]).drain()
+            refresher.refresh()
+            assert 0 < len(aligned_events(runtime.decisions)) - first < first // 4
+        finally:
+            runtime.stop(checkpoint=False)
 
     def test_eviction_keeps_per_story_index_consistent(self):
         log = DecisionLog(capacity=4)
