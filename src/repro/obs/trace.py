@@ -16,9 +16,10 @@ Design decisions, in the order they matter:
 * **Explicit hand-off across threads.**  Context variables do not cross
   the bounded-queue boundary, so producers wrap queue items in an
   :class:`Envelope` carrying the root span; the consumer re-binds it
-  with :meth:`Tracer.attach`.  The process-executor boundary cannot
-  carry live spans at all (spans do not pickle) and degrades to a new
-  root linked by a ``links`` attribute.
+  with :meth:`Tracer.attach`.  Work that continues many traces at once
+  — a view refresh folding in recent ingests, a replication batch —
+  starts its own root and records the trace ids it continues in a
+  ``links`` attribute.
 * **Head sampling, error override.**  The keep/drop decision is made
   once, at the root, from a hash of the trace id — deterministic, so a
   trace is never half-sampled.  Spans of *unsampled* traces still exist
@@ -54,10 +55,9 @@ _id_local = threading.local()
 class TraceContext:
     """The frozen, picklable coordinates of a span.
 
-    This is what crosses boundaries a live :class:`Span` cannot: the
-    process-executor sends only trace ids to the child and the parent
-    records them as ``links``; tests and external callers can assert on
-    it without holding the mutable span.
+    This is what crosses boundaries a live :class:`Span` cannot — a
+    ``traceparent`` header parses into one; tests and external callers
+    can assert on it without holding the mutable span.
     """
 
     __slots__ = ("trace_id", "span_id", "sampled")

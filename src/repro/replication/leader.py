@@ -1,8 +1,8 @@
 """Leader side of WAL-shipping replication.
 
 :class:`ReplicationServer` exposes a live
-:class:`~repro.runtime.runtime.ShardedRuntime` (thread executor with a
-WAL directory — the configuration where per-shard WALs exist) over the
+:class:`~repro.runtime.runtime.ShardedRuntime` (one with a WAL
+directory — the configuration where per-shard WALs exist) over the
 pull protocol in :mod:`repro.replication.protocol`.  It runs on its own
 ``ThreadingHTTPServer`` and port so replication traffic never competes
 with the read-path listener, and it touches the runtime only through
@@ -76,9 +76,9 @@ class ReplicationServer:
         # /replication/v1/register, consumed by the FleetCollector
         self._followers: Dict[str, Dict[str, object]] = {}
         self._followers_lock = threading.Lock()
-        # touch the WAL accessor now: a runtime that cannot lead
-        # (process executor / no wal_dir) must fail at construction,
-        # not on the first follower request
+        # touch the WAL accessor now: a runtime that cannot lead (no
+        # wal_dir) must fail at construction, not on the first follower
+        # request
         runtime.start()
         runtime.shard_wal(0)
         self.metrics.counter("replication.ship.requests")

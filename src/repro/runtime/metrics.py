@@ -3,7 +3,8 @@
 The runtime instruments its hot paths (offer latency, queue depth, dedup
 hits, realignment duration, checkpoint bytes) through a
 :class:`MetricsRegistry`.  Everything is dependency-free and thread-safe:
-shard workers, the realigner and the supervisor all record concurrently.
+shard workers, the view refresher and the supervisor all record
+concurrently.
 
 Histograms keep exact ``count``/``sum``/``min``/``max`` plus a bounded
 ring of the most recent observations from which p50/p95/p99 are computed —

@@ -3,49 +3,40 @@
 Turns the StoryPivot library into a long-running service.  Snippets are
 routed by a stable hash of their *source id* to shard workers; because
 story identification is strictly per-source, shards run identification
-with zero coordination, and only the (much rarer) cross-source alignment
-cycle needs a global view.  The cross-shard cycle is stop-the-world over
-the shard locks: with ``realign_every`` accepted snippets between cycles,
-workers spend a fraction of their time paused and the live alignment view
-stays fresh.
+with zero coordination.  Cross-source alignment needs a global view, so
+it runs only when a view is built — at :meth:`ShardedRuntime.flush` and
+in the server's :class:`~repro.server.views.ViewRefresher` — over a
+merged pivot.  :meth:`ShardedRuntime.realign` aligns the live shard
+state on demand and publishes nothing.
 
-Two executors, both ``concurrent.futures``-based:
-
-* ``thread`` (default) — shard loops on a ``ThreadPoolExecutor``, with the
-  full feature set: bounded queues with backpressure, supervision with
-  capped-backoff restarts, WAL + checkpoint durability, periodic
-  realignment.  Under CPython's GIL this prioritizes isolation and
-  liveness over parallel speed-up.
-* ``process`` — one single-worker ``ProcessPoolExecutor`` per shard, each
-  child owning its shard's pivot; snippets travel in batches.  This is
-  the throughput configuration: identification runs genuinely in
-  parallel, scaling near-linearly with shards until alignment dominates.
+Shard loops run on a ``ThreadPoolExecutor`` with bounded queues and
+backpressure, supervision with capped-backoff restarts, and WAL +
+checkpoint durability.  Under CPython's GIL this prioritizes isolation
+and liveness over parallel speed-up.
 
 Determinism: each source's snippets flow through exactly one shard in
 offer order, so the per-source story sets are a pure function of the
 per-source input sequences — identical to a single-threaded
 :class:`~repro.core.streaming.StreamProcessor` run, whatever the shard
-count or executor.  Cross-source alignment is recomputed at flush over
-the merged state.
+count.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 import zlib
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.alignment import Alignment, StoryAligner
 from repro.core.config import StoryPivotConfig
-from repro.core.persistence import dumps_state, load_state
+from repro.core.persistence import dumps_state
 from repro.core.pipeline import PivotResult, StoryPivot
-from repro.errors import ConfigurationError, DuplicateSnippetError
+from repro.errors import ConfigurationError
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet
 from repro.obs.decisions import DecisionLog
@@ -54,11 +45,11 @@ from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BACKPRESSURE_POLICIES, BoundedQueue, QueueClosed
-from repro.runtime.shard import DEFAULT_SHARD_RETRY, POISON_POLICIES, STOP, Shard
+from repro.runtime.shard import DEFAULT_SHARD_RETRY, POISON_POLICIES, Shard
 from repro.runtime.supervisor import BackoffPolicy, Supervisor
 from repro.runtime.wal import CheckpointStore
 
-EXECUTORS = ("thread", "process")
+EXECUTORS = ("thread",)
 
 #: DLQ error prefix marking records turned away at admission (never
 #: integrated), as opposed to snippets quarantined by a failing shard.
@@ -73,20 +64,17 @@ class RuntimeOptions:
     :class:`~repro.core.config.StoryPivotConfig`)."""
 
     num_shards: int = 4
-    executor: str = "thread"
+    executor: str = "thread"  # the only executor; still accepted by name
     queue_capacity: int = 2048
     policy: str = "block"
     sample_every: int = 10
     put_timeout: Optional[float] = None
-    realign_every: int = 0  # 0 disables the periodic cross-shard cycle
     dedup_capacity: int = 100_000
     wal_dir: Optional[str] = None
     checkpoint_every: int = 0  # accepted snippets per shard; 0 = manual only
     wal_keep_segments: int = 6  # sealed WAL segments retained per shard
     fsync: bool = False
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    batch_size: int = 64  # process executor: snippets per IPC batch
-    max_outstanding: int = 4  # process executor: in-flight batches per shard
     poison_policy: str = "quarantine"  # or "supervise": escalate snippet errors
     retry: RetryPolicy = DEFAULT_SHARD_RETRY  # per-snippet retry schedule
 
@@ -107,17 +95,8 @@ class RuntimeOptions:
                 f"unknown policy {self.policy!r}; "
                 f"choose from {BACKPRESSURE_POLICIES}"
             )
-        if self.realign_every < 0 or self.checkpoint_every < 0:
-            raise ConfigurationError("cadences must be non-negative")
-        if self.executor == "process" and self.wal_dir is not None:
-            raise ConfigurationError(
-                "WAL/checkpointing requires the thread executor; the "
-                "process executor is the throughput configuration"
-            )
-        if self.executor == "process" and self.policy != "block":
-            raise ConfigurationError(
-                "the process executor only supports the block policy"
-            )
+        if self.checkpoint_every < 0:
+            raise ConfigurationError("checkpoint_every must be non-negative")
 
 
 def shard_of(source_id: str, num_shards: int) -> int:
@@ -128,32 +107,6 @@ def shard_of(source_id: str, num_shards: int) -> int:
     killed one did.
     """
     return zlib.crc32(source_id.encode("utf-8")) % num_shards
-
-
-# -- process-executor child-side state (one pivot per worker process) -------
-
-_PROCESS_PIVOT: Optional[StoryPivot] = None
-
-
-def _process_shard_init(config_values: Dict[str, object]) -> None:
-    global _PROCESS_PIVOT
-    _PROCESS_PIVOT = StoryPivot(StoryPivotConfig(**config_values))
-
-
-def _process_shard_ingest(snippets: List[Snippet]):
-    accepted = duplicates = 0
-    started = time.perf_counter()
-    for snippet in snippets:
-        try:
-            _PROCESS_PIVOT.add_snippet(snippet)
-            accepted += 1
-        except DuplicateSnippetError:
-            duplicates += 1
-    return accepted, duplicates, time.perf_counter() - started
-
-
-def _process_shard_dump() -> str:
-    return dumps_state(_PROCESS_PIVOT)
 
 
 class ShardedRuntime:
@@ -196,7 +149,6 @@ class ShardedRuntime:
         self._stopped = False
         self._lock = threading.Lock()
         self._accepted_total = 0
-        self._live_alignment: Optional[Alignment] = None
         self._result: Optional[PivotResult] = None
         self._flushed_at = -1
         # pre-register the metrics operators expect in every export
@@ -228,15 +180,6 @@ class ShardedRuntime:
         self._executor = None
         self._supervisor: Optional[Supervisor] = None
         self._worker_stop = threading.Event()
-        self._realign_event = threading.Event()
-        self._realign_stop = threading.Event()
-        self._realign_thread: Optional[threading.Thread] = None
-        self._proc_executors: List[ProcessPoolExecutor] = []
-        self._buffers: List[List[Snippet]] = []
-        self._outstanding: List[List[Future]] = []
-        self._batch_traces: List[List[str]] = [
-            [] for _ in range(options.num_shards)
-        ]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -282,13 +225,6 @@ class ShardedRuntime:
         if self._started:
             return self
         self._started = True
-        if self.options.executor == "process":
-            self._start_process_shards()
-        else:
-            self._start_thread_shards()
-        return self
-
-    def _start_thread_shards(self) -> None:
         options = self.options
         if options.wal_dir is not None:
             self._store = CheckpointStore(options.wal_dir)
@@ -345,32 +281,7 @@ class ShardedRuntime:
             self._executor, self.metrics, options.backoff
         )
         self._supervisor.start(self._shards, self._worker_stop)
-        if options.realign_every:
-            self._realign_thread = threading.Thread(
-                target=self._realign_loop,
-                name="storypivot-realigner",
-                daemon=True,
-            )
-            self._realign_thread.start()
-
-    def _start_process_shards(self) -> None:
-        from repro.core.persistence import config_record
-
-        values = config_record(self.config)
-        for shard_id in range(self.options.num_shards):
-            self._proc_executors.append(
-                ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_process_shard_init,
-                    initargs=(values,),
-                )
-            )
-            self._buffers.append([])
-            self._outstanding.append([])
-        # worker processes spawn lazily on first submit; force them up now
-        # so start() returning means the runtime is actually ready
-        for executor in self._proc_executors:
-            executor.submit(_process_shard_ingest, []).result()
+        return self
 
     def __enter__(self) -> "ShardedRuntime":
         return self.start()
@@ -398,8 +309,6 @@ class ShardedRuntime:
         self._arrived.inc()
         shard_id = shard_of(snippet.source_id, self.options.num_shards)
         if not self.tracer.enabled:
-            if self.options.executor == "process":
-                return self._offer_process(shard_id, snippet)
             return self._offer_plain(shard_id, snippet)
         root = current_span()
         if root is None:
@@ -423,17 +332,6 @@ class ShardedRuntime:
         return enqueued
 
     def _offer_traced(self, shard_id: int, snippet: Snippet, root: Span) -> bool:
-        if self.options.executor == "process":
-            # Spans cannot cross pickling into the worker process: the
-            # ingest trace ends at the batch boundary and the batch span
-            # links back to it by trace id (graceful degradation).
-            if root.sampled:
-                self._batch_traces[shard_id].append(root.trace_id)
-                self._recent_traces.append(root.trace_id)
-            ok = self._offer_process(shard_id, snippet)
-            root.set(shard=shard_id, outcome="batched")
-            root.end()
-            return ok
         shard = self._shards[shard_id]
         root.set(shard=shard_id)
 
@@ -471,8 +369,6 @@ class ShardedRuntime:
         if not self._started:
             self.start()
         self.metrics.counter("ingest.rejected").inc()
-        if self.options.executor != "thread" or not self._shards:
-            return
         shard_id = shard_of(snippet.source_id, self.options.num_shards)
         shard = self._shards[shard_id]
         if shard.dlq is not None:
@@ -518,112 +414,29 @@ class ShardedRuntime:
         """Wait until every enqueued snippet has been processed."""
         if not self._started:
             return
-        if self.options.executor == "process":
-            self._drain_process()
-            return
         for shard in self._shards:
             if shard.dead:
                 shard.queue.purge()
                 continue
             shard.queue.join(timeout)
 
-    # -- process-executor internals ----------------------------------------
-
-    def _offer_process(self, shard_id: int, snippet: Snippet) -> bool:
-        buffer = self._buffers[shard_id]
-        buffer.append(snippet)
-        if len(buffer) >= self.options.batch_size:
-            self._submit_batch(shard_id)
-        return True
-
-    def _submit_batch(self, shard_id: int) -> None:
-        buffer = self._buffers[shard_id]
-        if not buffer:
-            return
-        outstanding = self._outstanding[shard_id]
-        while len(outstanding) >= self.options.max_outstanding:
-            self._reap(shard_id, outstanding.pop(0))  # block: backpressure
-        batch = list(buffer)
-        buffer.clear()
-        future = self._proc_executors[shard_id].submit(
-            _process_shard_ingest, batch
-        )
-        future._storypivot_batch = len(batch)
-        if self.tracer.enabled:
-            # new root on this side of the process boundary; the ingest
-            # traces it continues are attached as links
-            links = self._batch_traces[shard_id][:64]
-            self._batch_traces[shard_id].clear()
-            span = self.tracer.start_trace(
-                "shard.batch", shard=shard_id, batch=len(batch)
-            )
-            if links:
-                span.set(links=links)
-            future._storypivot_span = span
-        outstanding.append(future)
-        self.metrics.gauge("queue.depth", shard=shard_id).set(
-            len(outstanding)
-        )
-
-    def _reap(self, shard_id: int, future: Future) -> None:
-        accepted, duplicates, elapsed = future.result()
-        batch = getattr(future, "_storypivot_batch", accepted + duplicates)
-        span = getattr(future, "_storypivot_span", None)
-        if span is not None:
-            span.set(accepted=accepted, duplicates=duplicates)
-            span.end()
-        self.metrics.counter("ingest.accepted").inc(accepted)
-        self.metrics.counter("ingest.duplicates").inc(duplicates)
-        if batch:
-            self.metrics.histogram("ingest.offer_latency_seconds").observe(
-                elapsed / batch
-            )
-        with self._lock:
-            self._accepted_total += accepted
-
-    def _drain_process(self) -> None:
-        for shard_id in range(self.options.num_shards):
-            self._submit_batch(shard_id)
-            outstanding = self._outstanding[shard_id]
-            while outstanding:
-                self._reap(shard_id, outstanding.pop(0))
-            self.metrics.gauge("queue.depth", shard=shard_id).set(0)
-
-    # -- cross-shard alignment cycle ---------------------------------------
+    # -- cross-shard alignment ---------------------------------------------
 
     def _on_accepted(self) -> None:
-        realign_every = self.options.realign_every
         with self._lock:
             self._accepted_total += 1
-            trigger = bool(
-                realign_every and self._accepted_total % realign_every == 0
-            )
-        if trigger:
-            self._realign_event.set()
-
-    def _realign_loop(self) -> None:
-        while not self._realign_stop.is_set():
-            if not self._realign_event.wait(timeout=0.1):
-                continue
-            self._realign_event.clear()
-            if self._realign_stop.is_set():
-                return
-            self.realign()
 
     def realign(self) -> Alignment:
-        """Stop-the-world cross-shard alignment over the live story sets.
+        """On-demand cross-shard alignment over the live story sets.
 
-        Pauses every shard (lock acquisition in shard order), aligns the
-        union of their story sets, and publishes the result as the live
-        view.  Identification state is *not* mutated — refinement feedback
-        runs only at :meth:`flush`, keeping per-source stories a pure
-        function of the input sequences (which is what makes kill/resume
-        recovery exact).
+        A probe, not a view: pauses every shard (lock acquisition in
+        shard order), aligns the union of their story sets and returns
+        the result without publishing it anywhere — views align when
+        they are built (:meth:`flush`, the server's view refresher).
+        Identification state is *not* mutated, keeping per-source stories
+        a pure function of the input sequences (which is what makes
+        kill/resume recovery exact).
         """
-        if self.options.executor == "process":
-            raise ConfigurationError(
-                "periodic realignment requires the thread executor"
-            )
         self.start()
         with self.tracer.span("realign", shards=len(self._shards)) as span:
             with ExitStack() as stack:
@@ -636,14 +449,8 @@ class ShardedRuntime:
                     alignment = self._aligner.align(story_sets)
             span.set(stories=sum(len(s) for s in story_sets.values()),
                      integrated=len(alignment))
-        self._live_alignment = alignment
         self.metrics.counter("realign.count").inc()
         return alignment
-
-    @property
-    def live_alignment(self) -> Optional[Alignment]:
-        """Latest periodic cross-shard alignment (None before the first)."""
-        return self._live_alignment
 
     # -- views -------------------------------------------------------------
 
@@ -655,8 +462,6 @@ class ShardedRuntime:
         """
         self.start()
         with self.tracer.span("shards.merge"):
-            if self.options.executor == "process":
-                return self._merged_pivot_process()
             with ExitStack() as stack:
                 for shard in self._shards:
                     stack.enter_context(shard.lock)
@@ -671,22 +476,6 @@ class ShardedRuntime:
                         )
             return merged
 
-    def _merged_pivot_process(self) -> StoryPivot:
-        self._drain_process()
-        merged = StoryPivot(self.config)
-        for shard_id in range(self.options.num_shards):
-            text = self._proc_executors[shard_id].submit(
-                _process_shard_dump
-            ).result()
-            shard_pivot = load_state(text)
-            for source_id in sorted(shard_pivot.source_ids):
-                story_set = shard_pivot.story_sets()[source_id]
-                for story in story_set:
-                    merged.restore_story(
-                        source_id, story.story_id, story.snippets()
-                    )
-        return merged
-
     def flush(self) -> PivotResult:
         """Drain, merge all shards, and run alignment (+refinement)."""
         self.drain()
@@ -698,7 +487,6 @@ class ShardedRuntime:
             merged.refiner.decisions = self.decisions
             result = merged.finish()
             self.decisions.note_alignment(result.alignment)
-        self._live_alignment = result.alignment
         self._result = result
         with self._lock:
             self._flushed_at = self._accepted_total
@@ -752,10 +540,6 @@ class ShardedRuntime:
     def checkpoint(self) -> int:
         """Compact every shard's WAL into a full checkpoint; total bytes."""
         self.start()
-        if self.options.executor == "process":
-            raise ConfigurationError(
-                "checkpointing requires the thread executor"
-            )
         return sum(self._checkpoint_shard(shard) for shard in self._shards)
 
     # -- shutdown ----------------------------------------------------------
@@ -774,12 +558,6 @@ class ShardedRuntime:
             self._stopped = True
             return
         self._stopped = True
-        if self.options.executor == "process":
-            if drain:
-                self._drain_process()
-            for executor in self._proc_executors:
-                executor.shutdown(wait=True)
-            return
         if drain:
             self.drain()
         if checkpoint is None:
@@ -787,15 +565,11 @@ class ShardedRuntime:
         if checkpoint and self._store is not None:
             for shard in self._shards:
                 self._checkpoint_shard(shard)
-        self._realign_stop.set()
-        self._realign_event.set()
         self._worker_stop.set()
         for shard in self._shards:
             shard.queue.close()
         if self._supervisor is not None:
             self._supervisor.stop()
-        if self._realign_thread is not None:
-            self._realign_thread.join(timeout=5.0)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         for shard in self._shards:
@@ -823,10 +597,6 @@ class ShardedRuntime:
         quarantined after, "held": rejected records left in place}``.
         """
         self.start()
-        if self.options.executor == "process":
-            raise ConfigurationError(
-                "DLQ replay requires the thread executor"
-            )
         letters = []
         held = 0
         for shard in self._shards:
@@ -858,9 +628,6 @@ class ShardedRuntime:
         capacity (some shards parked/dead, or snippets in quarantine);
         unhealthy means no shard is processing at all.
         """
-        if self.options.executor == "process" or not self._shards:
-            status = "ok" if self._started and not self._stopped else "unhealthy"
-            return {"status": status, "executor": self.options.executor}
         alive = [s for s in self._shards if not s.dead]
         failed = [s.shard_id for s in self._shards if s.failed]
         dead = [s.shard_id for s in self._shards if s.dead and not s.failed]
@@ -904,8 +671,8 @@ class ShardedRuntime:
         """
         if self._store is None or not self._shards:
             raise ConfigurationError(
-                "replication requires a thread-executor runtime with "
-                "wal_dir configured"
+                "replication requires a started runtime with wal_dir "
+                "configured"
             )
         return self._shards[shard_id].wal
 

@@ -60,14 +60,9 @@ def build_parser(prog: str = "storypivot-serve") -> argparse.ArgumentParser:
                         help="sliding-window radius ω in days")
     parser.add_argument("--workers", "-j", type=int, default=4,
                         metavar="N", help="shard workers (default 4)")
-    parser.add_argument("--executor", choices=["thread", "process"],
-                        default="thread",
-                        help="thread: full runtime; process: throughput")
     parser.add_argument("--policy", choices=["block", "drop", "sample"],
                         default="block", help="backpressure policy")
     parser.add_argument("--queue-capacity", type=int, default=2048)
-    parser.add_argument("--realign-every", type=int, default=500, metavar="N",
-                        help="cross-shard alignment cadence (0 disables)")
     parser.add_argument("--wal-dir", default=None, metavar="DIR",
                         help="write-ahead log + checkpoint directory")
     parser.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
@@ -133,8 +128,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not args.wal_dir:
             parser.exit(2, "error: --replay-dlq requires --wal-dir\n")
         args.resume = True
-    if args.chaos is not None and args.executor != "thread":
-        parser.exit(2, "error: --chaos requires the thread executor\n")
 
     corpus = None
     connector = None
@@ -188,12 +181,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         options = RuntimeOptions(
             num_shards=args.workers,
-            executor=args.executor,
             queue_capacity=args.queue_capacity,
             policy=args.policy,
-            realign_every=(
-                args.realign_every if args.executor == "thread" else 0
-            ),
             wal_dir=args.wal_dir,
             checkpoint_every=args.checkpoint_every,
         )
@@ -269,7 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"({stats['duplicates']} duplicates, {stats['dropped']} dropped) "
         f"→ {result.num_stories} per-source stories "
         f"→ {result.num_integrated} integrated stories "
-        f"[{runtime.options.num_shards} shard(s), {args.executor} executor, "
+        f"[{runtime.options.num_shards} shard(s), "
         f"{stats['realignments']} realignment(s)]"
     )
 

@@ -15,9 +15,9 @@ swap; it keys the response cache, feeds ETags, and is echoed in the
 
 :class:`ViewRefresher` rebuilds the view off a live
 :class:`~repro.runtime.runtime.ShardedRuntime`: it polls the runtime's
-accepted count on the realignment cadence and, when ingestion has
-advanced, merges the shards (a read-only snapshot under the shard locks),
-runs alignment and swaps in the fresh view.  The merged pivot is new every
+accepted count every refresh interval and, when ingestion has advanced,
+merges the shards (a read-only snapshot under the shard locks), runs
+alignment and swaps in the fresh view.  The merged pivot is new every
 generation — a published view's stories are never touched again — while
 what alignment and refinement *remember* stays with the refresher, so a
 refresh re-derives what arrived since the last one, not the corpus.
@@ -398,8 +398,8 @@ class ViewRefresher:
             return self.store.current()
         started = time.perf_counter()
         root = self.tracer.start_trace("view.refresh", accepted=accepted)
-        # link the ingest traces this rebuild folds in (same degradation
-        # idiom as the process-executor boundary: ids, not live spans)
+        # link the ingest traces this rebuild folds in: one refresh
+        # continues many traces, so it records their ids, not live spans
         recent = getattr(self.runtime, "recent_traces", None)
         if recent is not None:
             ids = recent()

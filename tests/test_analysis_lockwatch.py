@@ -230,7 +230,7 @@ def test_installed_watch_sees_runtime_locks_and_stays_clean():
     try:
         runtime = ShardedRuntime(
             StoryPivotConfig.temporal(),
-            RuntimeOptions(num_shards=2, realign_every=0),
+            RuntimeOptions(num_shards=2),
         )
         runtime.start()
         try:

@@ -268,39 +268,6 @@ class TestRuntimeTracing:
         finally:
             runtime.stop()
 
-    def test_process_executor_degrades_to_linked_batch_roots(
-        self, small_synthetic
-    ):
-        """Spans cannot cross the process boundary: ingest roots end at
-        offer time and the shard.batch root carries their trace ids as a
-        ``links`` attribute."""
-        store = SpanStore(max_traces=1024)  # hold every ingest trace
-        tracer = Tracer(sample_rate=1.0, store=store)
-        runtime = ShardedRuntime(
-            StoryPivotConfig(),
-            RuntimeOptions(num_shards=2, executor="process"),
-            tracer=tracer,
-        ).start()
-        try:
-            runtime.consume_corpus(small_synthetic)
-            runtime.flush()
-        finally:
-            runtime.stop()
-        store.flush()
-        traces = store.traces(limit=500)
-        ingest = [t for t in traces if t["name"] == "ingest"]
-        batches = [t for t in traces if t["name"] == "shard.batch"]
-        assert ingest and batches
-        assert all(
-            t["spans"][0]["attrs"]["outcome"] == "batched" for t in ingest
-        )
-        ingest_ids = {t["trace_id"] for t in ingest}
-        linked = set()
-        for batch in batches:
-            root = batch["spans"][0]
-            linked.update(root.get("attrs", {}).get("links", ()))
-        assert linked and linked <= ingest_ids
-
     def test_stage_histograms_fed_for_unsampled_traces(self):
         metrics = MetricsRegistry()
         tracer = Tracer(sample_rate=0.0, metrics=metrics)

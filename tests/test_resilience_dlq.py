@@ -2,11 +2,9 @@
 
 import os
 
-import pytest
-
 from repro.core.config import StoryPivotConfig
 from repro.resilience import DeadLetterQueue, RetryPolicy
-from repro.runtime import BackoffPolicy, RuntimeOptions, ShardedRuntime
+from repro.runtime import BackoffPolicy, ShardedRuntime
 
 from tests.conftest import make_snippet
 
@@ -237,18 +235,6 @@ class TestReplay:
             assert counts == {"replayed": 0, "requeued": 0, "held": 1}
             assert len(runtime._shards[0].dlq) == 1
             assert runtime.stats()["accepted"] == 1
-        finally:
-            runtime.stop()
-
-    def test_replay_requires_thread_executor(self):
-        from repro.errors import ConfigurationError
-
-        runtime = ShardedRuntime(
-            CONFIG, RuntimeOptions(num_shards=1, executor="process")
-        )
-        try:
-            with pytest.raises(ConfigurationError):
-                runtime.replay_dlq()
         finally:
             runtime.stop()
 

@@ -25,7 +25,16 @@ class TestInputs:
         out = capsys.readouterr().out
         assert "accepted" in out
         assert "integrated stories" in out
-        assert "2 shard(s), thread executor" in out
+        assert "[2 shard(s), " in out
+
+    @pytest.mark.parametrize("flags", [
+        ["--executor", "process"],
+        ["--realign-every", "5"],
+    ])
+    def test_removed_flags_exit_2(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main(["--demo", *flags])
+        assert excinfo.value.code == 2
 
     def test_synthetic_run(self, capsys):
         assert serve_main(
@@ -48,12 +57,13 @@ class TestDispatch:
 
 class TestMetricsOutputs:
     def test_metrics_file_has_required_keys(self, tmp_path, capsys):
-        """ISSUE acceptance: the serve CLI emits a metrics JSON containing
-        queue depth, offer-latency histogram, and realignment timings."""
+        """The serve CLI emits a metrics JSON containing queue depth,
+        offer-latency histogram, and the end-of-stream alignment's
+        timings (recorded by flush(), the only alignment it runs)."""
         path = tmp_path / "metrics.json"
         assert serve_main(
             ["--synthetic", "80", "--sources", "4", "--workers", "4",
-             "--realign-every", "20", "--metrics", str(path)]
+             "--metrics", str(path)]
         ) == 0
         assert f"metrics: {path}" in capsys.readouterr().out
         snapshot = json.loads(path.read_text(encoding="utf-8"))
