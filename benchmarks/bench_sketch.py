@@ -15,7 +15,6 @@ from repro.core.config import StoryPivotConfig
 from repro.core.identification import make_identifier
 from repro.evaluation.metrics import pairwise_scores
 from repro.sketch.minhash import MinHash
-from repro.sketch.simhash import SimHash
 
 
 @pytest.mark.parametrize("use_sketches", (False, True),
@@ -65,8 +64,3 @@ def test_minhash_similarity_throughput(benchmark):
                           {f"b{i}" for i in range(15)})
     benchmark(a.similarity, b)
 
-
-def test_simhash_fingerprint_throughput(benchmark):
-    simhash = SimHash(bits=64)
-    features = {f"term{i}": float(i % 5 + 1) for i in range(30)}
-    benchmark(simhash.fingerprint, features)

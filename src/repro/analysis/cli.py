@@ -33,6 +33,7 @@ from repro.analysis.findings import (
     write_baseline,
 )
 from repro.analysis.rules import all_rules
+from repro.nodecli import console_entry
 
 
 def build_parser(prog: str = "storypivot-lint") -> argparse.ArgumentParser:
@@ -160,8 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if failed else 0
 
 
-def _console_entry() -> int:
-    return main()
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

@@ -31,69 +31,27 @@ from typing import Optional, Sequence
 from repro.core.config import StoryPivotConfig
 from repro.core.persistence import dump_state
 from repro.core.pipeline import PivotResult, StoryPivot
-from repro.errors import DataFormatError, StoryPivotError
-from repro.eventdata.corpus import Corpus
-from repro.eventdata.gdelt import GDELT_COLUMNS, import_tsv
-from repro.eventdata.models import DAY
+from repro.errors import StoryPivotError
 from repro.evaluation.metrics import bcubed, pairwise_scores
+from repro.nodecli import (
+    add_input_flags,
+    console_entry,
+    load_corpus,
+    make_config,
+)
 from repro.viz.modules import story_overview_view
 
 
-def _load_corpus(
-    args: argparse.Namespace,
-    skip_reasons: "dict[str, int] | None" = None,
-) -> Corpus:
-    """Load the corpus selected by ``args``.
-
-    When ``skip_reasons`` is given, GDELT TSV inputs are imported with
-    ``on_error="skip"`` and each dropped row's reject reason is tallied
-    into it (long-running servers report these on ``/metricz`` instead of
-    dying on one bad row); without it the strict raise-on-first-error
-    contract holds.
-    """
-    if args.demo:
-        from repro.eventdata.handcrafted import mh17_corpus
-
-        return mh17_corpus()
-    if args.synthetic is not None:
-        from repro.eventdata.sourcegen import synthetic_corpus
-
-        return synthetic_corpus(
-            total_events=args.synthetic, num_sources=args.sources,
-            seed=args.seed,
-        )
-    if args.corpus is None:
-        raise DataFormatError(
-            "no input: give a corpus file, --demo, or --synthetic N"
-        )
-    with open(args.corpus, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    first_line = text.splitlines()[0] if text.splitlines() else ""
-    if first_line.startswith(GDELT_COLUMNS[0]):
-        if skip_reasons is not None:
-            return import_tsv(text, on_error="skip", reasons=skip_reasons)
-        return import_tsv(text)
-    return Corpus.from_jsonl(text)
-
-
 def _make_config(args: argparse.Namespace) -> StoryPivotConfig:
-    factory = {
-        "temporal": StoryPivotConfig.temporal,
-        "complete": StoryPivotConfig.complete,
-        "single_pass": StoryPivotConfig.single_pass,
-    }[args.si]
     overrides = {
         "alignment_strategy": args.sa,
         "enable_refinement": not args.no_refinement and args.sa != "none",
     }
-    if args.window_days is not None:
-        overrides["window"] = args.window_days * DAY
-        overrides["decay_half_life"] = args.window_days * DAY
     if args.match_threshold is not None:
         overrides["match_threshold"] = args.match_threshold
     if args.sketches:
         overrides["use_sketches"] = True
-    return factory(**overrides)
+    return make_config(args, **overrides)
 
 
 def _stories_as_json(result: PivotResult) -> str:
@@ -126,21 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="storypivot-run",
         description="Detect and align stories in an event corpus.",
     )
-    parser.add_argument("corpus", nargs="?", default=None,
-                        help="corpus file (JSONL or GDELT TSV)")
-    parser.add_argument("--demo", action="store_true",
-                        help="use the built-in MH17 demo corpus")
-    parser.add_argument("--synthetic", type=int, default=None, metavar="N",
-                        help="generate a synthetic corpus with N events")
-    parser.add_argument("--sources", type=int, default=5,
-                        help="sources for --synthetic (default 5)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--si", choices=["temporal", "complete", "single_pass"],
-                        default="temporal", help="identification mode")
+    add_input_flags(parser)
     parser.add_argument("--sa", choices=["greedy", "optimal", "none"],
                         default="greedy", help="alignment strategy")
-    parser.add_argument("--window-days", type=float, default=None,
-                        help="sliding-window radius ω in days")
     parser.add_argument("--match-threshold", type=float, default=None)
     parser.add_argument("--no-refinement", action="store_true")
     parser.add_argument("--sketches", action="store_true",
@@ -179,21 +125,12 @@ def _explain_main(argv: Sequence[str]) -> int:
     parser.add_argument("story_id",
                         help="per-source story id (s1/c000003) or "
                              "integrated story id (c'000001)")
-    parser.add_argument("corpus", nargs="?", default=None,
-                        help="corpus to re-run when no --wal-dir/--log is "
-                             "given")
+    # the corpus is re-run when no --wal-dir/--log is given
+    add_input_flags(parser, window_days=False)
     parser.add_argument("--wal-dir", default=None, metavar="DIR",
                         help="state directory holding decisions.jsonl")
     parser.add_argument("--log", default=None, metavar="FILE",
                         help="decision-log JSONL file to load")
-    parser.add_argument("--demo", action="store_true",
-                        help="use the built-in MH17 demo corpus")
-    parser.add_argument("--synthetic", type=int, default=None, metavar="N",
-                        help="generate a synthetic corpus with N events")
-    parser.add_argument("--sources", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--si", choices=["temporal", "complete", "single_pass"],
-                        default="temporal", help="identification mode")
     args = parser.parse_args(list(argv))
 
     if args.log or args.wal_dir:
@@ -203,16 +140,13 @@ def _explain_main(argv: Sequence[str]) -> int:
         log = DecisionLog.load(path)
     else:
         try:
-            corpus = _load_corpus(args)
+            corpus = load_corpus(args)
         except (OSError, StoryPivotError) as exc:
             parser.exit(2, f"error: {exc}\n")
-        factory = {
-            "temporal": StoryPivotConfig.temporal,
-            "complete": StoryPivotConfig.complete,
-            "single_pass": StoryPivotConfig.single_pass,
-        }[args.si]
         log = DecisionLog()
-        StoryPivot(factory(), decision_log=log).run(corpus)
+        StoryPivot(
+            StoryPivotConfig.preset(args.si), decision_log=log
+        ).run(corpus)
 
     events = log.history(args.story_id)
     if events:
@@ -252,7 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        corpus = _load_corpus(args)
+        corpus = load_corpus(args)
     except (OSError, StoryPivotError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
@@ -304,19 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _console_entry() -> int:
-    """Console-script wrapper: exit quietly when the pipe closes (| head)."""
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-        import sys
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

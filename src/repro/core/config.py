@@ -115,6 +115,18 @@ class StoryPivotConfig:
         overrides.setdefault("enable_split", False)
         return cls(identification_mode="single_pass", **overrides)
 
+    @classmethod
+    def preset(cls, mode: str, **overrides) -> "StoryPivotConfig":
+        """The preset for an identification ``mode`` (one of
+        :data:`IDENTIFICATION_MODES`) — the selector every CLI and the
+        experiment harness share."""
+        if mode not in IDENTIFICATION_MODES:
+            raise ConfigurationError(
+                f"identification mode must be one of {IDENTIFICATION_MODES}, "
+                f"got {mode!r}"
+            )
+        return getattr(cls, mode)(**overrides)
+
     def with_(self, **overrides) -> "StoryPivotConfig":
         """A modified copy (validated)."""
         return replace(self, **overrides)

@@ -24,6 +24,7 @@ from repro.core.pipeline import PivotResult, StoryPivot
 from repro.errors import UnknownSnippetError
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.handcrafted import demo_config, mh17_corpus
+from repro.nodecli import console_entry
 from repro.viz.modules import (
     document_selection_view,
     snippets_per_story_view,
@@ -242,19 +243,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _console_entry() -> int:
-    """Console-script wrapper: exit quietly when the pipe closes (| head)."""
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-        import sys
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

@@ -39,12 +39,7 @@ class MethodSpec:
         overrides = dict(self.config_overrides)
         overrides["alignment_strategy"] = self.sa_method
         overrides["enable_refinement"] = self.refine and self.sa_method != "none"
-        factory = {
-            "temporal": StoryPivotConfig.temporal,
-            "complete": StoryPivotConfig.complete,
-            "single_pass": StoryPivotConfig.single_pass,
-        }[self.si_method]
-        return factory(**overrides)
+        return StoryPivotConfig.preset(self.si_method, **overrides)
 
 
 def default_method_grid() -> List[MethodSpec]:

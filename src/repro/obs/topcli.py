@@ -22,6 +22,7 @@ import urllib.error
 import urllib.request
 from typing import Dict, Optional, Sequence
 
+from repro.nodecli import console_entry
 from repro.obs.slo import render_slo_table
 
 _EXIT_BY_STATUS = {"ok": 0, "no_data": 0, "warn": 1, "burning": 2}
@@ -133,17 +134,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
 
-def _console_entry() -> int:
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

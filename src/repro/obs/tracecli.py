@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import urllib.request
 from typing import Dict, List, Optional, Sequence
+
+from repro.nodecli import console_entry
 
 
 def _load_source(source: str) -> List[dict]:
@@ -174,17 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0 if spans else 1
 
 
-def _console_entry() -> int:
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

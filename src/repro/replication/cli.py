@@ -19,22 +19,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import signal
-import sys
-import threading
 from typing import Optional, Sequence
 
-import os
-
 from repro.errors import StoryPivotError
-from repro.obs import SpanStore, Tracer
-from repro.obs.propagate import make_node_id
-from repro.obs.slo import SLOEngine, default_objectives
+from repro.nodecli import (
+    NodeGuard,
+    add_serving_flags,
+    add_tracing_flags,
+    console_entry,
+    serve_until_signalled,
+)
 from repro.push import EventBus
 from repro.resilience.breaker import CircuitOpenError
 
 from repro.replication.follower import ReplicaRuntime, SourceMetaShim
-from repro.server.app import StoryPivotAPI
 from repro.server.views import ViewRefresher, ViewStore
 
 DEFAULT_PORT = 8322
@@ -49,34 +47,11 @@ def build_parser(prog: str = "storypivot-replica") -> argparse.ArgumentParser:
     parser.add_argument("--leader", required=True, metavar="URL",
                         help="leader replication endpoint, e.g. "
                              "http://127.0.0.1:8421")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"listen port (default {DEFAULT_PORT}; "
-                             f"0 = ephemeral)")
+    add_serving_flags(parser, DEFAULT_PORT)
     parser.add_argument("--poll-interval", type=float, default=0.2,
                         metavar="SEC",
                         help="WAL tail cadence (default 0.2s; a backlog "
                              "is drained at full speed regardless)")
-    parser.add_argument("--refresh-interval", type=float, default=1.0,
-                        metavar="SEC", help="view rebuild cadence")
-    parser.add_argument("--lag-budget", type=float, default=None,
-                        metavar="SEC",
-                        help="replication + view staleness budget: past "
-                             "this, /healthz degrades and data requests "
-                             "are shed with 503 + Retry-After")
-    parser.add_argument("--cache-size", type=int, default=512, metavar="N",
-                        help="response cache entries (0 disables)")
-    parser.add_argument("--rate-limit", type=float, default=0.0,
-                        metavar="RPS",
-                        help="per-client requests/second (0 = unlimited)")
-    parser.add_argument("--burst", type=float, default=20.0,
-                        help="rate-limiter burst size (default 20)")
-    parser.add_argument("--access-log", action="store_true",
-                        help="write JSON access log lines to stderr")
-    parser.add_argument("--trace-sample", type=float, default=0.0,
-                        metavar="RATE",
-                        help="head-sampling rate in [0, 1] for apply and "
-                             "request traces (default 0.0)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
                         help="persist replication cursors + shard state "
                              "here; a restarted replica then warm-starts "
@@ -85,21 +60,11 @@ def build_parser(prog: str = "storypivot-replica") -> argparse.ArgumentParser:
     parser.add_argument("--persist-every", type=float, default=5.0,
                         metavar="SEC",
                         help="--state-dir save cadence (default 5s)")
-    parser.add_argument("--node-id", default=None, metavar="ID",
-                        help="fleet identity stamped on spans, announced "
-                             "to the leader's /clusterz registry "
-                             "(default: follower@host:port)")
     parser.add_argument("--advertise-url", default=None, metavar="URL",
                         help="base URL the leader should scrape this "
                              "node's /metricz at (default: "
                              "http://<host>:<port>)")
-    parser.add_argument("--trace-export-mb", type=int, default=64,
-                        metavar="MB",
-                        help="rotate the JSONL trace export (under "
-                             "--state-dir) past this size (default 64)")
-    parser.add_argument("--trace-keep", type=int, default=3, metavar="N",
-                        help="sealed trace-export files retained after "
-                             "rotation (default 3)")
+    add_tracing_flags(parser)
     return parser
 
 
@@ -107,120 +72,59 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    node_id = args.node_id or make_node_id("follower", args.port or None)
-    export_path = (
-        os.path.join(args.state_dir, "traces.jsonl")
-        if args.state_dir else None
-    )
-    span_store = SpanStore(
-        export_path=export_path,
-        export_max_bytes=args.trace_export_mb * 1024 * 1024,
-        export_keep_files=args.trace_keep,
-    )
-    tracer = Tracer(
-        sample_rate=args.trace_sample, store=span_store, node_id=node_id
-    )
-
-    replica = ReplicaRuntime(
-        args.leader,
-        poll_interval=args.poll_interval,
-        lag_budget=args.lag_budget,
-        tracer=tracer,
-        state_dir=args.state_dir,
-        persist_every=args.persist_every,
-        node_id=node_id,
-        advertise_url=args.advertise_url,
-    )
-    try:
-        replica.start()
-    except (StoryPivotError, CircuitOpenError, OSError) as exc:
-        parser.exit(2, f"error: cannot bootstrap from {args.leader}: "
-                       f"{exc}\n")
-
-    # followers serve /subscribez too: the bus tails the *replica's*
-    # decision log, so subscribers see the story evolution implied by
-    # the replicated WAL as it is applied locally
-    bus = EventBus(metrics=replica.metrics, tracer=tracer).attach(
-        replica.decisions
-    )
-    store = ViewStore(dataset=replica.dataset)
-    refresher = ViewRefresher(
-        replica, store,
-        interval=args.refresh_interval,
-        corpus=SourceMetaShim(replica.source_meta),
-        lag_budget=args.lag_budget,
-        metrics=replica.metrics,
-        tracer=tracer,
-        decisions=replica.decisions,
-        # mirror the leader: generation = accepted-snippet count, so the
-        # same generation means the same replicated prefix on every node
-        pin_generations=True,
-        bus=bus,
-    ).start()
-
-    span_store.bind_metrics(replica.metrics)
-    slo = SLOEngine(default_objectives(
-        replica.metrics, refresher=refresher, runtime=replica,
-        staleness_limit=args.lag_budget,
-    )).start(interval=2.0)
-
-    api = StoryPivotAPI(
-        store,
-        host=args.host,
-        port=args.port,
-        metrics=replica.metrics,
-        cache_entries=args.cache_size,
-        rate_limit=args.rate_limit,
-        burst=args.burst,
-        access_log=sys.stderr if args.access_log else None,
-        refresher=refresher,
-        runtime=replica,
-        tracer=tracer,
-        decisions=replica.decisions,
-        bus=bus,
-        node_id=node_id,
-        slo=slo,
-    ).start()
-    # the listener knows its real port only now: advertise it to the
-    # leader's registry so /clusterz can scrape this node's /metricz
-    if not replica.advertise_url:
-        replica.advertise_url = args.advertise_url or api.address
-    replica._maybe_register(force=True)
-    print(f"replica of {args.leader} serving {replica.dataset} on "
-          f"{api.address} (generation {store.generation}) as {node_id}",
-          flush=True)
-
-    stop = threading.Event()
-
-    def _shutdown(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGINT, _shutdown)
-    signal.signal(signal.SIGTERM, _shutdown)
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    finally:
-        print("shutting down: draining in-flight requests", flush=True)
-        slo.stop()
-        api.close()
-        refresher.stop()
-        replica.stop()
-        span_store.close()
-    return 0
-
-
-def _console_entry() -> int:
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-
+    with NodeGuard(parser, state_dir=args.state_dir) as guard:
+        tracer = guard.trace(args.trace_sample, args, "follower")
+        replica = ReplicaRuntime(
+            args.leader, poll_interval=args.poll_interval,
+            lag_budget=args.lag_budget, tracer=tracer,
+            state_dir=args.state_dir, persist_every=args.persist_every,
+            node_id=guard.node_id, advertise_url=args.advertise_url,
+        )
         try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+            replica.start()
+        except (StoryPivotError, CircuitOpenError, OSError) as exc:
+            parser.exit(2, f"error: cannot bootstrap from {args.leader}: "
+                           f"{exc}\n")
+
+        # followers serve /subscribez too: the bus tails the *replica's*
+        # decision log, so subscribers see the story evolution implied by
+        # the replicated WAL as it is applied locally
+        bus = EventBus(metrics=replica.metrics, tracer=tracer).attach(
+            replica.decisions
+        )
+        store = ViewStore(dataset=replica.dataset)
+        refresher = ViewRefresher(
+            replica, store, interval=args.refresh_interval,
+            corpus=SourceMetaShim(replica.source_meta),
+            lag_budget=args.lag_budget, metrics=replica.metrics,
+            tracer=tracer, decisions=replica.decisions, bus=bus,
+            # mirror the leader: generation = accepted-snippet count, so the
+            # same generation means the same replicated prefix on every node
+            pin_generations=True,
+        ).start()
+
+        def banner(api) -> None:
+            # the listener knows its real port only now: advertise it to
+            # the leader's registry so /clusterz can scrape its /metricz
+            if not replica.advertise_url:
+                replica.advertise_url = args.advertise_url or api.address
+            replica._maybe_register(force=True)
+            print(f"replica of {args.leader} serving {replica.dataset} on "
+                  f"{api.address} (generation {store.generation}) as "
+                  f"{guard.node_id}", flush=True)
+
+        def teardown() -> None:
+            refresher.stop()
+            replica.stop()
+
+        return serve_until_signalled(
+            args, guard, store, metrics=replica.metrics,
+            decisions=replica.decisions, bus=bus, refresher=refresher,
+            runtime=replica, banner=banner, teardown=teardown,
+        )
+
+
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

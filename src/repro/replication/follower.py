@@ -68,7 +68,7 @@ from repro.replication.protocol import (
 from repro.resilience.breaker import CircuitBreaker, CircuitOpenError
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.wal import verify_record
+from repro.runtime.wal import atomic_write, verify_record
 
 #: fetch schedule while tailing: quick, bounded — the next poll is the
 #: real retry, this only rides out socket-level blips
@@ -417,9 +417,8 @@ class ReplicaRuntime:
             "dataset": manifest.get("dataset", "corpus"),
             "sources": manifest.get("sources", {}),
         }
-        self._write_atomic(self._manifest_path(), json.dumps(
-            record, sort_keys=True
-        ))
+        text = json.dumps(record, sort_keys=True)
+        atomic_write(self._manifest_path(), lambda fh: fh.write(text))
 
     def _load_shard(self, shard: _ReplicaShard) -> bool:
         """Warm-start one shard from its local save; False = bootstrap."""
@@ -457,9 +456,9 @@ class ReplicaRuntime:
             cursor = shard.cursor
             state = dumps_state(shard.pivot)
         os.makedirs(self.state_dir, exist_ok=True)
-        self._write_atomic(
-            self._shard_path(shard.shard_id),
-            json.dumps({"cursor": cursor, "state": state}, sort_keys=True),
+        text = json.dumps({"cursor": cursor, "state": state}, sort_keys=True)
+        atomic_write(
+            self._shard_path(shard.shard_id), lambda fh: fh.write(text)
         )
         with shard.lock:
             # records applied while we serialized stay dirty (cursor
@@ -469,16 +468,6 @@ class ReplicaRuntime:
                 shard.dirty = False
             shard.saved_at = time.time()
         self.metrics.counter("replication.state_saves").inc()
-
-    @staticmethod
-    def _write_atomic(path: str, text: str) -> None:
-        """tmp + rename so a crash mid-write leaves the old save intact."""
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
 
     def _maybe_persist(self) -> None:
         if self.state_dir is None:

@@ -38,7 +38,7 @@ import os
 import re
 import threading
 import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import StoryPivotConfig
 from repro.core.persistence import (
@@ -92,6 +92,23 @@ def verify_record(record: Dict[str, object]) -> bool:
     if crc is None:
         return True
     return crc == record_crc(record)
+
+
+def atomic_write(path: str, write: Callable[[IO[str]], object]) -> int:
+    """Replace ``path`` with what ``write(handle)`` writes; returns bytes.
+
+    The bytes go to ``path.tmp``, are flushed and fsynced, and only then
+    renamed over ``path``: a crash, or ``write`` raising, mid-write leaves
+    the previous file intact — never an empty or half-written one.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        write(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    size = os.path.getsize(tmp)
+    os.replace(tmp, path)
+    return size
 
 
 class ShardWal:
@@ -470,11 +487,10 @@ class CheckpointStore:
             "num_shards": num_shards,
             "config": config_record(config),
         }
-        path = os.path.join(self.directory, MANIFEST_NAME)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-        os.replace(tmp, path)
+        atomic_write(
+            os.path.join(self.directory, MANIFEST_NAME),
+            lambda handle: json.dump(manifest, handle, indent=2),
+        )
 
     def read_manifest(self) -> Optional[Dict[str, object]]:
         path = os.path.join(self.directory, MANIFEST_NAME)
@@ -495,15 +511,10 @@ class CheckpointStore:
 
     def save(self, shard_id: int, pivot: StoryPivot) -> int:
         """Atomically write one shard's checkpoint; returns bytes written."""
-        path = self.checkpoint_path(shard_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            dump_state(pivot, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        size = os.path.getsize(tmp)
-        os.replace(tmp, path)
-        return size
+        return atomic_write(
+            self.checkpoint_path(shard_id),
+            lambda handle: dump_state(pivot, handle),
+        )
 
     def load(self, shard_id: int) -> Optional[StoryPivot]:
         path = self.checkpoint_path(shard_id)

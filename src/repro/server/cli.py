@@ -22,25 +22,31 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
-import signal
-import sys
 import threading
 from typing import Optional, Sequence
 
-from repro.core.config import StoryPivotConfig
 from repro.core.pipeline import StoryPivot
 from repro.errors import StoryPivotError
-from repro.eventdata.models import DAY
-from repro.obs import DecisionLog, SpanStore, Tracer
+from repro.nodecli import (
+    NodeGuard,
+    add_fault_flags,
+    add_input_flags,
+    add_serving_flags,
+    add_tracing_flags,
+    console_entry,
+    count_skipped_rows,
+    feed,
+    has_corpus,
+    make_config,
+    open_input,
+    serve_until_signalled,
+)
+from repro.obs import DecisionLog
 from repro.obs.fleet import FleetCollector
-from repro.obs.propagate import make_node_id
-from repro.obs.slo import SLOEngine, default_objectives
 from repro.push import EventBus
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.runtime import RuntimeOptions, ShardedRuntime
 
-from repro.server.app import StoryPivotAPI
 from repro.server.views import ViewRefresher, ViewStore
 
 DEFAULT_PORT = 8321
@@ -51,52 +57,18 @@ def build_parser(prog: str = "storypivot-api") -> argparse.ArgumentParser:
         prog=prog,
         description="Serve the StoryPivot read-path HTTP API.",
     )
-    parser.add_argument("corpus", nargs="?", default=None,
-                        help="corpus file (JSONL or GDELT TSV)")
-    parser.add_argument("--demo", action="store_true",
-                        help="use the built-in MH17 demo corpus")
-    parser.add_argument("--synthetic", type=int, default=None, metavar="N",
-                        help="generate a synthetic corpus with N events")
+    add_input_flags(parser)
     parser.add_argument("--source", default=None, metavar="SPEC",
                         help="serve a live source connector (requires "
                              "--follow): scheme:locator, e.g. "
                              "jsonl:events.jsonl, rss:feed.xml, "
                              "gdelt:export.tsv, sim:500")
-    parser.add_argument("--sources", type=int, default=5,
-                        help="sources for --synthetic (default 5)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--si", choices=["temporal", "complete", "single_pass"],
-                        default="temporal", help="identification mode")
-    parser.add_argument("--window-days", type=float, default=None,
-                        help="sliding-window radius ω in days")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"listen port (default {DEFAULT_PORT}; 0 = ephemeral)")
-    parser.add_argument("--cache-size", type=int, default=512, metavar="N",
-                        help="response cache entries (0 disables; default 512)")
-    parser.add_argument("--rate-limit", type=float, default=0.0, metavar="RPS",
-                        help="per-client requests/second (0 = unlimited)")
-    parser.add_argument("--burst", type=float, default=20.0,
-                        help="rate-limiter burst size (default 20)")
+    add_serving_flags(parser, DEFAULT_PORT)
     parser.add_argument("--follow", action="store_true",
                         help="serve while ingesting through the sharded "
                              "runtime; the view refreshes as data arrives")
     parser.add_argument("--workers", "-j", type=int, default=2, metavar="N",
                         help="shard workers for --follow (default 2)")
-    parser.add_argument("--refresh-interval", type=float, default=1.0,
-                        metavar="SEC", help="--follow view rebuild cadence")
-    parser.add_argument("--lag-budget", type=float, default=None,
-                        metavar="SEC",
-                        help="--follow staleness budget: past this, data "
-                             "requests are shed with 503 + Retry-After "
-                             "(default: serve stale indefinitely)")
-    parser.add_argument("--access-log", action="store_true",
-                        help="write JSON access log lines to stderr")
-    parser.add_argument("--trace-sample", type=float, default=0.0,
-                        metavar="RATE",
-                        help="head-sampling rate in [0, 1] for pipeline and "
-                             "request traces (error traces are always kept; "
-                             "default 0.0)")
     parser.add_argument("--wal-dir", default=None, metavar="DIR",
                         help="--follow: state directory for WAL/checkpoints; "
                              "the decision log and sampled traces are "
@@ -107,70 +79,29 @@ def build_parser(prog: str = "storypivot-api") -> argparse.ArgumentParser:
                              "and snapshots to followers on this port "
                              "(0 = ephemeral); see storypivot-replica")
     parser.add_argument("--push-queue", type=int, default=256, metavar="N",
-                        help="per-subscriber event queue capacity for "
-                             "/subscribez (default 256)")
+                        help="per-subscriber /subscribez queue (default 256)")
     parser.add_argument("--push-policy", default="drop",
                         choices=["block", "drop", "sample"],
-                        help="default backpressure policy for slow "
-                             "subscribers (default drop; block still "
-                             "bounds the wait, see DESIGN)")
+                        help="backpressure for slow subscribers (default "
+                             "drop; block still bounds the wait)")
     parser.add_argument("--push-ring", type=int, default=4096, metavar="N",
-                        help="replay ring capacity for resume after "
-                             "reconnect (default 4096 events)")
+                        help="replay ring for resume (default 4096 events)")
     parser.add_argument("--max-subscribers", type=int, default=4096,
-                        metavar="N",
-                        help="concurrent /subscribez streams before new "
-                             "ones are refused with 503 (default 4096)")
-    parser.add_argument("--chaos", default=None, metavar="PROFILE",
-                        help="--follow: inject deterministic faults into "
-                             "the feed, shards and WAL (off, default, "
-                             "feed-flap, poison, torn-wal)")
-    parser.add_argument("--lockwatch", action="store_true",
-                        help="instrument every lock and print an "
-                             "order-inversion report at shutdown")
-    parser.add_argument("--node-id", default=None, metavar="ID",
-                        help="fleet identity stamped on spans, /clusterz "
-                             "rows and the X-StoryPivot-Node header "
-                             "(default: role@host:port)")
-    parser.add_argument("--trace-export-mb", type=int, default=64,
-                        metavar="MB",
-                        help="rotate the JSONL trace export past this "
-                             "size, keeping --trace-keep sealed files "
-                             "(default 64)")
-    parser.add_argument("--trace-keep", type=int, default=3, metavar="N",
-                        help="sealed trace-export files retained after "
-                             "rotation (default 3)")
+                        metavar="N", help="concurrent /subscribez streams "
+                        "before 503 (default 4096)")
+    add_fault_flags(parser)
+    add_tracing_flags(parser)
     return parser
-
-
-def _make_config(args: argparse.Namespace) -> StoryPivotConfig:
-    factory = {
-        "temporal": StoryPivotConfig.temporal,
-        "complete": StoryPivotConfig.complete,
-        "single_pass": StoryPivotConfig.single_pass,
-    }[args.si]
-    overrides = {}
-    if args.window_days is not None:
-        overrides["window"] = args.window_days * DAY
-        overrides["decay_half_life"] = args.window_days * DAY
-    return factory(**overrides)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    from repro.cli import _load_corpus  # deferred: cli dispatches widely
-
-    connector = None
-    if args.source is not None:
-        if args.corpus or args.demo or args.synthetic is not None:
-            parser.exit(2, "error: --source replaces the corpus input; "
-                           "give one or the other\n")
-        if not args.follow:
-            parser.exit(2, "error: --source requires --follow (a live "
-                           "connector feeds the runtime while serving)\n")
-    elif not (args.corpus or args.demo or args.synthetic is not None):
+    if args.source is not None and not args.follow:
+        parser.exit(2, "error: --source requires --follow (a live "
+                       "connector feeds the runtime while serving)\n")
+    if args.source is None and not has_corpus(args):
         parser.exit(2, "error: no input: give a corpus file, --demo, "
                        "--synthetic N, or --source SPEC with --follow\n")
     if args.replication_port is not None and not (args.follow and args.wal_dir):
@@ -179,254 +110,102 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.chaos is not None and not args.follow:
         parser.exit(2, "error: --chaos requires --follow\n")
     tsv_skip_reasons: dict = {}
+    corpus, connector = open_input(parser, args, tsv_skip_reasons)
     try:
-        if args.source is not None:
-            from repro.connect import open_source, source_corpus_shell
-
-            connector = open_source(args.source)
-            corpus = source_corpus_shell(args.source, connector)
-        else:
-            corpus = _load_corpus(args, skip_reasons=tsv_skip_reasons)
-        config = _make_config(args)
-    except (OSError, StoryPivotError) as exc:
+        config = make_config(args)
+        if args.follow:
+            options = RuntimeOptions(
+                num_shards=args.workers, wal_dir=args.wal_dir
+            )
+    except StoryPivotError as exc:
         parser.exit(2, f"error: {exc}\n")
 
-    lockwatch = None
-    if args.lockwatch:
-        from repro.analysis.lockwatch import LockWatch
-
-        # installed before the runtime builds its object graph so every
-        # shard/queue/metric/breaker lock created below is instrumented
-        lockwatch = LockWatch().install()
-
-    store = ViewStore(dataset=corpus.name)
-    runtime = None
-    refresher = None
-    feeder = None
-    replication = None
-    injector = None
-
-    node_id = args.node_id or make_node_id(
-        "leader" if args.follow else "api", args.port or None
-    )
-    export_path = (
-        os.path.join(args.wal_dir, "traces.jsonl") if args.wal_dir else None
-    )
-    span_store = SpanStore(
-        export_path=export_path,
-        export_max_bytes=args.trace_export_mb * 1024 * 1024,
-        export_keep_files=args.trace_keep,
-    )
-    tracer = Tracer(
-        sample_rate=args.trace_sample, store=span_store, node_id=node_id
-    )
-
-    if args.follow:
-        runtime = ShardedRuntime(
-            config,
-            RuntimeOptions(num_shards=args.workers, wal_dir=args.wal_dir),
-            tracer=tracer,
-        ).start()
-        # TSV rows skipped at load time surface on /metricz alongside the
-        # live-connector reject tallies (same metric family, same reasons)
-        for reason, count in sorted(tsv_skip_reasons.items()):
-            runtime.metrics.counter(
-                "connect.rejected", connector="gdelt-tsv", reason=reason
-            ).inc(count)
-        if args.chaos is not None:
-            from repro.resilience.faults import FaultInjector, resolve_profile
-
-            try:
-                profile = resolve_profile(args.chaos)
-            except StoryPivotError as exc:
-                runtime.stop()
-                parser.exit(2, f"error: {exc}\n")
-            injector = FaultInjector(
-                seed=args.seed, profile=profile, metrics=runtime.metrics
+    with NodeGuard(
+        parser, state_dir=args.wal_dir, chaos=args.chaos, seed=args.seed,
+        lockwatch=args.lockwatch,
+    ) as guard:
+        tracer = guard.trace(
+            args.trace_sample, args, "leader" if args.follow else "api"
+        )
+        store = ViewStore(dataset=corpus.name)
+        runtime = None
+        if args.follow:
+            runtime = ShardedRuntime(config, options, tracer=tracer).start()
+            metrics, decisions = runtime.metrics, runtime.decisions
+        else:
+            metrics, decisions = MetricsRegistry(), DecisionLog()
+        bus = EventBus(
+            replay_capacity=args.push_ring, queue_capacity=args.push_queue,
+            policy=args.push_policy, max_subscribers=args.max_subscribers,
+            metrics=metrics, tracer=tracer,
+        ).attach(decisions)
+        if runtime is None:
+            with tracer.start_trace("pipeline.run", dataset=corpus.name):
+                result = StoryPivot(config, decision_log=decisions).run(corpus)
+            # static mode still serves /subscribez: the stream carries the
+            # one generation event plus any history replay a cursor asks for
+            bus.note_view(store.install(result, corpus=corpus))
+            return serve_until_signalled(
+                args, guard, store, metrics=metrics, decisions=decisions,
+                bus=bus, banner=lambda api: _banner(api, corpus, store),
             )
-            for shard in runtime._shards:
-                shard.fault_hook = injector.shard_fault_hook(shard.shard_id)
-                if shard.wal is not None and profile.torn_write_rate:
-                    shard.wal = injector.wrap_wal(shard.wal, shard.shard_id)
+
+        count_skipped_rows(metrics, tsv_skip_reasons)
+        injector = guard.inject(runtime)
+        replication = None
+        fleet = None
         if args.replication_port is not None:
             from repro.replication import ReplicationServer
             from repro.replication.follower import source_meta_record
 
             replication = ReplicationServer(
-                runtime,
-                host=args.host,
-                port=args.replication_port,
-                dataset=corpus.name,
-                sources=source_meta_record(corpus),
+                runtime, host=args.host, port=args.replication_port,
+                dataset=corpus.name, sources=source_meta_record(corpus),
                 tracer=tracer,
             ).start()
-        decisions = runtime.decisions
-        bus = EventBus(
-            replay_capacity=args.push_ring,
-            queue_capacity=args.push_queue,
-            policy=args.push_policy,
-            max_subscribers=args.max_subscribers,
-            metrics=runtime.metrics,
-            tracer=tracer,
-        ).attach(decisions)
+            # the fleet plane: /clusterz on any node that leads followers
+            fleet = FleetCollector(
+                metrics, guard.node_id, role="leader",
+                replication=replication, store=store,
+            )
         refresher = ViewRefresher(
             runtime, store, interval=args.refresh_interval, corpus=corpus,
-            lag_budget=args.lag_budget, metrics=runtime.metrics,
-            tracer=tracer, decisions=decisions,
+            lag_budget=args.lag_budget, metrics=metrics, tracer=tracer,
+            decisions=decisions, bus=bus,
             # generation = accepted-snippet count whenever followers may
             # be attached, so leader and follower ETags agree per
             # generation rather than per refresh tick
             pin_generations=replication is not None,
-            bus=bus,
         ).start()
-
-        def _feed() -> None:
-            if connector is not None:
-                from repro.connect import ConnectorStream
-
-                runtime.consume(ConnectorStream(
-                    connector, runtime=runtime, injector=injector
-                ))
-                return
-            snippets = corpus.snippets_by_publication()
-            if injector is not None:
-                from repro.connect import build_resilient_feed
-
-                snippets = build_resilient_feed(snippets, injector=injector)
-            runtime.consume(snippets)
-
         feeder = threading.Thread(
-            target=_feed, name="storypivot-feeder", daemon=True,
+            target=feed, args=(runtime, corpus, connector, injector),
+            name="storypivot-feeder", daemon=True,
         )
         feeder.start()
-        metrics = runtime.metrics
-    else:
-        decisions = DecisionLog()
-        metrics = MetricsRegistry()
-        bus = EventBus(
-            replay_capacity=args.push_ring,
-            queue_capacity=args.push_queue,
-            policy=args.push_policy,
-            max_subscribers=args.max_subscribers,
-            metrics=metrics,
-            tracer=tracer,
-        ).attach(decisions)
-        pivot = StoryPivot(config, decision_log=decisions)
-        with tracer.start_trace("pipeline.run", dataset=corpus.name):
-            result = pivot.run(corpus)
-        view = store.install(result, corpus=corpus)
-        # static mode still serves /subscribez: the stream carries the
-        # one generation event plus any history replay a cursor asks for
-        bus.note_view(view)
 
-    span_store.bind_metrics(metrics)
-    # the fleet plane: /clusterz on any node that leads followers, and a
-    # burn-rate SLO engine on every node (its ticker is the cadence the
-    # 5m/1h windows are evaluated over between /sloz polls)
-    fleet = None
-    if replication is not None:
-        fleet = FleetCollector(
-            metrics, node_id, role="leader",
-            replication=replication, store=store,
+        def teardown() -> None:
+            if replication is not None:
+                replication.close()
+            refresher.stop()
+            feeder.join(timeout=5.0)
+            runtime.stop()
+
+        return serve_until_signalled(
+            args, guard, store, metrics=metrics, decisions=decisions,
+            bus=bus, refresher=refresher, runtime=runtime,
+            replication=replication, fleet=fleet, teardown=teardown,
+            banner=lambda api: _banner(api, corpus, store, replication),
         )
-    slo = SLOEngine(default_objectives(
-        metrics, refresher=refresher, runtime=runtime,
-        staleness_limit=args.lag_budget,
-    )).start(interval=2.0)
 
-    api = StoryPivotAPI(
-        store,
-        host=args.host,
-        port=args.port,
-        metrics=metrics,
-        cache_entries=args.cache_size,
-        rate_limit=args.rate_limit,
-        burst=args.burst,
-        access_log=sys.stderr if args.access_log else None,
-        refresher=refresher,
-        runtime=runtime,
-        tracer=tracer,
-        decisions=decisions,
-        replication=replication,
-        bus=bus,
-        node_id=node_id,
-        fleet=fleet,
-        slo=slo,
-    )
-    api.start()
+
+def _banner(api, corpus, store, replication=None) -> None:
     print(f"serving {corpus.name} on {api.address} "
           f"(generation {store.generation})", flush=True)
     if replication is not None:
         print(f"replicating on {replication.address}", flush=True)
 
-    stop = threading.Event()
 
-    def _shutdown(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGINT, _shutdown)
-    signal.signal(signal.SIGTERM, _shutdown)
-    try:
-        while not stop.is_set():
-            stop.wait(0.2)
-    finally:
-        print("shutting down: draining in-flight requests", flush=True)
-        slo.stop()
-        api.close()
-        if replication is not None:
-            replication.close()
-        if refresher is not None:
-            refresher.stop()
-        if feeder is not None:
-            feeder.join(timeout=5.0)
-        if runtime is not None:
-            runtime.stop()
-        if lockwatch is not None:
-            lockwatch.uninstall()
-        if injector is not None and runtime is not None:
-            # same accounting line the chaos-smoke CI jobs grep for:
-            # every arrival accepted, deduplicated, shed, or quarantined
-            stats = runtime.stats()
-            counts = injector.counts()
-            injected = sum(counts.values())
-            accounted = (
-                stats["accepted"] + stats["duplicates"]
-                + stats["dropped"] + stats["quarantined"]
-                + stats["rejected"]
-            )
-            # rejects never counted as arrived (turned away at admission),
-            # so connector arrivals = arrived + rejected on both sides
-            total_arrived = stats["arrived"] + stats["rejected"]
-            verdict = "OK" if accounted == total_arrived else "MISMATCH"
-            detail = ", ".join(
-                f"{kind}={counts[kind]}" for kind in sorted(counts)
-            ) or "none"
-            print(
-                f"chaos[{injector.profile.name}] seed={args.seed}: "
-                f"{injected} fault(s) injected ({detail}); accounting "
-                f"{total_arrived} arrived = {stats['accepted']} accepted "
-                f"+ {stats['duplicates']} dup + {stats['dropped']} dropped "
-                f"+ {stats['quarantined']} quarantined "
-                f"+ {stats['rejected']} rejected -> {verdict}",
-                flush=True,
-            )
-        if lockwatch is not None:
-            print(lockwatch.render_report(), flush=True)
-        span_store.close()
-    return 0
-
-
-def _console_entry() -> int:
-    try:
-        return main()
-    except BrokenPipeError:
-        import os
-
-        try:
-            sys.stdout.close()
-        except BrokenPipeError:
-            pass
-        os._exit(0)
+_console_entry = console_entry(main)
 
 
 if __name__ == "__main__":

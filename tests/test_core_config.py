@@ -75,6 +75,16 @@ class TestPresets:
         config = StoryPivotConfig.temporal(match_threshold=0.5)
         assert config.match_threshold == 0.5
 
+    @pytest.mark.parametrize("mode", ["temporal", "complete", "single_pass"])
+    def test_preset_by_mode_matches_named_preset(self, mode):
+        named = getattr(StoryPivotConfig, mode)(window=86400.0)
+        assert StoryPivotConfig.preset(mode, window=86400.0) == named
+
+    @pytest.mark.parametrize("mode", ["bogus", "with_", "preset", ""])
+    def test_preset_unknown_mode_raises(self, mode):
+        with pytest.raises(ConfigurationError):
+            StoryPivotConfig.preset(mode)
+
     def test_with_copies(self):
         base = StoryPivotConfig()
         changed = base.with_(window=86400.0)

@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.cms import CountMinSketch
 from repro.sketch.minhash import MinHash
-from repro.sketch.simhash import SimHash
 from repro.text.similarity import jaccard_similarity
 
 _elements = st.sets(st.text(min_size=1, max_size=8), min_size=1, max_size=40)
 _minhash = MinHash(num_perm=128, seed=11)
-_simhash = SimHash(bits=64)
 
 
 class TestMinHashProperties:
@@ -53,31 +50,6 @@ class TestMinHashProperties:
         assert merged == sig_all  # subset adds nothing to the union
 
 
-class TestSimHashProperties:
-    @given(st.dictionaries(st.text(min_size=1, max_size=6),
-                           st.floats(0.1, 10.0), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_fingerprint_deterministic(self, features):
-        assert _simhash.fingerprint(features) == _simhash.fingerprint(dict(features))
-
-    @given(st.dictionaries(st.text(min_size=1, max_size=6),
-                           st.floats(0.1, 10.0), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_scaling_by_power_of_two_invariant(self, features):
-        # power-of-two scaling is exact in IEEE arithmetic and commutes
-        # with rounding, so every bit accumulator keeps its sign exactly
-        # (non-binary factors like 7.5 can flip near-zero accumulators)
-        scaled = {k: v * 8.0 for k, v in features.items()}
-        assert _simhash.fingerprint(features) == _simhash.fingerprint(scaled)
-
-    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_similarity_symmetric_and_bounded(self, a, b):
-        s = _simhash.similarity(a, b)
-        assert 0.0 <= s <= 1.0
-        assert s == _simhash.similarity(b, a)
-
-
 class TestBloomProperties:
     @given(st.sets(st.text(min_size=1, max_size=12), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
@@ -86,23 +58,3 @@ class TestBloomProperties:
         for item in items:
             bloom.add(item)
         assert all(item in bloom for item in items)
-
-
-class TestCountMinProperties:
-    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=300))
-    @settings(max_examples=30, deadline=None)
-    def test_never_undercounts(self, items):
-        sketch = CountMinSketch(epsilon=0.01, delta=0.01)
-        truth = {}
-        for item in items:
-            truth[item] = truth.get(item, 0) + 1
-            sketch.add(item)
-        for item, count in truth.items():
-            assert sketch.estimate(item) >= count
-
-    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=300))
-    @settings(max_examples=30, deadline=None)
-    def test_total_preserved(self, items):
-        sketch = CountMinSketch()
-        sketch.update(items)
-        assert sketch.total == len(items)

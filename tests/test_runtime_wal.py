@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import StoryPivotConfig
 from repro.core.pipeline import StoryPivot
 from repro.errors import DataFormatError
-from repro.runtime.wal import CheckpointStore, ShardWal
+from repro.runtime.wal import CheckpointStore, ShardWal, atomic_write
 
 from tests.conftest import make_snippet
 
@@ -64,6 +64,48 @@ class TestShardWal:
         wal.reset()
         assert wal.size_bytes() == 0
         assert wal.replay() == []
+
+
+class TestAtomicWrite:
+    def test_writer_raising_mid_write_leaves_previous_file(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        atomic_write(path, lambda handle: handle.write("old"))
+
+        def torn(handle):
+            handle.write("half of the new")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            atomic_write(path, torn)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "old"
+
+    def test_returns_bytes_written(self, tmp_path):
+        path = str(tmp_path / "state.json")
+        assert atomic_write(path, lambda handle: handle.write("12345")) == 5
+
+    @pytest.mark.parametrize("write", [
+        lambda store: store.write_manifest(2, StoryPivotConfig()),
+        lambda store: store.save(0, StoryPivot(StoryPivotConfig())),
+    ], ids=["manifest", "checkpoint"])
+    def test_checkpoint_store_fsyncs_before_rename(
+        self, tmp_path, monkeypatch, write
+    ):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        write(CheckpointStore(str(tmp_path)))
+        assert calls == ["fsync", "replace"]
 
 
 class TestCheckpointStore:

@@ -1,11 +1,8 @@
-"""Tests for the Bloom filter and Count-Min sketch."""
-
-import random
+"""Tests for the Bloom filter."""
 
 import pytest
 
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.cms import CountMinSketch
 
 
 class TestBloom:
@@ -46,59 +43,3 @@ class TestBloom:
 
     def test_absent_on_empty(self):
         assert "x" not in BloomFilter()
-
-
-class TestCountMin:
-    def test_never_undercounts(self):
-        sketch = CountMinSketch(epsilon=0.01, delta=0.01)
-        rng = random.Random(5)
-        truth = {}
-        for _ in range(3000):
-            item = f"k{rng.randrange(200)}"
-            truth[item] = truth.get(item, 0) + 1
-            sketch.add(item)
-        for item, count in truth.items():
-            assert sketch.estimate(item) >= count
-
-    def test_overcount_within_bound(self):
-        sketch = CountMinSketch(epsilon=0.005, delta=0.01)
-        truth = {}
-        rng = random.Random(7)
-        for _ in range(5000):
-            item = f"k{rng.randrange(300)}"
-            truth[item] = truth.get(item, 0) + 1
-            sketch.add(item)
-        bound = sketch.error_bound()
-        violations = sum(
-            1 for item, count in truth.items()
-            if sketch.estimate(item) - count > bound
-        )
-        # the bound holds per query with probability 1-δ
-        assert violations <= max(3, 0.05 * len(truth))
-
-    def test_weighted_add(self):
-        sketch = CountMinSketch()
-        sketch.add("a", 5)
-        assert sketch.estimate("a") >= 5
-        assert sketch.total == 5
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            CountMinSketch().add("a", -1)
-
-    def test_update_iterable(self):
-        sketch = CountMinSketch()
-        sketch.update(["a", "a", "b"])
-        assert sketch.estimate("a") >= 2
-        assert sketch.total == 3
-
-    def test_unseen_item_estimate_bounded_by_noise(self):
-        sketch = CountMinSketch(epsilon=0.001, delta=0.001)
-        sketch.update(str(i) for i in range(100))
-        assert sketch.estimate("unseen") <= sketch.error_bound() + 1
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            CountMinSketch(epsilon=0)
-        with pytest.raises(ValueError):
-            CountMinSketch(delta=1.0)

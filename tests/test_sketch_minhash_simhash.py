@@ -1,9 +1,8 @@
-"""Tests for MinHash and SimHash."""
+"""Tests for MinHash."""
 
 import pytest
 
 from repro.sketch.minhash import MinHash, MinHashSignature
-from repro.sketch.simhash import SimHash, hamming_distance
 from repro.text.similarity import jaccard_similarity
 
 
@@ -61,44 +60,3 @@ class TestMinHash:
 
     def test_signature_length(self):
         assert len(MinHash(16).signature({"a"})) == 16
-
-
-class TestSimHash:
-    def test_identical_features(self):
-        simhash = SimHash()
-        f = {"a": 1.0, "b": 2.0}
-        assert simhash.similarity(simhash.fingerprint(f), simhash.fingerprint(f)) == 1.0
-
-    def test_disjoint_features_near_half(self):
-        simhash = SimHash(bits=64)
-        a = simhash.fingerprint({f"a{i}": 1.0 for i in range(40)})
-        b = simhash.fingerprint({f"b{i}": 1.0 for i in range(40)})
-        assert 0.25 < simhash.similarity(a, b) < 0.75
-
-    def test_similar_features_high_similarity(self):
-        simhash = SimHash(bits=64)
-        base = {f"x{i}": 1.0 for i in range(40)}
-        near = dict(base)
-        near["extra"] = 1.0
-        assert simhash.similarity(
-            simhash.fingerprint(base), simhash.fingerprint(near)
-        ) > 0.85
-
-    def test_empty_features(self):
-        assert SimHash().fingerprint({}) == 0
-
-    def test_weights_matter(self):
-        simhash = SimHash(bits=64)
-        a = simhash.fingerprint({"a": 10.0, "b": 0.1})
-        just_a = simhash.fingerprint({"a": 1.0})
-        assert simhash.similarity(a, just_a) > 0.9
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            SimHash(bits=0)
-        with pytest.raises(ValueError):
-            SimHash(bits=300)
-
-    def test_hamming(self):
-        assert hamming_distance(0b1010, 0b0110) == 2
-        assert hamming_distance(7, 7) == 0
