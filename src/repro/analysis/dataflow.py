@@ -94,8 +94,9 @@ _EXEC_CALLS = {
     "subprocess.check_call",
 }
 
-#: modules whose ``params`` dicts arrive straight off the wire
-_HTTP_BOUNDARY = re.compile(r"(^|/)(server|handlers?)[/.]")
+#: modules whose ``params`` dicts arrive straight off the wire: the read
+#: API and the replication listener's routes
+_HTTP_BOUNDARY = re.compile(r"(^|/)(server|handlers?|replication/leader)[/.]")
 
 
 def _dotted(node: ast.AST) -> Optional[str]:

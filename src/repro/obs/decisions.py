@@ -26,6 +26,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.obs.store import read_jsonl
 from repro.obs.trace import current_trace_id
 
 #: Events that legitimately start a story's history.  ``refined`` counts
@@ -257,28 +258,20 @@ class DecisionLog:
 
     @classmethod
     def load(cls, path: str, capacity: int = 20000) -> "DecisionLog":
-        """Rebuild a log from its JSONL file (tolerates a torn tail)."""
+        """Rebuild a log from its JSONL file (skips torn lines)."""
         log = cls(capacity=capacity, path=None)
         if not os.path.exists(path):
             return log
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue  # torn tail, same stance as the WAL
-                with log._lock:
-                    log._seq = max(log._seq, entry.get("seq", 0))
-                    log.recorded += 1
-                    log._append_locked(entry)
-                    details = entry.get("details", {})
-                    if entry["event"] == "merged" and "absorbed" in details:
-                        log._absorbed_into[details["absorbed"]] = entry["story_id"]
-                    elif entry["event"] == "split" and "from_story" in details:
-                        log._split_from[entry["story_id"]] = details["from_story"]
+        for entry in read_jsonl(path):
+            with log._lock:
+                log._seq = max(log._seq, entry.get("seq", 0))
+                log.recorded += 1
+                log._append_locked(entry)
+                details = entry.get("details", {})
+                if entry["event"] == "merged" and "absorbed" in details:
+                    log._absorbed_into[details["absorbed"]] = entry["story_id"]
+                elif entry["event"] == "split" and "from_story" in details:
+                    log._split_from[entry["story_id"]] = details["from_story"]
         return log
 
     # -- presentation ------------------------------------------------------

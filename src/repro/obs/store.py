@@ -20,9 +20,26 @@ import json
 import os
 import threading
 from collections import Counter, OrderedDict, deque
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 _STAGE_RESERVOIR = 512
+
+
+def read_jsonl(path: str) -> Iterator[Dict[str, object]]:
+    """The JSON objects of a JSON-lines file, in order.
+
+    A blank or undecodable line — a torn write from a kill mid-append,
+    or a record later appended onto one — is skipped and reading goes
+    on, as the WAL does: a bad line costs itself, never what follows.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                yield record
 
 
 def _percentile(ordered: List[float], q: float) -> Optional[float]:

@@ -22,6 +22,7 @@ import urllib.request
 from typing import Dict, List, Optional, Sequence
 
 from repro.nodecli import console_entry
+from repro.obs.store import read_jsonl
 
 
 def _load_source(source: str) -> List[dict]:
@@ -32,19 +33,7 @@ def _load_source(source: str) -> List[dict]:
             payload = json.loads(response.read().decode("utf-8"))
         recent = payload.get("recent", [])
         return [t for t in recent if isinstance(t, dict)]
-    traces = []
-    with open(source, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                trace = json.loads(line)
-            except ValueError:
-                continue  # torn tail line of a live export
-            if isinstance(trace, dict):
-                traces.append(trace)
-    return traces
+    return list(read_jsonl(source))  # a live export may end in a torn line
 
 
 def gather_spans(sources: Sequence[str], trace_id: str) -> List[dict]:

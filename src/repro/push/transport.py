@@ -31,12 +31,10 @@ HEARTBEAT_FRAME = b": heartbeat\n\n"
 
 DEFAULT_HEARTBEAT_SECONDS = 15.0
 
-SSE_HEADERS = (
-    ("Content-Type", "text/event-stream; charset=utf-8"),
-    ("Cache-Control", "no-cache"),
-    ("Connection", "close"),
-    ("X-Accel-Buffering", "no"),
-)
+SSE_TYPE = "text/event-stream; charset=utf-8"
+
+#: sent beside ``SSE_TYPE`` and ``Connection: close``
+SSE_HEADERS = {"Cache-Control": "no-cache", "X-Accel-Buffering": "no"}
 
 
 def event_id(event: dict) -> str:

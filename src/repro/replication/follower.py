@@ -29,7 +29,6 @@ the records are re-fetched rather than applied corrupt.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import threading
@@ -87,38 +86,20 @@ class ReplicationError(StoryPivotError):
 
 
 def _http_transport(timeout: float) -> Callable[..., bytes]:
-    def fetch(url: str, headers: Optional[Dict[str, str]] = None) -> bytes:
-        request = urllib.request.Request(url, headers=headers or {})
+    def fetch(url: str, headers: Dict[str, str]) -> bytes:
+        request = urllib.request.Request(url, headers=headers)
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read()
 
     return fetch
 
 
-def _transport_takes_headers(transport: Callable[..., bytes]) -> bool:
-    """Whether ``transport`` accepts a second ``headers`` argument.
-
-    The transport has been injectable since PR 6 with a one-argument
-    ``transport(url)`` contract; existing fault-injection transports
-    keep working untouched — they simply don't carry the traceparent.
-    """
-    try:
-        parameters = inspect.signature(transport).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p for p in parameters
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 2:
-        return True
-    return any(p.kind == p.VAR_POSITIONAL for p in parameters) or any(
-        p.name == "headers" and p.kind == p.KEYWORD_ONLY for p in parameters
-    )
-
-
 class ReplicationClient:
-    """Pull-side HTTP client: retries, breaker, injectable transport."""
+    """Pull-side HTTP client: retries, breaker, injectable transport.
+
+    A transport is called as ``transport(url, headers)`` and returns the
+    response body; ``headers`` carries the caller's ``traceparent``.
+    """
 
     def __init__(
         self,
@@ -146,7 +127,6 @@ class ReplicationClient:
         self._transport = (
             transport if transport is not None else _http_transport(timeout)
         )
-        self._headers_ok = _transport_takes_headers(self._transport)
 
     def _fetch_json(
         self, url: str, kind: str, retry: Optional[RetryPolicy] = None
@@ -154,11 +134,8 @@ class ReplicationClient:
         retry = retry if retry is not None else self.retry
 
         def pull() -> Dict[str, object]:
-            if self._headers_ok:
-                # ambient span (bootstrap root, traced read) rides along
-                raw = self._transport(url, inject_headers())
-            else:
-                raw = self._transport(url)
+            # ambient span (bootstrap root, traced read) rides along
+            raw = self._transport(url, inject_headers())
             return check_payload(json.loads(raw.decode("utf-8")), kind)
 
         return self.breaker.call_with_retry(pull, retry=retry, key=url)

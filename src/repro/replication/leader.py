@@ -3,29 +3,29 @@
 :class:`ReplicationServer` exposes a live
 :class:`~repro.runtime.runtime.ShardedRuntime` (one with a WAL
 directory — the configuration where per-shard WALs exist) over the
-pull protocol in :mod:`repro.replication.protocol`.  It runs on its own
-``ThreadingHTTPServer`` and port so replication traffic never competes
-with the read-path listener, and it touches the runtime only through
-the leader accessors (``shard_snapshot`` takes the shard lock for an
-atomic state+position pair; WAL record reads are lock-free — sealed
-segments are immutable and the active file tolerates a racing append).
+pull protocol in :mod:`repro.replication.protocol`.  It is a listener
+of the shared HTTP kernel (:mod:`repro.server.kernel`) on its own port,
+so replication traffic never competes with the read-path listener, and
+it touches the runtime only through the leader accessors
+(``shard_snapshot`` takes the shard lock for an atomic state+position
+pair; WAL record reads are lock-free — sealed segments are immutable
+and the active file tolerates a racing append).
 
-Every shipped response is a ``replication.ship`` span and counted into
-the shared metrics registry, so ``/metricz`` and ``/tracez`` on the
-leader show shipping next to ingestion.
+Every shipped response is a ``replication.ship`` span and counted under
+``replication.ship.*`` in the shared metrics registry — never under the
+read API's ``http.*``, which the SLO engine's read objectives measure —
+so ``/metricz`` and ``/tracez`` on the leader show shipping next to
+ingestion.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
-from urllib.parse import parse_qsl, urlsplit
 
 from repro.core.persistence import config_record
-from repro.obs.propagate import extract_context, span_traceparent
+from repro.obs.propagate import span_traceparent
 from repro.obs.trace import Tracer, current_span
 from repro.replication.protocol import (
     DEFAULT_BATCH_RECORDS,
@@ -39,15 +39,27 @@ from repro.replication.protocol import (
     WAL_KIND,
     WAL_PATH,
 )
-
-JSON_TYPE = "application/json"
+from repro.server.kernel import ApiError, Listener, Reply, Request, json_bytes
 
 #: hard ceiling on records per WAL response, whatever the client asks
 MAX_BATCH_RECORDS = 4096
 
 
-class ReplicationServer:
+def _int_param(params: Dict[str, str], name: str, default: int) -> int:
+    try:
+        return int(params.get(name, default))
+    except ValueError:
+        raise ApiError(
+            400, f"{name} must be an integer, got {params[name]!r}"
+        ) from None
+
+
+class ReplicationServer(Listener):
     """Ship snapshots and WAL segments from a leader runtime."""
+
+    name = "storypivot-replication"
+    span_name = "replication.ship"
+    server_version = "StoryPivotReplication/1.0"
 
     def __init__(
         self,
@@ -59,9 +71,8 @@ class ReplicationServer:
         metrics=None,
         tracer=None,
     ) -> None:
+        super().__init__(host, port)
         self.runtime = runtime
-        self.host = host
-        self._requested_port = port
         self.dataset = dataset
         #: source metadata shipped in the manifest so follower views
         #: render identical /sources payloads (names and kinds are not
@@ -69,8 +80,12 @@ class ReplicationServer:
         self.sources = sources if sources is not None else {}
         self.metrics = metrics if metrics is not None else runtime.metrics
         self.tracer = tracer if tracer is not None else Tracer(sample_rate=0.0)
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self.routes = {
+            MANIFEST_PATH: self._manifest,
+            REGISTER_PATH: self._register,
+            SNAPSHOT_PATH + "/": self._snapshot,
+            WAL_PATH + "/": self._wal,
+        }
         # soft-state follower registry for the observability plane:
         # node id -> {url, registered_at, registrations}; populated by
         # /replication/v1/register, consumed by the FleetCollector
@@ -88,54 +103,50 @@ class ReplicationServer:
         self.metrics.counter("replication.ship.resets")
         self.metrics.counter("replication.ship.registrations")
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- routes ------------------------------------------------------------
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("replication server is not started")
-        return self._server.server_address[1]
+    def record(self, request: Request, elapsed: float) -> None:
+        self.metrics.counter("replication.ship.requests").inc()
+        self.metrics.counter("replication.ship.bytes").inc(request.sent)
 
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def _manifest(self, request: Request) -> Reply:
+        return Reply(200, json_bytes(self.manifest_payload()))
 
-    def start(self) -> "ReplicationServer":
-        if self._server is not None:
-            return self
-        source = self
+    def _register(self, request: Request) -> Reply:
+        node_id = request.params.get("node", "")
+        request.root.set(kind="register", node=node_id)
+        if not node_id:
+            raise ApiError(400, "register requires ?node=<id>")
+        return Reply(200, json_bytes(
+            self.register_follower(node_id, request.params.get("url", ""))
+        ))
 
-        class Handler(_ReplicationRequestHandler):
-            ship = source
+    def _snapshot(self, request: Request) -> Reply:
+        shard_id = self._shard(request, SNAPSHOT_PATH)
+        request.root.set(shard=shard_id, kind="snapshot")
+        return Reply(200, json_bytes(self.snapshot_payload(shard_id)))
 
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="storypivot-replication",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
+    def _wal(self, request: Request) -> Reply:
+        shard_id = self._shard(request, WAL_PATH)
+        from_seq = _int_param(request.params, "from", 0)
+        max_records = _int_param(request.params, "max", DEFAULT_BATCH_RECORDS)
+        request.root.set(shard=shard_id, kind="wal", cursor=from_seq)
+        return Reply(200, json_bytes(
+            self.wal_payload(shard_id, from_seq, max_records)
+        ))
 
-    def close(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "ReplicationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _shard(self, request: Request, prefix: str) -> int:
+        path = request.split.path.rstrip("/")
+        try:
+            shard_id = int(path[len(prefix) + 1:])
+        except ValueError:
+            raise ApiError(404, f"unknown path {path!r}") from None
+        num_shards = self.runtime.options.num_shards
+        if not 0 <= shard_id < num_shards:
+            raise ApiError(
+                404, f"no shard {shard_id}: the leader has {num_shards}"
+            )
+        return shard_id
 
     # -- payloads ----------------------------------------------------------
 
@@ -274,106 +285,3 @@ class ReplicationServer:
             "followers": followers,
         }
 
-
-class _ReplicationRequestHandler(BaseHTTPRequestHandler):
-    """One replication request: route, render JSON, count bytes."""
-
-    ship: ReplicationServer  # bound by ReplicationServer.start()
-    protocol_version = "HTTP/1.1"
-    server_version = "StoryPivotReplication/1.0"
-    wbufsize = 64 * 1024
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    def do_GET(self) -> None:
-        ship = self.ship
-        ship.metrics.counter("replication.ship.requests").inc()
-        split = urlsplit(self.path)
-        path = split.path.rstrip("/")
-        params = dict(parse_qsl(split.query))
-        # a caller that is itself tracing (follower bootstrap, client
-        # read) hands us its context; the ship span then parents into
-        # the remote trace instead of rooting a new one
-        remote = extract_context(self.headers)
-        if remote is not None:
-            span_cm = ship.tracer.start_remote(
-                "replication.ship", remote, path=path
-            )
-        else:
-            # sp-lint: disable=SP301 -- entered by the `with span_cm` below; the branch only picks remote vs local root
-            span_cm = ship.tracer.span("replication.ship", path=path)
-        with span_cm as span:
-            try:
-                if path == MANIFEST_PATH:
-                    self._send_json(200, ship.manifest_payload())
-                    return
-                if path == REGISTER_PATH:
-                    node_id = params.get("node", "")
-                    span.set(kind="register", node=node_id)
-                    if not node_id:
-                        self._send_json(
-                            400, {"error": "register requires ?node=<id>"}
-                        )
-                        return
-                    self._send_json(
-                        200,
-                        ship.register_follower(node_id, params.get("url", "")),
-                    )
-                    return
-                shard_id = self._shard_of(path, SNAPSHOT_PATH)
-                if shard_id is not None:
-                    span.set(shard=shard_id, kind="snapshot")
-                    self._send_json(200, ship.snapshot_payload(shard_id))
-                    return
-                shard_id = self._shard_of(path, WAL_PATH)
-                if shard_id is not None:
-                    from_seq = self._int_param(params, "from", 0)
-                    max_records = self._int_param(
-                        params, "max", DEFAULT_BATCH_RECORDS
-                    )
-                    span.set(shard=shard_id, kind="wal", cursor=from_seq)
-                    self._send_json(
-                        200, ship.wal_payload(shard_id, from_seq, max_records)
-                    )
-                    return
-                self._send_json(404, {"error": f"unknown path {path!r}"})
-            except (BrokenPipeError, ConnectionResetError):
-                span.set(outcome="client_gone")
-            except Exception as exc:  # keep the shipping thread alive
-                span.record_error(exc)
-                try:
-                    self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-                except (BrokenPipeError, ConnectionResetError, OSError):
-                    pass
-
-    do_HEAD = do_POST = do_PUT = do_DELETE = do_GET
-
-    def _shard_of(self, path: str, prefix: str) -> Optional[int]:
-        if not path.startswith(prefix + "/"):
-            return None
-        tail = path[len(prefix) + 1:]
-        try:
-            shard_id = int(tail)
-        except ValueError:
-            return None
-        if not 0 <= shard_id < self.ship.runtime.options.num_shards:
-            raise IndexError(f"shard {shard_id} out of range")
-        return shard_id
-
-    @staticmethod
-    def _int_param(params: Dict[str, str], name: str, default: int) -> int:
-        try:
-            return int(params.get(name, default))
-        except ValueError:
-            return default
-
-    def _send_json(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.ship.metrics.counter("replication.ship.bytes").inc(len(body))
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 from repro.core.persistence import snippet_from_record, snippet_record
 from repro.eventdata.models import Snippet
+from repro.obs.store import read_jsonl
 
 RECORD_KIND = "dead-letter"
 
@@ -63,8 +64,9 @@ class DeadLetterQueue:
     """Append-only quarantine, optionally persisted as JSONL.
 
     Existing records are loaded on construction so a resumed runtime
-    keeps its quarantine; torn tail lines (kill mid-append) are dropped,
-    mirroring the WAL's tolerance.
+    keeps its quarantine; an undecodable line (a kill mid-append, and
+    the record a resumed queue then appended onto it) is skipped and
+    every record after it loads, mirroring the WAL's tolerance.
     """
 
     def __init__(
@@ -83,18 +85,13 @@ class DeadLetterQueue:
     @staticmethod
     def _load(path: str) -> List[DeadLetter]:
         records: List[DeadLetter] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if record.get("kind") != RECORD_KIND:
-                        continue
-                    records.append(DeadLetter.from_record(record))
-                except (ValueError, KeyError, TypeError):
-                    break  # torn tail from a kill mid-append
+        for record in read_jsonl(path):
+            if record.get("kind") != RECORD_KIND:
+                continue
+            try:
+                records.append(DeadLetter.from_record(record))
+            except (ValueError, KeyError, TypeError):
+                continue  # decodable, but not a whole record
         return records
 
     # -- writing -----------------------------------------------------------

@@ -1,44 +1,44 @@
-"""The HTTP application: ThreadingHTTPServer over a ViewStore.
+"""The HTTP application: a kernel :class:`Listener` over a ViewStore.
 
-Request flow (all stdlib, no locks on the read path):
+Request flow (no locks on the read path):
 
 1. rate limiter — dry bucket answers ``429`` with ``Retry-After``;
-2. grab the current :class:`~repro.server.views.ReadView` **once** — the
-   whole response renders from that snapshot, and its generation is
-   echoed in ``X-StoryPivot-Generation``;
-3. response cache keyed ``(generation, path+query)`` — a hit skips
-   rendering entirely; ``If-None-Match`` matching the entry's ETag
-   short-circuits to ``304``;
+2. a route from the table — the live z-endpoints (``/metricz``,
+   ``/clusterz``, ``/sloz``, ``/tracez``, ``/storyz``, ``/subscribez``,
+   a live ``/healthz``) render on every request;
+3. everything else is data: grab the current
+   :class:`~repro.server.views.ReadView` **once** — the whole response
+   renders from that snapshot, and its generation is echoed in
+   ``X-StoryPivot-Generation`` — then the response cache keyed
+   ``(generation, path+query)``: a hit skips rendering entirely,
+   ``If-None-Match`` matching the entry's ETag short-circuits to ``304``;
 4. miss: route through :mod:`repro.server.handlers`, serialize once
    (``sort_keys`` for byte-stable ETags), cache, respond.
 
-Every request is instrumented into a
+Tracing, the GET-only policy, error mapping, the response writer, the
+access log and the in-flight drain are the kernel's
+(:mod:`repro.server.kernel`).  Every request is instrumented into a
 :class:`~repro.runtime.metrics.MetricsRegistry` (latency histogram,
 status counters, cache hit/miss, in-flight gauge) exposed at
 ``/metricz`` in JSON or, via ``?format=text``, through the same
 ``render_table`` helper the ``storypivot-serve --stats`` view uses.
-Access logs are structured JSON lines.  :meth:`StoryPivotAPI.close`
-drains in-flight requests before tearing the listener down.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import IO, Optional
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import unquote
 
 from repro.obs.decisions import format_event, merge_histories
 from repro.obs.fleet import federate_payload
-from repro.obs.propagate import extract_context, make_node_id
+from repro.obs.propagate import make_node_id
 from repro.obs.slo import render_slo_table
 from repro.obs.trace import Tracer
 from repro.push.bus import PushError
 from repro.push.transport import (
     DEFAULT_HEARTBEAT_SECONDS,
     SSE_HEADERS,
+    SSE_TYPE,
     parse_last_event_id,
     stream,
 )
@@ -49,27 +49,33 @@ from repro.runtime.metrics import (
 )
 
 from repro.server.cache import ResponseCache
-from repro.server.handlers import ApiError, route
+from repro.server.handlers import route
+from repro.server.kernel import (
+    JSON_TYPE,
+    ApiError,
+    Listener,
+    Reply,
+    Request,
+    json_bytes,
+)
 from repro.server.ratelimit import RateLimiter
 from repro.server.views import ViewStore
 
 #: content type Prometheus scrapers send in Accept and expect back
 PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-JSON_TYPE = "application/json"
 
-
-def _json_bytes(payload: object) -> bytes:
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
-
-
-class StoryPivotAPI:
+class StoryPivotAPI(Listener):
     """The read-path API server.
 
     ``store`` supplies the current materialized view; ``metrics`` may be
     shared with a live runtime so ``/metricz`` exposes ingestion and
     serving counters side by side.
     """
+
+    name = "storypivot-api"
+    span_name = "http.request"
+    server_version = "StoryPivotAPI/1.0"
 
     def __init__(
         self,
@@ -91,6 +97,7 @@ class StoryPivotAPI:
         fleet=None,
         slo=None,
     ) -> None:
+        super().__init__(host, port, access_log)
         self.store = store
         self.refresher = refresher
         self.runtime = runtime
@@ -103,8 +110,6 @@ class StoryPivotAPI:
         self.fleet = fleet
         #: SLOEngine serving /sloz and the slo /healthz component
         self.slo = slo
-        self.host = host
-        self._requested_port = port
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # a real tracer even when nothing is exported: every response then
         # carries an X-Trace-Id clients can quote in bug reports
@@ -125,14 +130,15 @@ class StoryPivotAPI:
         )
         self.cache = ResponseCache(cache_entries)
         self.limiter = RateLimiter(rate=rate_limit, burst=burst)
-        self._access_log = access_log
-        self._log_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_lock = threading.Lock()
-        self._draining = False
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started_at = time.time()
+        self.routes = {
+            "/metricz": self._metricz,
+            "/clusterz": self._clusterz,
+            "/sloz": self._sloz,
+            "/tracez": self._tracez,
+            "/storyz/": self._storyz,
+            "/subscribez": self._subscribez,
+            "/healthz": self._healthz,
+        }
         # pre-register the serving metrics operators expect in every export
         self.metrics.counter("http.requests")
         self.metrics.histogram("http.latency_seconds")
@@ -145,172 +151,163 @@ class StoryPivotAPI:
         self.metrics.counter("http.bytes_sent")
         self.metrics.gauge("http.inflight")
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("server is not started")
-        return self._server.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "StoryPivotAPI":
-        if self._server is not None:
-            return self
-        api = self
-
-        class Handler(_ApiRequestHandler):
-            app = api
-
-        server = ThreadingHTTPServer(
-            (self.host, self._requested_port), Handler
-        )
-        # in-flight draining is handled by close(); handler threads must
-        # not block interpreter exit if a keep-alive client lingers
-        server.daemon_threads = True
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="storypivot-api",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def close(self, drain_timeout: float = 10.0) -> None:
+    def close(self) -> None:
         """Graceful shutdown: refuse new work, drain in-flight, tear down."""
-        if self._server is None:
-            return
-        self._draining = True
         # end push streams first: SSE handler threads count as in-flight
         # requests and only exit once their queues close, so draining the
         # bus (goodbye event + queue close) is what lets the in-flight
-        # wait below actually reach zero
-        if self.bus is not None:
+        # wait actually reach zero
+        if self.bus is not None and self._server is not None:
             self.bus.drain()
-        deadline = time.monotonic() + drain_timeout
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if self._inflight == 0:
-                    break
-            time.sleep(0.01)
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
+        super().close()
 
-    def __enter__(self) -> "StoryPivotAPI":
-        return self.start()
+    # -- the kernel's hooks --------------------------------------------------
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def dispatch(self, request: Request) -> Optional[Reply]:
+        allowed, retry_after = self.limiter.allow(
+            request.client_address[0] if request.client_address else "?"
+        )
+        if not allowed:
+            self.metrics.counter("http.ratelimited").inc()
+            raise ApiError(429, "rate limit exceeded", {
+                "Retry-After": str(max(1, int(retry_after + 0.999)))
+            })
+        return super().dispatch(request)
 
-    # -- bookkeeping used by the handler ----------------------------------
+    def inflight_changed(self, inflight: int) -> None:
+        self.metrics.gauge("http.inflight").set(inflight)
 
-    def _enter_request(self) -> None:
-        with self._inflight_lock:
-            self._inflight += 1
-            self.metrics.gauge("http.inflight").set(self._inflight)
-
-    def _exit_request(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-            self.metrics.gauge("http.inflight").set(self._inflight)
-
-    def _record(self, status: int, elapsed: float, sent: int) -> None:
+    def record(self, request: Request, elapsed: float) -> None:
+        request.root.set(cache=request.cache)
         self.metrics.counter("http.requests").inc()
-        self.metrics.counter(f"http.status.{status}").inc()
+        self.metrics.counter(f"http.status.{request.status}").inc()
         self.metrics.histogram("http.latency_seconds").observe(elapsed)
-        self.metrics.counter("http.bytes_sent").inc(sent)
+        self.metrics.counter("http.bytes_sent").inc(request.sent)
 
-    def _log(self, record: dict) -> None:
-        if self._access_log is None:
-            return
-        line = json.dumps(record, sort_keys=True)
-        with self._log_lock:
-            self._access_log.write(line + "\n")
-            self._access_log.flush()
+    # -- data: one snapshot, the response cache ------------------------------
 
-    def _health_payload(self):
-        """Compose /healthz from runtime + refresher component health.
-
-        Returns ``(http_status, payload)``: ``ok`` and ``degraded`` both
-        answer 200 (degraded still serves, just stale or partial),
-        ``unhealthy`` answers 503 so load balancers rotate away.
-        """
-        view = self.store.current()
-        components = {}
-        statuses = []
-        role = getattr(self.runtime, "role", None)
-        if self.runtime is not None:
-            component = self.runtime.health()
-            # a follower's runtime *is* its replication state (cursor
-            # lag, breaker, bootstrap) — name the component accordingly
-            key = "replication" if role == "follower" else "runtime"
-            components[key] = component
-            statuses.append(component["status"])
-        if self.replication is not None:
-            component = self.replication.health()
-            components["replication"] = component
-            statuses.append(component["status"])
-            role = role or "leader"
+    def fallback(self, request: Request) -> Reply:
+        """Every data endpoint: warming, shedding, then the response cache."""
+        view = self.store.current()  # the one snapshot read
+        request.generation = view.generation
+        split = request.split
+        is_data = split.path.strip("/") not in ("", "healthz")
+        if is_data and view.generation == 0:
+            # nothing materialized yet: a clean 503, not a rendering
+            # crash against the empty placeholder view
+            self.metrics.counter("http.warming").inc()
+            raise ApiError(
+                503, "service warming up: no view materialized yet",
+                {"Retry-After": "1"},
+            )
+        stale = {}
         if self.refresher is not None:
-            component = self.refresher.health()
-            components["view"] = component
-            statuses.append(component["status"])
-        if self.slo is not None:
-            self.slo.observe()
-            component = self.slo.health()
-            components["slo"] = component
-            statuses.append(component["status"])
-        if "unhealthy" in statuses:
-            status = "unhealthy"
-        elif "degraded" in statuses:
-            status = "degraded"
+            if is_data and self.refresher.should_shed():
+                self.metrics.counter("http.shed").inc()
+                retry_sec = max(1, int(self.refresher.interval + 0.999))
+                raise ApiError(
+                    503, "view is past the lag budget; shedding load",
+                    {"Retry-After": str(retry_sec)},
+                )
+            seconds = self.refresher.staleness()
+            # a follower's data is additionally stale by however far
+            # its replication cursor trails the leader
+            lag_seconds = getattr(self.runtime, "lag_seconds", None)
+            if callable(lag_seconds):
+                seconds += lag_seconds()
+            stale["X-StoryPivot-Stale-Seconds"] = f"{seconds:.3f}"
+        cache_key = f"{split.path}?{split.query}"
+        entry = self.cache.get(view.generation, cache_key)
+        if entry is not None:
+            request.cache = "hit"
+            self.metrics.counter("http.cache.hits").inc()
         else:
-            status = "ok"
-        payload = {
-            "status": status,
-            "role": role or "leader",
-            "node": self.node_id,
-            "generation": view.generation,
-            "dataset": view.dataset,
-            "num_stories": len(view.stories),
-            "components": components,
-        }
-        return (503 if status == "unhealthy" else 200), payload
+            request.cache = "miss"
+            self.metrics.counter("http.cache.misses").inc()
+            result = route(view, split.path, request.params)
+            body = json_bytes(result.payload)
+            if result.status != 200:  # non-200 routed responses are not cached
+                return Reply(result.status, body, JSON_TYPE, stale)
+            entry = self.cache.put(view.generation, cache_key, body, JSON_TYPE)
+        headers = {"ETag": entry.etag, "Cache-Control": "private, must-revalidate"}
+        headers.update(stale)
+        if entry.etag in request.headers.get("If-None-Match", ""):
+            self.metrics.counter("http.not_modified").inc()
+            return Reply(304, b"", entry.content_type, headers)
+        return Reply(200, entry.body, entry.content_type, headers)
 
-    def _metricz_payload(self, fmt: str = "json", federate: bool = False) -> bytes:
+    # -- live endpoints: never cached, stamped with the current generation -
+
+    def _live(
+        self, request: Request, body: bytes, content_type: str = JSON_TYPE,
+        status: int = 200,
+    ) -> Reply:
+        request.generation = self.store.generation
+        return Reply(status, body, content_type)
+
+    @staticmethod
+    def _format(request: Request) -> str:
+        """``?format=``, or prometheus when a scraper's Accept asks for it."""
+        fmt = request.params.get("format", "")
+        if not fmt and "version=0.0.4" in request.headers.get("Accept", ""):
+            return "prometheus"
+        return fmt
+
+    def _metricz(self, request: Request) -> Reply:
         self.metrics.gauge("http.cache.entries").set(len(self.cache))
         self.metrics.gauge("http.cache.hit_rate").set(self.cache.hit_rate)
         self.metrics.gauge("view.generation").set(self.store.generation)
         if self.bus is not None:
             # per-subscriber lag/depth/drop gauges, scrape-time fresh
             self.bus.refresh_metrics()
-        if federate:
+        if request.params.get("federate", "") not in ("", "0"):
             # the machine view the FleetCollector scrapes: the snapshot
             # wrapped in a self-describing envelope (who, role, when)
-            return _json_bytes(federate_payload(
+            return self._live(request, json_bytes(federate_payload(
                 self.metrics, self.node_id,
                 role=getattr(self.runtime, "role", None)
                 or ("leader" if self.replication is not None else "serve"),
                 generation=self.store.generation,
-            ))
+            )))
         snapshot = self.metrics.snapshot()
+        fmt = self._format(request)
         if fmt == "prometheus":
-            return prometheus_render(snapshot).encode("utf-8")
+            body = prometheus_render(snapshot).encode("utf-8")
+            return self._live(request, body, PROMETHEUS_TYPE)
         if fmt == "text":
-            return (render_table(snapshot) + "\n").encode("utf-8")
-        return _json_bytes(snapshot)
+            body = (render_table(snapshot) + "\n").encode("utf-8")
+            return self._live(request, body, "text/plain")
+        return self._live(request, json_bytes(snapshot))
 
-    def _tracez_payload(self, limit: int = 20) -> dict:
+    def _clusterz(self, request: Request) -> Reply:
+        if self.fleet is None:
+            raise ApiError(
+                404, "fleet federation is not enabled on this "
+                     "node (no FleetCollector attached)",
+            )
+        if self._format(request) == "prometheus":
+            return self._live(
+                request, self.fleet.prometheus().encode("utf-8"),
+                PROMETHEUS_TYPE,
+            )
+        return self._live(request, json_bytes(self.fleet.clusterz_payload()))
+
+    def _sloz(self, request: Request) -> Reply:
+        if self.slo is None:
+            raise ApiError(404, "no SLO engine attached to this server")
+        self.slo.observe()
+        payload = self.slo.evaluate()
+        if request.params.get("format") == "text":
+            body = (render_slo_table(payload) + "\n").encode("utf-8")
+            return self._live(request, body, "text/plain")
+        return self._live(request, json_bytes(payload))
+
+    def _tracez(self, request: Request) -> Reply:
         """Recent traces + slow leaderboard + per-stage percentiles."""
+        try:
+            limit = int(request.params.get("limit", "20"))
+        except ValueError:
+            limit = 20
         payload = {
             "enabled": bool(self.tracer.enabled),
             "sample_rate": getattr(self.tracer, "sample_rate", 0.0),
@@ -321,25 +318,30 @@ class StoryPivotAPI:
                 "finalized": 0, "dropped_partial": 0, "recent": [],
                 "slow_traces": [], "stages": {}, "events": {},
             })
-            return payload
-        payload.update(span_store.tracez_payload(
-            limit=limit, slow_board=getattr(self.tracer, "slow", None),
-        ))
-        return payload
+        else:
+            payload.update(span_store.tracez_payload(
+                limit=limit, slow_board=getattr(self.tracer, "slow", None),
+            ))
+        return self._live(request, json_bytes(payload))
 
-    def _storyz_payload(self, story_id: str) -> dict:
+    def _storyz(self, request: Request) -> Reply:
         """Decision history for one story — per-source or aligned id.
 
         An aligned id resolves through the current view to its member
         per-source stories, whose histories are interleaved by sequence
         number; a per-source id replays directly (including events of
-        stories it absorbed).
+        stories it absorbed).  The log advances without generation
+        bumps, so this is live.
         """
+        request.generation = self.store.generation
+        parts = [p for p in request.split.path.strip("/").split("/") if p]
+        if len(parts) < 3 or parts[-1] != "history":
+            raise ApiError(404, "use /storyz/<story_id>/history")
+        story_id = "/".join(unquote(p) for p in parts[1:-1])
         log = self.decisions
         if log is None:
             raise ApiError(404, "no decision log attached to this server")
-        view = self.store.current()
-        detail = view.story_details.get(story_id)
+        detail = self.store.current().story_details.get(story_id)
         if detail is not None:
             events = merge_histories(
                 log.history(member) for member in detail["story_ids"]
@@ -348,328 +350,56 @@ class StoryPivotAPI:
             events = log.history(story_id)
         if not events:
             raise ApiError(404, f"no decision history for story {story_id!r}")
-        return {
+        return self._live(request, json_bytes({
             "story_id": story_id,
             "aligned": detail is not None,
             "num_events": len(events),
             "events": events,
             "formatted": [format_event(event) for event in events],
+        }))
+
+    def _healthz(self, request: Request) -> Reply:
+        """Compose /healthz from runtime, replication, view and SLO health.
+
+        ``ok`` and ``degraded`` both answer 200 (degraded still serves,
+        just stale or partial), ``unhealthy`` answers 503 so load
+        balancers rotate away.  Health changes without generation bumps,
+        so it bypasses the response cache unless the view is fixed.
+        """
+        if self.refresher is None and self.runtime is None:
+            return self.fallback(request)
+        view = self.store.current()
+        role = getattr(self.runtime, "role", None)
+        if self.slo is not None:
+            self.slo.observe()
+        parts = (
+            # a follower's runtime *is* its replication state (cursor
+            # lag, breaker, bootstrap) — name the component accordingly
+            ("replication" if role == "follower" else "runtime", self.runtime),
+            ("replication", self.replication),
+            ("view", self.refresher),
+            ("slo", self.slo),
+        )
+        components = {
+            key: part.health() for key, part in parts if part is not None
         }
-
-
-class _ApiRequestHandler(BaseHTTPRequestHandler):
-    """One request: rate-limit, snapshot the view, serve from cache."""
-
-    app: StoryPivotAPI  # bound by StoryPivotAPI.start()
-    protocol_version = "HTTP/1.1"
-    server_version = "StoryPivotAPI/1.0"
-    # buffer the whole response and disable Nagle: an unbuffered wfile
-    # sends headers and body as separate small segments, and the
-    # Nagle/delayed-ACK interaction then stalls every response ~40ms
-    wbufsize = 64 * 1024
-    disable_nagle_algorithm = True
-
-    # the default handler logs to stderr; we emit structured access logs
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    # a client that vanishes mid-stream (killed SSE subscriber) breaks
-    # the pipe; base-class plumbing then re-touches wfile in
-    # handle_one_request's trailing flush and in finish()'s close, and
-    # that second failure would escape to socketserver's handle_error
-    # traceback printer.  A gone client is normal operation here.
-    def handle(self) -> None:
-        try:
-            super().handle()
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-
-    def finish(self) -> None:
-        try:
-            super().finish()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def do_GET(self) -> None:
-        app = self.app
-        # a traced caller (another node, an instrumented client) hands
-        # us its traceparent: this request then *continues* that trace
-        # — the follower-read case where http.request parents into the
-        # leader-side trace.  Absent, malformed or foreign headers all
-        # fall through to a fresh local root.
-        remote = extract_context(self.headers)
-        if remote is not None:
-            root = app.tracer.start_remote(
-                "http.request", remote, path=self.path
-            )
-        else:
-            root = app.tracer.start_trace("http.request", path=self.path)
-        self._trace_id = root.trace_id or None
-        self._request_id = self.headers.get("X-Request-Id")
-        with app.tracer.attach(root):
-            try:
-                self._handle_get(root)
-            finally:
-                root.end()
-
-    def _handle_get(self, root) -> None:
-        app = self.app
-        app._enter_request()
-        started = time.perf_counter()
-        status, sent, generation, cache_state = 500, 0, -1, "-"
-        try:
-            if app._draining:
-                status, sent = self._send_error_json(
-                    503, "server is shutting down", close=True
-                )
-                return
-            allowed, retry_after = app.limiter.allow(
-                self.client_address[0] if self.client_address else "?"
-            )
-            if not allowed:
-                app.metrics.counter("http.ratelimited").inc()
-                status, sent = self._send_error_json(
-                    429, "rate limit exceeded",
-                    extra_headers={
-                        "Retry-After": str(max(1, int(retry_after + 0.999)))
-                    },
-                )
-                return
-            split = urlsplit(self.path)
-            params = dict(parse_qsl(split.query))
-
-            if split.path.rstrip("/") == "/metricz":
-                fmt = params.get("format", "")
-                if not fmt and "version=0.0.4" in self.headers.get(
-                    "Accept", ""
-                ):
-                    fmt = "prometheus"
-                federate = params.get("federate", "") not in ("", "0")
-                body = app._metricz_payload(fmt or "json", federate=federate)
-                content_type = {
-                    "prometheus": PROMETHEUS_TYPE,
-                    "text": "text/plain",
-                }.get("json" if federate else fmt, JSON_TYPE)
-                generation = app.store.generation
-                status, sent = self._send_body(
-                    200, body, content_type, generation, etag=None
-                )
-                return
-
-            if split.path.rstrip("/") == "/clusterz":
-                if app.fleet is None:
-                    status, sent = self._send_error_json(
-                        404, "fleet federation is not enabled on this "
-                             "node (no FleetCollector attached)",
-                    )
-                    return
-                generation = app.store.generation
-                fmt = params.get("format", "")
-                if not fmt and "version=0.0.4" in self.headers.get(
-                    "Accept", ""
-                ):
-                    fmt = "prometheus"
-                if fmt == "prometheus":
-                    status, sent = self._send_body(
-                        200, app.fleet.prometheus().encode("utf-8"),
-                        PROMETHEUS_TYPE, generation, etag=None,
-                    )
-                    return
-                status, sent = self._send_body(
-                    200, _json_bytes(app.fleet.clusterz_payload()),
-                    JSON_TYPE, generation, etag=None,
-                )
-                return
-
-            if split.path.rstrip("/") == "/sloz":
-                if app.slo is None:
-                    status, sent = self._send_error_json(
-                        404, "no SLO engine attached to this server",
-                    )
-                    return
-                app.slo.observe()
-                generation = app.store.generation
-                payload = app.slo.evaluate()
-                if params.get("format") == "text":
-                    body = (render_slo_table(payload) + "\n").encode("utf-8")
-                    status, sent = self._send_body(
-                        200, body, "text/plain", generation, etag=None
-                    )
-                    return
-                status, sent = self._send_body(
-                    200, _json_bytes(payload), JSON_TYPE, generation,
-                    etag=None,
-                )
-                return
-
-            if split.path.rstrip("/") == "/tracez":
-                try:
-                    limit = int(params.get("limit", "20"))
-                except ValueError:
-                    limit = 20
-                generation = app.store.generation
-                status, sent = self._send_body(
-                    200, _json_bytes(app._tracez_payload(limit=limit)),
-                    JSON_TYPE, generation, etag=None,
-                )
-                return
-
-            parts = [p for p in split.path.strip("/").split("/") if p]
-            if parts and parts[0] == "storyz":
-                # live endpoint: the decision log advances without
-                # generation bumps, so it must bypass the response cache
-                generation = app.store.generation
-                if len(parts) >= 3 and parts[-1] == "history":
-                    story_id = "/".join(unquote(p) for p in parts[1:-1])
-                    try:
-                        payload = app._storyz_payload(story_id)
-                    except ApiError as exc:
-                        status, sent = self._send_error_json(
-                            exc.status, exc.message, generation=generation
-                        )
-                        return
-                    status, sent = self._send_body(
-                        200, _json_bytes(payload), JSON_TYPE, generation,
-                        etag=None,
-                    )
-                    return
-                status, sent = self._send_error_json(
-                    404, "use /storyz/<story_id>/history",
-                    generation=generation,
-                )
-                return
-
-            if split.path.rstrip("/") == "/subscribez":
-                if app.bus is None:
-                    status, sent = self._send_error_json(
-                        404, "push subscriptions are not enabled "
-                             "on this server",
-                    )
-                    return
-                generation = app.store.generation
-                status, sent = self._serve_subscribe(params, root)
-                return
-
-            if split.path.rstrip("/") == "/healthz" and (
-                app.refresher is not None or app.runtime is not None
-            ):
-                # live mode: health changes without generation bumps, so
-                # it must bypass the generation-keyed response cache
-                http_status, payload = app._health_payload()
-                generation = app.store.generation
-                status, sent = self._send_body(
-                    http_status, _json_bytes(payload), JSON_TYPE,
-                    generation, etag=None,
-                )
-                return
-
-            view = app.store.current()  # the one snapshot read
-            generation = view.generation
-            tail = split.path.strip("/")
-            is_data = tail not in ("", "healthz")
-            stale_headers = None
-            if app.refresher is not None:
-                stale = app.refresher.staleness()
-                # a follower's data is additionally stale by however far
-                # its replication cursor trails the leader
-                lag_seconds = getattr(app.runtime, "lag_seconds", None)
-                if callable(lag_seconds):
-                    stale += lag_seconds()
-                stale_headers = {
-                    "X-StoryPivot-Stale-Seconds": f"{stale:.3f}"
-                }
-            if is_data and view.generation == 0:
-                # nothing materialized yet: a clean 503, not a rendering
-                # crash against the empty placeholder view
-                app.metrics.counter("http.warming").inc()
-                status, sent = self._send_error_json(
-                    503, "service warming up: no view materialized yet",
-                    generation=0, extra_headers={"Retry-After": "1"},
-                )
-                return
-            if (
-                is_data
-                and app.refresher is not None
-                and app.refresher.should_shed()
-            ):
-                app.metrics.counter("http.shed").inc()
-                retry_sec = max(1, int(app.refresher.interval + 0.999))
-                status, sent = self._send_error_json(
-                    503, "view is past the lag budget; shedding load",
-                    generation=generation,
-                    extra_headers={"Retry-After": str(retry_sec)},
-                )
-                return
-            cache_key = f"{split.path}?{split.query}"
-            entry = app.cache.get(view.generation, cache_key)
-            if entry is not None:
-                cache_state = "hit"
-                app.metrics.counter("http.cache.hits").inc()
-            else:
-                cache_state = "miss"
-                app.metrics.counter("http.cache.misses").inc()
-                try:
-                    result = route(view, split.path, params)
-                except ApiError as exc:
-                    status, sent = self._send_error_json(
-                        exc.status, exc.message, generation=generation
-                    )
-                    return
-                body = _json_bytes(result.payload)
-                if result.status == 200:
-                    entry = app.cache.put(
-                        view.generation, cache_key, body, JSON_TYPE
-                    )
-                else:  # non-200 routed responses are not cached
-                    status, sent = self._send_body(
-                        result.status, body, JSON_TYPE, generation,
-                        etag=None, extra_headers=stale_headers,
-                    )
-                    return
-
-            if_none_match = self.headers.get("If-None-Match", "")
-            if entry.etag and entry.etag in if_none_match:
-                app.metrics.counter("http.not_modified").inc()
-                status, sent = self._send_body(
-                    304, b"", entry.content_type, generation,
-                    etag=entry.etag, extra_headers=stale_headers,
-                )
-                return
-            status, sent = self._send_body(
-                200, entry.body, entry.content_type, generation,
-                etag=entry.etag, extra_headers=stale_headers,
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            status = 499  # client went away mid-response
-        except Exception as exc:  # never take the worker thread down
-            root.record_error(exc)
-            try:
-                status, sent = self._send_error_json(
-                    500, f"internal error: {exc}"
-                )
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                pass
-        finally:
-            elapsed = time.perf_counter() - started
-            root.set(status=status, cache=cache_state)
-            app._record(status, elapsed, sent)
-            app._log({
-                "ts": round(time.time(), 3),
-                "client": self.client_address[0] if self.client_address else "?",
-                "method": "GET",
-                "path": self.path,
-                "status": status,
-                "bytes": sent,
-                "ms": round(elapsed * 1000.0, 3),
-                "generation": generation,
-                "cache": cache_state,
-                "trace_id": self._trace_id,
-            })
-            app._exit_request()
+        statuses = {component["status"] for component in components.values()}
+        status = next(
+            (s for s in ("unhealthy", "degraded") if s in statuses), "ok"
+        )
+        return self._live(request, json_bytes({
+            "status": status,
+            "role": role or "leader",
+            "node": self.node_id,
+            "generation": view.generation,
+            "dataset": view.dataset,
+            "num_stories": len(view.stories),
+            "components": components,
+        }), status=503 if status == "unhealthy" else 200)
 
     # -- push subscriptions -------------------------------------------------
 
-    def _serve_subscribe(self, params: dict, root):
+    def _subscribez(self, request: Request) -> Optional[Reply]:
         """``/subscribez``: SSE stream (default) or long-poll batch.
 
         Admission composes with everything the data path already has:
@@ -680,35 +410,38 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
         cheap 503 while an admitted one is an open stream competing with
         the refresher for the lifetime of the connection.
         """
-        app = self.app
-        bus = app.bus
+        bus = self.bus
+        if bus is None:
+            raise ApiError(
+                404, "push subscriptions are not enabled on this server"
+            )
+        request.generation = self.store.generation
+        params = request.params
         story = params.get("story") or None
         entity = params.get("entity") or None
         source = params.get("source") or None
-        refresher = app.refresher
+        refresher = self.refresher
         if (
             refresher is not None
             and refresher.lag_budget is not None
             and refresher.staleness() > 0.5 * refresher.lag_budget
         ):
-            app.metrics.counter("http.shed").inc()
+            self.metrics.counter("http.shed").inc()
             retry_sec = max(1, int(refresher.interval + 0.999))
-            return self._send_error_json(
+            raise ApiError(
                 503, "view lag approaching budget; "
                      "new subscriptions are shed first",
-                generation=app.store.generation,
-                extra_headers={"Retry-After": str(retry_sec)},
-                close=True,
+                {"Retry-After": str(retry_sec)}, close=True,
             )
         mode = params.get("mode", "sse")
         if mode == "poll":
-            return self._serve_poll(params, story, entity, source)
+            return self._poll(request, story, entity, source)
         if mode != "sse":
-            return self._send_error_json(
+            raise ApiError(
                 400, f"unknown mode {mode!r}; use mode=sse or mode=poll"
             )
         last_cursor = parse_last_event_id(
-            self.headers.get("Last-Event-ID") or params.get("cursor")
+            request.headers.get("Last-Event-ID") or params.get("cursor")
         )
         try:
             capacity = (
@@ -725,9 +458,9 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
                 ))),
             )
         except ValueError:
-            return self._send_error_json(
+            raise ApiError(
                 400, "capacity, limit and heartbeat must be numeric"
-            )
+            ) from None
         try:
             sub = bus.subscribe(
                 story=story, entity=entity, source=source,
@@ -737,113 +470,41 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             )
         except PushError as exc:
             if exc.status == 503:
-                app.metrics.counter("http.shed").inc()
-            return self._send_error_json(
-                exc.status, exc.message, close=True
-            )
-        self.send_response(200)
-        for name, value in SSE_HEADERS:
-            self.send_header(name, value)
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        self.send_header(
-            "X-StoryPivot-Generation", str(app.store.generation)
-        )
-        self.send_header("X-StoryPivot-Subscription", sub.name)
-        self.close_connection = True  # the stream IS the rest of the body
-        self.end_headers()
-        self.wfile.flush()
-        root.set(subscription=sub.name, resumed=sub.resumed)
+                self.metrics.counter("http.shed").inc()
+            raise ApiError(exc.status, exc.message, close=True) from None
+        # the stream IS the rest of the body: no length, Connection: close
+        request.send_head(200, SSE_TYPE, {
+            **SSE_HEADERS, "X-StoryPivot-Subscription": sub.name,
+        }, close=True)
+        request.wfile.flush()
+        request.root.set(subscription=sub.name, resumed=sub.resumed)
         try:
             reason = stream(
-                sub, self.wfile,
+                sub, request.wfile,
                 heartbeat=heartbeat,
-                tracer=app.tracer,
+                tracer=self.tracer,
                 max_events=max_events,
             )
         finally:
             # whether the stream ended cleanly or the client vanished
             # mid-write, the subscription must not outlive the socket
             bus.unsubscribe(sub)
-        root.set(end=reason, delivered=sub.read)
-        return 200, 0
+        request.root.set(end=reason, delivered=sub.read)
+        return None
 
-    def _serve_poll(self, params: dict, story, entity, source):
+    def _poll(self, request: Request, story, entity, source) -> Reply:
         """Stateless long-poll leg: one bounded batch per request."""
-        app = self.app
+        params = request.params
         try:
             cursor = int(params.get("cursor", "0"))
             wait = min(30.0, max(0.0, float(params.get("wait", "0"))))
             limit = int(params.get("limit", "100"))
         except ValueError:
-            return self._send_error_json(
+            raise ApiError(
                 400, "cursor, wait and limit must be numeric"
-            )
-        payload = app.bus.poll(
+            ) from None
+        payload = self.bus.poll(
             cursor, story=story, entity=entity, source=source,
             timeout=wait, limit=limit,
         )
-        return self._send_body(
-            200, _json_bytes(payload), JSON_TYPE,
-            app.store.generation, etag=None,
-        )
-
-    def do_HEAD(self) -> None:
-        # close the connection: clients must not guess at body framing
-        self._send_error_json(405, "only GET is supported", close=True)
-
-    do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD
-
-    # -- response writing --------------------------------------------------
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        generation: int,
-        etag: Optional[str],
-        extra_headers: Optional[dict] = None,
-        close: bool = False,
-    ):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        if self.app.node_id:
-            self.send_header("X-StoryPivot-Node", self.app.node_id)
-        request_id = getattr(self, "_request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
-        if generation >= 0:
-            self.send_header("X-StoryPivot-Generation", str(generation))
-        if etag:
-            self.send_header("ETag", etag)
-            self.send_header("Cache-Control", "private, must-revalidate")
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        if body and status != 304:
-            self.wfile.write(body)
-            return status, len(body)
-        return status, 0
-
-    def _send_error_json(
-        self,
-        status: int,
-        message: str,
-        generation: int = -1,
-        extra_headers: Optional[dict] = None,
-        close: bool = False,
-    ):
-        body = _json_bytes({"error": message, "status": status})
-        return self._send_body(
-            status, body, JSON_TYPE, generation, etag=None,
-            extra_headers=extra_headers, close=close,
-        )
+        return self._live(request, json_bytes(payload))

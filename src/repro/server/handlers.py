@@ -23,6 +23,7 @@ from urllib.parse import unquote
 from repro.query.engine import QueryEngine
 from repro.query.parser import QuerySyntaxError
 
+from repro.server.kernel import ApiError
 from repro.server.views import ReadView
 
 DEFAULT_PAGE = 20
@@ -35,15 +36,6 @@ class RouteResult:
 
     status: int
     payload: Dict[str, object]
-
-
-class ApiError(Exception):
-    """A client error with an HTTP status and message."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
 
 
 # -- pagination cursors ----------------------------------------------------

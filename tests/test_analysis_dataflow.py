@@ -35,6 +35,15 @@ def test_params_outside_boundary_module_are_trusted():
     ) == []
 
 
+def test_params_reaching_the_replication_routes_are_a_source():
+    findings = lint(
+        "def wal(params):\n"
+        "    open(params['x'])\n",
+        path="src/repro/replication/leader.py",
+    )
+    assert codes(findings) == ["SP401"]
+
+
 def test_header_read_is_a_source():
     findings = lint(
         "def handle(self):\n"

@@ -151,8 +151,8 @@ class ManglingTransport:
         self._calls = 0
         self.mangled = 0
 
-    def __call__(self, url):
-        raw = self._fetch(url)
+    def __call__(self, url, headers):
+        raw = self._fetch(url, headers)
         if "/wal/" not in url:
             return raw
         self._calls += 1

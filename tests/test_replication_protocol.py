@@ -5,7 +5,9 @@ topology, atomic snapshot+position pairs, WAL windows, reset signalling
 for pruned cursors, and error envelopes for bad requests.
 """
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -23,6 +25,7 @@ from repro.replication.protocol import (
     wal_url,
 )
 from repro.runtime import RuntimeOptions, ShardedRuntime
+from repro.server import StoryPivotAPI, ViewStore
 
 CONFIG = StoryPivotConfig.temporal()
 
@@ -84,7 +87,7 @@ class TestSnapshot:
         _, ship = leader
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(snapshot_url(ship.address, 7))
-        assert err.value.code == 500
+        assert err.value.code == 404
 
 
 def busiest_shard(runtime):
@@ -130,6 +133,72 @@ class TestWal:
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(ship.address + "/replication/v1/nope")
         assert err.value.code == 404
+
+
+class TestMisuse:
+    """The replication listener refuses misuse the way the read API does."""
+
+    def test_non_get_method_is_405_and_closes(self, leader):
+        _, ship = leader
+        for method in ("POST", "HEAD", "DELETE"):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", ship.port, timeout=10
+            )
+            try:
+                connection.request(method, "/replication/v1/manifest")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 405
+                assert response.getheader("Connection") == "close"
+            finally:
+                connection.close()
+
+    @pytest.mark.parametrize("query", ["from=abc", "from=0&max=many"])
+    def test_malformed_wal_parameter_is_400(self, leader, query):
+        runtime, ship = leader
+        shard_id = busiest_shard(runtime)
+        url = f"{ship.address}/replication/v1/wal/{shard_id}?{query}"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            fetch(url)
+        assert err.value.code == 400
+
+    def test_out_of_range_wal_shard_is_404(self, leader):
+        _, ship = leader
+        with pytest.raises(urllib.error.HTTPError) as err:
+            fetch(wal_url(ship.address, 7, 0))
+        assert err.value.code == 404
+
+
+class TestListenersKeepTheirMetrics:
+    def test_replication_moves_only_replication_metrics(self, leader):
+        """The SLO engine's read objectives read ``http.*``: replication
+        traffic on its own listener must not count as reads."""
+        runtime, ship = leader
+        metrics = runtime.metrics
+        fetches = 5
+
+        def shipped():
+            return metrics.counter("replication.ship.requests").value
+
+        def http_metrics():
+            return {
+                name: value for name, value in metrics.snapshot().items()
+                if name.startswith("http.")
+            }
+
+        with StoryPivotAPI(
+            ViewStore(), port=0, metrics=metrics, replication=ship
+        ):
+            before, http_before = shipped(), http_metrics()
+            assert "http.requests" in http_before
+            for _ in range(fetches):
+                fetch(manifest_url(ship.address))
+            # the request is counted once its response is written
+            deadline = time.monotonic() + 5.0
+            while shipped() < before + fetches and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert shipped() == before + fetches
+            assert http_metrics() == http_before
 
 
 class TestConstruction:
