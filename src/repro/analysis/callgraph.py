@@ -17,7 +17,8 @@ Resolution strategy (deliberately *partial*, with the holes counted):
   to the method on that class *and* every project override of it;
 * the codebase's known registries — classes decorated with
   ``@register(...)`` are linked from ``REGISTRY.create`` /
-  ``open_source`` call sites, ``Thread(target=f)`` links to ``f``, and
+  ``open_source`` call sites, ``Thread(target=f)`` and ``Loop(step=f)``
+  link to ``f``, and
   a subscripted call through a module-level dict of functions
   (``TABLE[key](...)``) links to every value in the table;
 * everything else is **unresolved** — a dynamic call the graph cannot
@@ -53,6 +54,9 @@ _STDLIB_HINTS = {
 import builtins as _builtins
 
 _BUILTIN_CALLS = frozenset(dir(_builtins))
+
+#: spawn constructors, by name, and the keyword naming the body they run
+_THREAD_BODIES = {"Thread": "target", "Loop": "step"}
 
 
 def module_name_for(display_path: str) -> str:
@@ -487,13 +491,16 @@ class Project:
                 if cls is not None:
                     return self._method_targets(cls, attr, virtual=False)
                 return None
-            if (
-                isinstance(owner, ast.Attribute)
-                and isinstance(owner.value, ast.Name)
-                and owner.value.id == "self"
-                and fn.class_name is not None
+            base = owner.value if isinstance(owner, ast.Attribute) else None
+            if isinstance(base, ast.Name) and (
+                base.id == "self" or base.id in local_types
             ):
-                cls = self._class_for(fn)
+                # self.attr.m() through the class's attribute types; a
+                # typed local's attribute (shard.loop.start()) likewise
+                cls = (
+                    self._class_for(fn) if base.id == "self"
+                    else self._lookup_class(module, local_types[base.id])
+                )
                 if cls is not None:
                     typed = cls.attr_types.get(owner.attr)
                     if typed is not None:
@@ -558,10 +565,11 @@ class Project:
 
     def _thread_targets(self, fn, node, local_types) -> List[FunctionInfo]:
         dotted = _dotted(node.func) or ""
-        if dotted.rsplit(".", 1)[-1] != "Thread":
+        body = _THREAD_BODIES.get(dotted.rsplit(".", 1)[-1])
+        if body is None:
             return []
         for keyword in node.keywords:
-            if keyword.arg != "target":
+            if keyword.arg != body:
                 continue
             value = keyword.value
             if isinstance(value, ast.Name):

@@ -10,7 +10,7 @@ lifecycle decision log behind ``/storyz`` and ``storypivot explain``
 
 from repro.obs.decisions import DecisionLog, format_event
 from repro.obs.fleet import FleetCollector, federate_payload, node_summary
-from repro.obs.profile import SamplingTicker, SlowSpanBoard
+from repro.obs.profile import SlowSpanBoard
 from repro.obs.propagate import (
     extract_context,
     format_traceparent,
@@ -48,7 +48,6 @@ __all__ = [
     "FleetCollector",
     "federate_payload",
     "node_summary",
-    "SamplingTicker",
     "SlowSpanBoard",
     "extract_context",
     "format_traceparent",

@@ -1,27 +1,19 @@
-"""Lightweight profiling: slow-span leaderboard and a sampling ticker.
+"""Lightweight profiling: the slow-span leaderboard.
 
-Neither piece uses ``sys.setprofile`` — that hook taxes *every* Python
-call in the process, which is exactly what an always-on diagnostics
-layer must not do.  Instead:
-
-* :class:`SlowSpanBoard` keeps the top-N slowest spans ever ended by a
-  tracer (sampled or not — duration is known either way), so the one
-  pathological realignment that happened an hour ago is still visible.
-* :class:`SamplingTicker` is a wall-clock profiler: a daemon thread
-  wakes every ``interval`` seconds, walks ``sys._current_frames()``,
-  attributes each thread to the innermost ``repro`` module on its
-  stack, and bumps a labeled counter.  Tick counts are proportional to
-  wall time spent per module; cardinality is bounded by the module
-  count, not the call graph.
+It does not use ``sys.setprofile`` — that hook taxes *every* Python call
+in the process, which is exactly what an always-on diagnostics layer
+must not do.  :class:`SlowSpanBoard` keeps the top-N slowest spans ever
+ended by a tracer (sampled or not — duration is known either way), so
+the one pathological realignment that happened an hour ago is still
+visible.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import sys
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class SlowSpanBoard:
@@ -70,54 +62,3 @@ class SlowSpanBoard:
             {"name": name, "trace_id": trace_id, "duration": duration}
             for duration, _, name, trace_id in ordered
         ]
-
-
-def _attribute(frame) -> Optional[str]:
-    """Innermost repro-package module on the stack, if any."""
-    while frame is not None:
-        module = frame.f_globals.get("__name__", "")
-        if module.startswith("repro.") and not module.startswith("repro.obs"):
-            return module
-        frame = frame.f_back
-    return None
-
-
-class SamplingTicker:
-    """Wall-clock sampling profiler feeding the metrics registry.
-
-    Counts land in ``profile.ticks{module=...}``; the ratio between two
-    modules' counts is the ratio of wall time their code was on-stack.
-    """
-
-    def __init__(self, metrics, interval: float = 0.05) -> None:
-        self.metrics = metrics
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.ticks = 0
-
-    def start(self) -> "SamplingTicker":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run, name="obs-ticker", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        me = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            self.ticks += 1
-            for thread_id, frame in sys._current_frames().items():
-                if thread_id == me:
-                    continue
-                module = _attribute(frame)
-                if module is not None:
-                    self.metrics.counter("profile.ticks", module=module).inc()

@@ -34,6 +34,8 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.loop import Loop
+
 #: multi-window defaults: 5-minute fast window, 1-hour slow window
 FAST_WINDOW_SECONDS = 300.0
 SLOW_WINDOW_SECONDS = 3600.0
@@ -218,8 +220,8 @@ class SLOEngine:
         # plus one pre-window baseline sample per prune pass
         self._samples: deque = deque()
         self._last_observed: Optional[float] = None
-        self._ticker: Optional[threading.Thread] = None
-        self._stop = threading.Event()
+        self._tick_interval = 5.0
+        self._ticker = Loop("storypivot-slo", step=self._tick)
 
     # -- configuration -----------------------------------------------------
 
@@ -386,26 +388,17 @@ class SLOEngine:
     # -- ticker ------------------------------------------------------------
 
     def start(self, interval: float = 5.0) -> "SLOEngine":
-        """Run :meth:`observe` on a daemon cadence until :meth:`stop`."""
-        if self._ticker is not None:
-            return self
-        self._stop.clear()
-
-        def tick() -> None:
-            while not self._stop.wait(interval):
-                self.observe(force=True)
-
-        self._ticker = threading.Thread(
-            target=tick, name="storypivot-slo", daemon=True
-        )
+        """Call :meth:`observe` every ``interval`` seconds until stopped."""
+        self._tick_interval = self._ticker.first_delay = interval
         self._ticker.start()
         return self
 
+    def _tick(self) -> float:
+        self.observe(force=True)
+        return self._tick_interval
+
     def stop(self) -> None:
-        self._stop.set()
-        if self._ticker is not None:
-            self._ticker.join(timeout=5.0)
-            self._ticker = None
+        self._ticker.stop()
 
 
 # -- the fleet's default objective set ----------------------------------

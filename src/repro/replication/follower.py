@@ -45,6 +45,7 @@ from repro.core.persistence import (
 )
 from repro.core.pipeline import StoryPivot
 from repro.errors import DataFormatError, StoryPivotError
+from repro.loop import Loop
 from repro.obs.decisions import DecisionLog
 from repro.obs.propagate import (
     inject_headers,
@@ -243,8 +244,7 @@ class ReplicaRuntime:
         self._bootstrapped = False
         self._consecutive_errors = 0
         self._last_error: Optional[str] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._tailer = Loop("storypivot-replica-tail", step=self._tail)
         self.metrics.counter("replication.apply.batches")
         self.metrics.counter("replication.apply.records")
         self.metrics.counter("replication.bootstraps")
@@ -303,20 +303,12 @@ class ReplicaRuntime:
             boot.set(shards=num_shards, warm=bool(warm))
         self._bootstrapped = True
         self._maybe_register(force=True)
-        self._thread = threading.Thread(
-            target=self._tail_loop,
-            name="storypivot-replica-tail",
-            daemon=True,
-        )
-        self._thread.start()
+        self._tailer.start()
         return self
 
     def stop(self) -> None:
         self._stopped = True
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self._tailer.stop()
         # final save so the next start tails from exactly where we stopped
         for shard in self._shards:
             if shard.dirty:
@@ -456,33 +448,32 @@ class ReplicaRuntime:
 
     # -- tailing -----------------------------------------------------------
 
-    def _tail_loop(self) -> None:
-        while not self._stop.is_set():
-            pause = self.poll_interval
-            try:
-                progressed = False
-                for shard in self._shards:
-                    if self._stop.is_set():
-                        return
-                    progressed |= self._poll_shard(shard)
-                self._consecutive_errors = 0
-                self._last_error = None
-                if progressed:
-                    pause = 0.0  # drain a backlog at full speed
-            except CircuitOpenError as exc:
-                # the leader is down; the breaker already knows — wait
-                # out (a bounded slice of) the cool-down and keep serving
-                self._last_error = str(exc)
-                pause = min(max(exc.retry_after, 0.05), 1.0)
-            except Exception as exc:
-                self._consecutive_errors += 1
-                self._last_error = f"{type(exc).__name__}: {exc}"
-                self.metrics.counter("replication.errors").inc()
-            self._refresh_lag_gauges()
-            self._maybe_persist()
-            self._maybe_register()
-            if pause:
-                self._stop.wait(pause)
+    def _tail(self) -> Optional[float]:
+        """One poll of every shard; returns the pause before the next."""
+        pause = self.poll_interval
+        try:
+            progressed = False
+            for shard in self._shards:
+                if self._stopped:
+                    return None
+                progressed |= self._poll_shard(shard)
+            self._consecutive_errors = 0
+            self._last_error = None
+            if progressed:
+                pause = 0.0  # drain a backlog at full speed
+        except CircuitOpenError as exc:
+            # the leader is down; the breaker already knows — wait
+            # out (a bounded slice of) the cool-down and keep serving
+            self._last_error = str(exc)
+            pause = min(max(exc.retry_after, 0.05), 1.0)
+        except Exception as exc:
+            self._consecutive_errors += 1
+            self._last_error = f"{type(exc).__name__}: {exc}"
+            self.metrics.counter("replication.errors").inc()
+        self._refresh_lag_gauges()
+        self._maybe_persist()
+        self._maybe_register()
+        return pause
 
     def _maybe_register(self, force: bool = False) -> None:
         """Refresh this node's entry in the leader's follower registry.
@@ -725,7 +716,7 @@ class ReplicaRuntime:
         """
         lag_seconds = self.lag_seconds()
         lag_records = self.lag_records()
-        tailing = self._thread is not None and self._thread.is_alive()
+        tailing = self._tailer.alive
         if self._stopped or not self._started:
             status = "unhealthy"
         elif not self._bootstrapped or not tailing:

@@ -27,8 +27,8 @@ from repro.runtime.runtime import (
     ShardedRuntime,
     shard_of,
 )
-from repro.runtime.shard import Shard, ShardCrashed
-from repro.runtime.supervisor import BackoffPolicy, Supervisor
+from repro.runtime.shard import Shard
+from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
 from repro.runtime.wal import CheckpointStore, ShardWal
 
 __all__ = [

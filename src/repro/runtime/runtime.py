@@ -9,10 +9,10 @@ in the server's :class:`~repro.server.views.ViewRefresher` — over a
 merged pivot.  :meth:`ShardedRuntime.realign` aligns the live shard
 state on demand and publishes nothing.
 
-Shard loops run on a ``ThreadPoolExecutor`` with bounded queues and
-backpressure, supervision with capped-backoff restarts, and WAL +
-checkpoint durability.  Under CPython's GIL this prioritizes isolation
-and liveness over parallel speed-up.
+Each shard runs on its own :class:`~repro.loop.Loop` thread, with a
+bounded queue and backpressure, inline supervision with capped-backoff
+restarts, and WAL + checkpoint durability.  Under CPython's GIL this
+prioritizes isolation and liveness over parallel speed-up.
 
 Determinism: each source's snippets flow through exactly one shard in
 offer order, so the per-source story sets are a pure function of the
@@ -27,7 +27,6 @@ import os
 import threading
 import zlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
@@ -46,7 +45,7 @@ from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BACKPRESSURE_POLICIES, BoundedQueue, QueueClosed
 from repro.runtime.shard import DEFAULT_SHARD_RETRY, POISON_POLICIES, Shard
-from repro.runtime.supervisor import BackoffPolicy, Supervisor
+from repro.runtime.supervisor import BackoffPolicy
 from repro.runtime.wal import CheckpointStore
 
 EXECUTORS = ("thread",)
@@ -177,9 +176,6 @@ class ShardedRuntime:
         self._shards: List[Shard] = []
         self._store: Optional[CheckpointStore] = None
         self._restored: List[Optional[StoryPivot]] = [None] * options.num_shards
-        self._executor = None
-        self._supervisor: Optional[Supervisor] = None
-        self._worker_stop = threading.Event()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -266,6 +262,7 @@ class ShardedRuntime:
                 dlq=dlq,
                 tracer=self.tracer,
                 decisions=self.decisions,
+                backoff=options.backoff,
             )
             restored = self._restored[shard_id]
             if restored is not None:
@@ -273,14 +270,7 @@ class ShardedRuntime:
                 with self._lock:
                     self._accepted_total += restored.num_snippets
             self._shards.append(shard)
-        self._executor = ThreadPoolExecutor(
-            max_workers=options.num_shards,
-            thread_name_prefix="storypivot-shard",
-        )
-        self._supervisor = Supervisor(
-            self._executor, self.metrics, options.backoff
-        )
-        self._supervisor.start(self._shards, self._worker_stop)
+            shard.loop.start()
         return self
 
     def __enter__(self) -> "ShardedRuntime":
@@ -565,13 +555,10 @@ class ShardedRuntime:
         if checkpoint and self._store is not None:
             for shard in self._shards:
                 self._checkpoint_shard(shard)
-        self._worker_stop.set()
         for shard in self._shards:
             shard.queue.close()
-        if self._supervisor is not None:
-            self._supervisor.stop()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        for shard in self._shards:
+            shard.loop.stop()
         for shard in self._shards:
             if shard.wal is not None:
                 shard.wal.close()

@@ -1,12 +1,14 @@
-"""One shard: a queue, a pivot, a WAL, and the worker loop that ties them.
+"""One shard: a queue, a pivot, a WAL, and the loop step that ties them.
 
 Sharding is by *source*: story identification is strictly per-source
 (Section 2.2 connects snippets within one source's partition), so a shard
 can own a disjoint set of sources and run identification with no
-cross-shard coordination at all.  Only alignment needs a global view, and
-the runtime provides that with a separate stop-the-world cycle.
+cross-shard coordination at all.  Only alignment needs a global view,
+and it runs when a view is built, over a merged pivot.
 
-Per-snippet failures are handled by **poison policy**:
+Each shard runs on its own :class:`~repro.loop.Loop`, whose step is
+:meth:`Shard.step`: one dequeue, then the consume.  Per-snippet failures
+are handled by **poison policy**:
 
 * ``quarantine`` (default) — the worker retries the snippet on its
   :class:`~repro.resilience.policies.RetryPolicy` schedule and, when the
@@ -14,8 +16,9 @@ Per-snippet failures are handled by **poison policy**:
   keeps consuming.  One bad record costs one quarantine entry, never the
   shard.
 * ``supervise`` — legacy escalation: the exception escapes wrapped in
-  :class:`ShardCrashed` and the supervisor restarts the loop with
-  backoff.  The in-flight item is acknowledged first, so a poison
+  :class:`ShardCrashed` and the shard's supervisor, on the shard's own
+  thread, answers with the backoff before the restart or retires the
+  shard.  The in-flight item is acknowledged either way, so a poison
   snippet cannot wedge the drain barrier.
 """
 
@@ -31,16 +34,15 @@ from repro.core.pipeline import StoryPivot
 from repro.core.streaming import BoundedSeenSet
 from repro.errors import ConfigurationError, DuplicateSnippetError
 from repro.eventdata.models import Snippet
+from repro.loop import Loop
 from repro.obs.trace import NULL_TRACER, Envelope, add_event
 from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BoundedQueue, Empty, QueueClosed
+from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
 from repro.runtime.wal import ShardWal
 from repro.sketch.bloom import BloomFilter
-
-#: queue sentinel asking the worker loop to exit cleanly
-STOP = object()
 
 POISON_POLICIES = ("quarantine", "supervise")
 
@@ -50,15 +52,6 @@ DEFAULT_SHARD_RETRY = RetryPolicy(
 )
 
 logger = logging.getLogger("repro.runtime.shard")
-
-
-class ShardCrashed(Exception):
-    """Wraps the exception that killed a shard worker loop."""
-
-    def __init__(self, shard_id: int, cause: BaseException) -> None:
-        super().__init__(f"shard {shard_id} crashed: {cause!r}")
-        self.shard_id = shard_id
-        self.cause = cause
 
 
 class Shard:
@@ -80,6 +73,7 @@ class Shard:
         dlq: Optional[DeadLetterQueue] = None,
         tracer=None,
         decisions=None,
+        backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         if poison_policy not in POISON_POLICIES:
             raise ConfigurationError(
@@ -100,6 +94,8 @@ class Shard:
         self.quarantined = 0
         self.dead = False
         self.failed = False  # parked by the supervisor as crash-looping
+        self.supervisor = Supervisor(metrics, backoff)
+        self.loop = Loop(f"storypivot-shard-{shard_id}", step=self.step)
         self.poison_policy = poison_policy
         self.retry = retry if retry is not None else DEFAULT_SHARD_RETRY
         self.dlq = dlq
@@ -200,14 +196,11 @@ class Shard:
     # -- poison handling ---------------------------------------------------
 
     def _retry_or_quarantine(
-        self,
-        snippet: Snippet,
-        first_exc: BaseException,
-        stop_event: threading.Event,
+        self, snippet: Snippet, first_exc: BaseException
     ) -> bool:
         """Re-attempt a failed snippet, then dead-letter it.
 
-        Sleeps are taken on ``stop_event`` so shutdown interrupts the
+        Sleeps are taken on the shard's loop so shutdown interrupts the
         schedule; a snippet still failing at shutdown is quarantined
         immediately rather than holding the drain barrier hostage.
         Returns True when a retry eventually succeeded.
@@ -215,7 +208,7 @@ class Shard:
         last_exc = first_exc
         attempts = 1
         for delay in self.retry.delays(key=snippet.snippet_id):
-            if delay and stop_event.wait(delay):
+            if delay and self.loop.sleep(delay):
                 break
             attempts += 1
             self._retry_counter.inc()
@@ -251,35 +244,35 @@ class Shard:
 
     # -- worker loop -------------------------------------------------------
 
-    def run_loop(self, stop_event: threading.Event) -> None:
-        """Consume the queue until STOP/close.
+    def step(self) -> Optional[float]:
+        """One dequeue, then consume: the body of :attr:`loop`.
 
-        Per-snippet failures follow :attr:`poison_policy`; only
-        ``supervise`` mode lets them escape (wrapped in
-        :class:`ShardCrashed`) to the supervisor.
+        Per-snippet failures follow :attr:`poison_policy`; a crash returns
+        :attr:`supervisor`'s answer (the backoff before the restart, or
+        None once the shard is retired), and an item processed without
+        raising ends a crash streak.
         """
-        while True:
-            try:
-                item = self.queue.get(timeout=0.1)
-            except Empty:
-                if stop_event.is_set():
-                    return
-                continue
-            except QueueClosed:
-                return
-            if item is STOP:
-                self.queue.task_done()
-                return
-            try:
-                if isinstance(item, Envelope):
-                    self._consume_traced(item, stop_event)
-                else:
-                    self._consume_one(item, stop_event)
-            finally:
-                self.queue.task_done()
-                self._depth_gauge.set(len(self.queue))
+        try:
+            item = self.queue.get(timeout=0.1)
+        except Empty:
+            return 0.0
+        except QueueClosed:
+            return None
+        try:
+            if isinstance(item, Envelope):
+                self._consume_traced(item)
+            else:
+                self._consume_one(item)
+        except Exception as exc:
+            return self.supervisor.crashed(self, exc)
+        finally:
+            self.queue.task_done()
+            self._depth_gauge.set(len(self.queue))
+        if self.supervisor.crashes:
+            self.supervisor.note_progress()
+        return 0.0
 
-    def _consume_one(self, snippet: Snippet, stop_event: threading.Event) -> str:
+    def _consume_one(self, snippet: Snippet) -> str:
         """Process one snippet with poison handling; returns the outcome."""
         try:
             accepted = self.process(snippet)
@@ -288,13 +281,11 @@ class Shard:
             self._failure_counter.inc()
             if self.poison_policy != "quarantine":
                 raise ShardCrashed(self.shard_id, exc) from exc
-            recovered = self._retry_or_quarantine(snippet, exc, stop_event)
+            recovered = self._retry_or_quarantine(snippet, exc)
             return "accepted" if recovered else "quarantined"
         return "accepted" if accepted else "duplicate"
 
-    def _consume_traced(
-        self, envelope: Envelope, stop_event: threading.Event
-    ) -> None:
+    def _consume_traced(self, envelope: Envelope) -> None:
         """Re-bind the producer's root span, then consume its item.
 
         The root crossed the queue on the envelope; ``queue.wait`` is
@@ -308,7 +299,7 @@ class Shard:
                 "queue.wait", start=envelope.enqueued_at, shard=self.shard_id
             ).end()
             try:
-                outcome = self._consume_one(envelope.item, stop_event)
+                outcome = self._consume_one(envelope.item)
                 root.set(outcome=outcome)
             except BaseException as exc:
                 root.record_error(exc)

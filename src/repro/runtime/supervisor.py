@@ -1,10 +1,12 @@
 """Worker supervision: restart crashed shard loops with capped backoff.
 
 A long-running ingest must survive a worker dying on unexpected input.
-The supervisor watches every shard-loop future; when one crashes it
-resubmits the loop after an exponential backoff (``base * factor^n``,
-capped at ``max_delay``).  Two terminal outcomes, kept distinct because
-they mean different things to an operator:
+Each shard has a supervisor, run inline on the shard's own thread: when
+a step raises, :meth:`Supervisor.crashed` answers with the backoff
+(``base * factor^n``, capped at ``max_delay``) before the shard's
+:class:`~repro.loop.Loop` steps again — that next step *is* the restart,
+since the loop keeps no state.  Two terminal outcomes, kept distinct
+because they mean different things to an operator:
 
 * **crash-looping** — the *same* exception ``crash_loop_threshold``
   times in a row.  Restarting cannot help (the input or code is
@@ -16,27 +18,32 @@ they mean different things to an operator:
   shape (flaky infrastructure, not one poison cause).
 
 Either way the shard's queue is purged (items counted as dropped) and
-closed so producers and the drain barrier never hang on it.  A
-successful spell of processing resets the crash streak.
+closed so producers and the drain barrier never hang on it.  Any item
+processed without raising resets the crash streak
+(:meth:`Supervisor.note_progress`), so only *consecutive* crashes count.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import (
-    CancelledError,
-    Executor,
-    Future,
-    TimeoutError as FuturesTimeoutError,
-)
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.shard import Shard, ShardCrashed
+
+if TYPE_CHECKING:
+    from repro.runtime.shard import Shard
 
 logger = logging.getLogger("repro.runtime.supervisor")
+
+
+class ShardCrashed(Exception):
+    """Wraps the exception that crashed a shard worker's step."""
+
+    def __init__(self, shard_id: int, cause: BaseException) -> None:
+        super().__init__(f"shard {shard_id} crashed: {cause!r}")
+        self.shard_id = shard_id
+        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -62,161 +69,54 @@ def _crash_signature(exc: BaseException) -> str:
 
 
 class Supervisor:
-    """Keeps shard worker loops alive on a shared executor."""
+    """Restart-or-retire decisions for one shard, made on its own thread."""
 
     def __init__(
-        self,
-        executor: Executor,
-        metrics: MetricsRegistry,
-        policy: Optional[BackoffPolicy] = None,
+        self, metrics: MetricsRegistry, policy: Optional[BackoffPolicy] = None
     ) -> None:
-        self._executor = executor
         self._policy = policy if policy is not None else BackoffPolicy()
         self._restart_counter = metrics.counter("supervisor.restarts")
         self._crash_loop_counter = metrics.counter("supervisor.crash_loops")
         self._dead_gauge = metrics.gauge("shards.dead")
         self._failed_gauge = metrics.gauge("shards.failed")
-        self._stop_event = threading.Event()
-        self._wake = threading.Event()
-        self._lock = threading.Lock()
-        self._crashes: Dict[int, int] = {}
-        self._last_signature: Dict[int, str] = {}
-        self._signature_streak: Dict[int, int] = {}
-        self._futures: Dict[int, Future] = {}
-        self._shards: Dict[int, Shard] = {}
-        self._worker_stop: Optional[threading.Event] = None
-        self._thread: Optional[threading.Thread] = None
+        self.crashes = 0  # consecutive: healthy processing resets them
+        self._signature: Optional[str] = None
+        self._streak = 0  # consecutive crashes with this signature
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self, shards: List[Shard], worker_stop: threading.Event) -> None:
-        self._worker_stop = worker_stop
-        for shard in shards:
-            self._shards[shard.shard_id] = shard
-            self._crashes[shard.shard_id] = 0
-            self._submit(shard)
-        self._thread = threading.Thread(
-            target=self._run, name="storypivot-supervisor", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop_event.set()
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-        self._reap_workers(timeout)
-
-    def wait_workers(self, timeout: Optional[float] = None) -> None:
-        """Block until every live worker loop has returned."""
-        self._reap_workers(timeout)
-
-    def _reap_workers(self, timeout: Optional[float]) -> None:
-        """Join worker futures, keeping crash handling in one place.
-
-        A :class:`ShardCrashed` here was already counted and restarted
-        (or parked) by the supervision loop; a slow worker at shutdown
-        is logged rather than blocking teardown forever.  Anything else
-        escaping a worker loop is a supervisor bug — record it loudly
-        before moving on to the next future.
-        """
-        for shard_id, future in list(self._futures.items()):
-            try:
-                future.result(timeout=timeout)
-            except ShardCrashed:
-                pass  # counted, restarted or parked by _run already
-            except FuturesTimeoutError:
-                logger.warning(
-                    "shard %d: worker still running after %.1fs at "
-                    "shutdown; abandoning the join", shard_id,
-                    timeout if timeout is not None else -1.0,
-                )
-            except CancelledError:
-                pass  # executor shut down before the loop started
-            except Exception as exc:
-                logger.error(
-                    "shard %d: worker loop died outside the ShardCrashed "
-                    "protocol: %s: %s", shard_id, type(exc).__name__, exc,
-                )
-
-    # -- supervision -------------------------------------------------------
-
-    def _submit(self, shard: Shard) -> None:
-        future = self._executor.submit(shard.run_loop, self._worker_stop)
-        self._futures[shard.shard_id] = future
-        future.add_done_callback(lambda f, sid=shard.shard_id: self._on_done(sid, f))
-
-    def _on_done(self, shard_id: int, future: Future) -> None:
-        if future.exception() is None:
-            return  # clean exit (stop/close)
-        self._wake.set()
-
-    def _run(self) -> None:
-        while not self._stop_event.is_set():
-            self._wake.wait(timeout=0.1)
-            self._wake.clear()
-            for shard_id, future in list(self._futures.items()):
-                if not future.done() or future.exception() is None:
-                    continue
-                shard = self._shards[shard_id]
-                signature = _crash_signature(future.exception())
-                with self._lock:
-                    self._crashes[shard_id] += 1
-                    crashes = self._crashes[shard_id]
-                    if self._last_signature.get(shard_id) == signature:
-                        self._signature_streak[shard_id] += 1
-                    else:
-                        self._signature_streak[shard_id] = 1
-                    self._last_signature[shard_id] = signature
-                    streak = self._signature_streak[shard_id]
-                if streak >= self._policy.crash_loop_threshold:
-                    self._park_failed(shard, signature, streak)
-                    continue
-                if crashes > self._policy.max_restarts:
-                    self._declare_dead(shard)
-                    continue
-                delay = self._policy.delay(crashes - 1)
-                if self._stop_event.wait(timeout=delay):
-                    return
-                self._restart_counter.inc()
-                self._submit(shard)
-
-    def _retire(self, shard: Shard) -> None:
+    def crashed(self, shard: Shard, exc: BaseException) -> Optional[float]:
+        """Count one crash of ``shard``: the backoff before its restart,
+        or None once it is parked or declared dead (retired)."""
+        signature = _crash_signature(exc)
+        self.crashes += 1
+        self._streak = self._streak + 1 if signature == self._signature else 1
+        self._signature = signature
+        if self._streak >= self._policy.crash_loop_threshold:
+            # same exception every restart: parking cannot lose more than
+            # restarting forever would, and it frees the operator signal
+            # from the noise of doomed retries
+            logger.error(
+                "shard %d: crash-looping (%d consecutive identical crashes: "
+                "%s); parking as failed", shard.shard_id, self._streak,
+                signature,
+            )
+            shard.failed = True
+            self._crash_loop_counter.inc()
+            self._failed_gauge.add(1)
+        elif self.crashes > self._policy.max_restarts:
+            logger.error(
+                "shard %d: exceeded %d restarts; declaring dead",
+                shard.shard_id, self._policy.max_restarts,
+            )
+            self._dead_gauge.add(1)
+        else:
+            self._restart_counter.inc()
+            return self._policy.delay(self.crashes - 1)
         shard.dead = True
-        self._futures.pop(shard.shard_id, None)
         shard.queue.purge()
         shard.queue.close()
+        return None
 
-    def _declare_dead(self, shard: Shard) -> None:
-        logger.error(
-            "shard %d: exceeded %d restarts; declaring dead",
-            shard.shard_id, self._policy.max_restarts,
-        )
-        self._retire(shard)
-        self._dead_gauge.add(1)
-
-    def _park_failed(self, shard: Shard, signature: str, streak: int) -> None:
-        """Crash loop: same exception every restart — parking cannot lose
-        more than restarting forever would, and it frees the operator
-        signal from the noise of doomed retries."""
-        logger.error(
-            "shard %d: crash-looping (%d consecutive identical crashes: "
-            "%s); parking as failed", shard.shard_id, streak, signature,
-        )
-        shard.failed = True
-        self._retire(shard)
-        self._crash_loop_counter.inc()
-        self._failed_gauge.add(1)
-
-    # -- introspection -----------------------------------------------------
-
-    def restarts(self, shard_id: int) -> int:
-        with self._lock:
-            return max(0, self._crashes.get(shard_id, 0))
-
-    def note_progress(self, shard_id: int) -> None:
+    def note_progress(self) -> None:
         """Reset the crash streak after healthy processing."""
-        with self._lock:
-            self._crashes[shard_id] = 0
-            self._signature_streak[shard_id] = 0
-            self._last_signature.pop(shard_id, None)
+        self.crashes = self._streak = 0
+        self._signature = None

@@ -33,6 +33,7 @@ from repro.core.alignment import AlignedStory, Alignment
 from repro.core.pipeline import PivotResult
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet, format_timestamp
+from repro.loop import Loop
 from repro.obs.trace import NULL_TRACER
 
 
@@ -375,13 +376,11 @@ class ViewRefresher:
         self._refiner = None
         self._built_at_count = -1
         self._built_at_wall: Optional[float] = None
-        self._clock = time.monotonic  # what _loop schedules by
         self._started_at_wall = time.time()
         self._consecutive_failures = 0
         self._last_error: Optional[str] = None
-        self._stop = threading.Event()
-        self._wake = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._polled_at: Optional[float] = None  # start of the last poll
+        self.loop = Loop("storypivot-view-refresher", step=self._poll)
 
     def refresh(self, force: bool = False) -> ReadView:
         """Rebuild now (if ingestion advanced, or ``force``); returns current."""
@@ -474,37 +473,34 @@ class ViewRefresher:
         self._last_error = None
         return view
 
-    def _loop(self) -> None:
-        started = self._clock()
-        due = started + self.interval
-        while not self._stop.is_set():
-            self._wake.wait(timeout=max(0.0, due - self._clock()))
-            self._wake.clear()
-            if self._stop.is_set():
-                return
-            last, started = started, self._clock()
-            if self.metrics is not None:  # of the polls, rebuilt or not
-                self.metrics.histogram("view.refresh_period_seconds").observe(
-                    started - last
-                )
-            try:
-                self.refresh()
-            except Exception as exc:  # keep serving the last good view
-                self._consecutive_failures += 1
-                self._last_error = f"{type(exc).__name__}: {exc}"
-                if self.metrics is not None:
-                    self.metrics.counter("view.refresh_errors").inc()
-                if self.on_error is not None:
-                    self.on_error(exc)
+    def _poll(self) -> float:
+        """The loop's step: one poll; returns the wait until the next."""
+        clock = self.loop.clock
+        last, started = self._polled_at, clock.now()
+        self._polled_at = started
+        if last is None:  # the loop's first pass only starts the period
+            return self.interval
+        if self.metrics is not None:  # of the polls, rebuilt or not
+            self.metrics.histogram("view.refresh_period_seconds").observe(
+                started - last
+            )
+        try:
+            self.refresh()
+        except Exception as exc:  # keep serving the last good view
+            self._consecutive_failures += 1
+            self._last_error = f"{type(exc).__name__}: {exc}"
             if self.metrics is not None:
-                self.metrics.gauge("view.stale_seconds").set(
-                    round(self.staleness(), 3)
-                )
-            # starts are ``interval`` apart whatever a refresh costs; one that
-            # overran gets interval/2 of quiet, never a back-to-back rebuild
-            due, ended = started + self.interval, self._clock()
-            if ended > due:
-                due = ended + self.interval / 2.0
+                self.metrics.counter("view.refresh_errors").inc()
+            if self.on_error is not None:
+                self.on_error(exc)
+        if self.metrics is not None:
+            self.metrics.gauge("view.stale_seconds").set(
+                round(self.staleness(), 3)
+            )
+        # starts are ``interval`` apart whatever a refresh costs; one that
+        # overran gets interval/2 of quiet, never a back-to-back rebuild
+        due, ended = started + self.interval, clock.now()
+        return due - ended if ended <= due else self.interval / 2.0
 
     # -- degradation signals ----------------------------------------------
 
@@ -552,21 +548,13 @@ class ViewRefresher:
         }
 
     def start(self) -> "ViewRefresher":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._loop, name="storypivot-view-refresher",
-                daemon=True,
-            )
-            self._thread.start()
+        self.loop.start()
         return self
 
     def poke(self) -> None:
         """Ask the refresher to check for new data immediately."""
-        self._wake.set()
+        self.loop.poke()
 
     def stop(self) -> None:
-        self._stop.set()
-        self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        self.loop.stop()
+        self._polled_at = None

@@ -86,9 +86,17 @@ def test_attribute_type_inference_links_held_instance():
         "        self._store = Store()\n"
         "    def flush(self):\n"
         "        return self._store.save()\n"
+        "def drive():\n"
+        "    owner = Owner()\n"
+        "    return owner._store.save()\n"
     )})
     targets = list(proj.callees("src/repro/a.py::Owner.flush"))
     assert [t.qualname for _, t in targets] == ["Store.save"]
+    # a typed local's held instance resolves the same way
+    targets = list(proj.callees("src/repro/a.py::drive"))
+    assert sorted(t.qualname for _, t in targets) == [
+        "Owner.__init__", "Store.save",
+    ]
 
 
 # -- registry dispatch -------------------------------------------------------
@@ -135,13 +143,24 @@ def test_registry_call_fans_out_to_registered_constructors():
 def test_thread_target_keyword_links_worker():
     proj = project({"src/repro/a.py": (
         "import threading\n"
+        "from repro.loop import Loop\n"
         "def work():\n"
         "    return 1\n"
         "def spawn():\n"
         "    return threading.Thread(target=work)\n"
+        "def tick():\n"
+        "    return 1.0\n"
+        "def spawn_loop():\n"
+        "    return Loop('ticker', step=tick)\n"
+    ), "src/repro/loop.py": (
+        "class Loop:\n"
+        "    def __init__(self, name, step):\n"
+        "        self.step = step\n"
     )})
     targets = list(proj.callees("src/repro/a.py::spawn"))
     assert [t.qualname for _, t in targets] == ["work"]
+    targets = list(proj.callees("src/repro/a.py::spawn_loop"))
+    assert sorted(t.qualname for _, t in targets) == ["Loop.__init__", "tick"]
 
 
 # -- unsoundness accounting --------------------------------------------------

@@ -32,6 +32,7 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.server import ViewRefresher, ViewStore, make_etag
 
 from test_delta_finish import everything, restored, trust_of
+from test_loop import SteppedClock
 
 SEEDS = (5, 18, 26)
 GENERATIONS = 5
@@ -549,50 +550,27 @@ class TestRefreshIsObservable:
         assert cold["pass_story_pairs_reused"][0] == 0 < warm["pass_story_pairs_reused"][0]
 
 
-class SteppedTime:
-    """The clock ``_loop`` reads and the wake event it waits on, in one:
-    waiting is what moves the time."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.poked = False
-
-    def clock(self):
-        return self.now
-
-    def wait(self, timeout):
-        if not self.poked:
-            self.now += timeout
-        return self.poked
-
-    def set(self):
-        self.poked = True
-
-    def clear(self):
-        self.poked = False
-
-
 class TestThePeriodIsStartToStart:
     def starts(self, durations, poke_during=(), metrics=None):
-        """When each rebuild of ``_loop`` began, at ``interval=1.0``."""
-        time_ = SteppedTime()
+        """When each rebuild of the loop began, at ``interval=1.0``."""
+        clock = SteppedClock()
         refresher = ViewRefresher(
             types.SimpleNamespace(accepted=0),  # staleness() reads no more
             ViewStore(), interval=1.0, metrics=metrics,
         )
-        refresher._clock, refresher._wake = time_.clock, time_
+        refresher.loop.clock = clock
         began = []
 
         def rebuild(force):
-            began.append(time_.now)
-            time_.now += durations[len(began) - 1]
+            began.append(clock.time)
+            clock.time += durations[len(began) - 1]
             if len(began) in poke_during:
                 refresher.poke()
             if len(began) == len(durations):
-                refresher._stop.set()
+                refresher.stop()
 
         refresher._rebuild_locked = rebuild
-        refresher._loop()
+        refresher.loop.run()
         return began
 
     def test_a_refresh_is_part_of_the_period(self):

@@ -1,7 +1,6 @@
 """Tracing core: sampling, propagation, the span store, profiling hooks."""
 
 import threading
-import time
 
 import pytest
 
@@ -285,32 +284,3 @@ class TestProfilingHooks:
         top = board.top()
         assert len(top) == 3
         assert [t["duration"] for t in top] == [9.0, 8.0, 7.0]
-
-    def test_sampling_ticker_attributes_repro_frames(self):
-        from repro.obs.profile import SamplingTicker
-
-        metrics = MetricsRegistry()
-        ticker = SamplingTicker(metrics, interval=0.005)
-        stop = threading.Event()
-
-        def busy():
-            # a repro.* frame the ticker can attribute: spin inside
-            # this module's namespace via the pipeline
-            from repro.core.pipeline import StoryPivot
-
-            pivot = StoryPivot(StoryPivotConfig())
-            i = 0
-            while not stop.is_set():
-                pivot.has_snippet(f"nope{i}")
-                i += 1
-
-        worker = threading.Thread(target=busy, daemon=True)
-        worker.start()
-        ticker.start()
-        time.sleep(0.25)
-        ticker.stop()
-        stop.set()
-        worker.join(timeout=5.0)
-        ticks = metrics.children("profile.ticks")
-        assert ticks, "ticker attributed no samples"
-        assert any("module=repro." in key for key in ticks)

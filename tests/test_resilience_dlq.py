@@ -335,6 +335,56 @@ class TestCrashLoopParking:
         finally:
             runtime.stop()
 
+    @staticmethod
+    def crash_between_progress(backoff, message, crashes=6):
+        """``crashes`` rounds of 20 good snippets, then one poison one."""
+        runtime = ShardedRuntime(
+            CONFIG, num_shards=1, poison_policy="supervise", backoff=backoff
+        )
+        try:
+            runtime.start()
+            shard = runtime._shards[0]
+
+            def poison(snippet):
+                if snippet.snippet_id.startswith("poison"):
+                    raise RuntimeError(message(snippet.snippet_id))
+
+            shard.fault_hook = poison
+            for round_ in range(crashes):
+                for i in range(20):
+                    runtime.offer(make_snippet(f"a:{round_}:{i}", "a"))
+                runtime.offer(make_snippet(f"poison:{round_}", "a"))
+                runtime.drain()
+            runtime.offer(make_snippet("a:last", "a"))
+            runtime.drain()
+            return shard, runtime.stats()
+        finally:
+            runtime.stop()
+
+    def test_varying_crashes_between_progress_keep_the_shard(self):
+        shard, stats = self.crash_between_progress(
+            BackoffPolicy(
+                base_delay=0.01, factor=1.0, max_delay=0.01,
+                max_restarts=3, crash_loop_threshold=10,
+            ),
+            message=lambda snippet_id: f"crash at {snippet_id}",
+        )
+        assert not shard.dead  # 6 crashes, never more than 1 in a row
+        assert stats["accepted"] == 6 * 20 + 1
+        assert stats["failures"] == stats["restarts"] == 6
+
+    def test_identical_crashes_between_progress_are_not_a_loop(self):
+        shard, stats = self.crash_between_progress(
+            BackoffPolicy(
+                base_delay=0.01, factor=1.0, max_delay=0.01,
+                max_restarts=50, crash_loop_threshold=3,
+            ),
+            message=lambda snippet_id: "deterministic poison",
+        )
+        assert not shard.failed
+        assert stats["crash_loops"] == 0
+        assert stats["accepted"] == 6 * 20 + 1
+
 
 class TestRuntimeHealth:
     def test_healthy_runtime_reports_ok(self):
