@@ -157,6 +157,20 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _param_types(fn_node) -> Dict[str, str]:
+    """name → dotted class of annotated params (``Optional[X]`` is X)."""
+    types: Dict[str, str] = {}
+    args = fn_node.args
+    for arg in list(args.args) + list(args.kwonlyargs):
+        ann = arg.annotation
+        if isinstance(ann, ast.Subscript) and _dotted(ann.value) == "Optional":
+            ann = ann.slice
+        dotted = _dotted(ann) if ann is not None else None
+        if dotted:
+            types[arg.arg] = dotted
+    return types
+
+
 def _annotation_marks(module) -> Dict[int, List[Tuple[str, str]]]:
     """``# sp-contract:`` / ``# sp-taint:`` directives by line number."""
     import re
@@ -270,8 +284,10 @@ class Project:
                 imports[name] = ("symbol", f"{node.module}.{alias.name}")
 
     def _infer_attr_types(self, cls: _ClassInfo) -> None:
-        """``self.attr = ClassName(...)`` facts from every method body."""
+        """``self.attr = ClassName(...)`` and ``self.attr = param`` (an
+        annotated parameter) facts from every method body."""
         for method in cls.methods.values():
+            params = _param_types(method.node)
             for node in ast.walk(method.node):
                 if not isinstance(node, ast.Assign):
                     continue
@@ -283,9 +299,12 @@ class Project:
                         if isinstance(arm, ast.Call):
                             value = arm
                             break
-                if not isinstance(value, ast.Call):
+                if isinstance(value, ast.Name):
+                    ctor = params.get(value.id)
+                elif isinstance(value, ast.Call):
+                    ctor = _dotted(value.func)
+                else:
                     continue
-                ctor = _dotted(value.func)
                 if ctor is None or not ctor.rsplit(".", 1)[-1][:1].isupper():
                     continue
                 for target in node.targets:
@@ -309,13 +328,7 @@ class Project:
 
     def _local_var_types(self, fn: FunctionInfo) -> Dict[str, str]:
         """name → dotted ClassName for annotated params and ctor locals."""
-        types: Dict[str, str] = {}
-        args = fn.node.args
-        for arg in list(args.args) + list(args.kwonlyargs):
-            if arg.annotation is not None:
-                ann = _dotted(arg.annotation)
-                if ann:
-                    types[arg.arg] = ann
+        types = _param_types(fn.node)
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 ctor = _dotted(node.value.func)

@@ -85,22 +85,30 @@ def canonical_story_ids(story_set) -> Dict[str, str]:
 
 
 def dump_state(pivot: StoryPivot, stream: TextIO,
-               canonical_ids: bool = False) -> int:
+               canonical_ids: bool = False,
+               position: Optional[int] = None) -> int:
     """Write the pivot's configuration and story state as JSON lines.
 
     With ``canonical_ids`` the stories are renumbered by
     :func:`canonical_story_ids`, so equivalent pivots (however their live
-    counter ids were allocated) serialize byte-identically.  Returns the
-    number of snippets written.
+    counter ids were allocated) serialize byte-identically.  A
+    ``position`` (the WAL sequence the state covers) goes into the
+    header with the snippet count, which lets :func:`load_state` tell a
+    file cut at a line boundary from a whole one.  Returns the number of
+    snippets written.
     """
-    # sort_keys so the header is canonical: a config that took a JSON
-    # round trip (replication manifest) serializes byte-identically to
-    # the original whatever its dict insertion order
-    stream.write(json.dumps({
+    header = {
         "kind": "storypivot-checkpoint",
         "version": 1,
         "config": _config_record(pivot.config),
-    }, sort_keys=True) + "\n")
+    }
+    if position is not None:
+        header["position"] = position
+        header["snippets"] = pivot.num_snippets
+    # sort_keys so the header is canonical: a config that took a JSON
+    # round trip (replication manifest) serializes byte-identically to
+    # the original whatever its dict insertion order
+    stream.write(json.dumps(header, sort_keys=True) + "\n")
     written = 0
     for source_id, story_set in sorted(pivot.story_sets().items()):
         renamed = canonical_story_ids(story_set) if canonical_ids else None
@@ -132,7 +140,8 @@ def load_state(stream_or_text) -> StoryPivot:
 
     Story ids are preserved; identifier indexes (temporal, inverted, LSH)
     are reconstructed from the stored snippets, so the restored pivot
-    accepts new snippets and removals immediately.
+    accepts new snippets and removals immediately.  A header that
+    counts its snippets must match the body, or the file was cut short.
     """
     if isinstance(stream_or_text, str):
         lines = stream_or_text.splitlines()
@@ -151,6 +160,7 @@ def load_state(stream_or_text) -> StoryPivot:
     pivot = StoryPivot(config)
     # first pass: group assignments by (source, story) in file order
     pending: Dict[str, Dict[str, list]] = {}
+    count = 0
     for line_no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -162,6 +172,11 @@ def load_state(stream_or_text) -> StoryPivot:
         pending.setdefault(snippet.source_id, {}).setdefault(
             record["story_id"], []
         ).append(snippet)
+        count += 1
+    if "snippets" in header and header["snippets"] != count:
+        raise DataFormatError(
+            f"torn checkpoint: {count} of {header['snippets']} snippets"
+        )
 
     for source_id in sorted(pending):
         for story_id in sorted(pending[source_id]):

@@ -13,8 +13,10 @@ with follower count while the leader touches only the write path.
 * :class:`~repro.replication.leader.ReplicationServer` — the leader-side
   HTTP endpoint shipping manifest, snapshots and WAL records;
 * :class:`~repro.replication.follower.ReplicaRuntime` — the follower:
-  bootstrap, tailing, apply, and the runtime read surface
-  (``merged_pivot``/``accepted``/``health``) the server stack expects;
+  bootstrap, tailing, apply through the runtime's own shards (its
+  ``state_dir`` is a runtime WAL directory), and the runtime read
+  surface (``merged_pivot``/``accepted``/``health``) the server stack
+  expects;
 * ``storypivot-replica`` (:mod:`repro.replication.cli`) — serve the API
   from a follower.
 """

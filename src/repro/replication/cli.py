@@ -53,13 +53,14 @@ def build_parser(prog: str = "storypivot-replica") -> argparse.ArgumentParser:
                         help="WAL tail cadence (default 0.2s; a backlog "
                              "is drained at full speed regardless)")
     parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="persist replication cursors + shard state "
-                             "here; a restarted replica then warm-starts "
-                             "and tails from its saved position instead "
-                             "of re-bootstrapping from the leader")
+                        help="keep a runtime WAL directory here (the "
+                             "leader's --wal-dir format: checkpoints + "
+                             "per-shard WALs); a restarted replica "
+                             "recovers from it and tails from its WAL "
+                             "position instead of re-bootstrapping")
     parser.add_argument("--persist-every", type=float, default=5.0,
                         metavar="SEC",
-                        help="--state-dir save cadence (default 5s)")
+                        help="--state-dir checkpoint cadence (default 5s)")
     parser.add_argument("--advertise-url", default=None, metavar="URL",
                         help="base URL the leader should scrape this "
                              "node's /metricz at (default: "

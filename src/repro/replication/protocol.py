@@ -13,8 +13,8 @@ endpoints, all GET:
 ``/replication/v1/snapshot/<shard>``
     The shard's serialized pivot state plus the WAL ``position`` the
     snapshot covers, taken atomically under the shard lock.  This is the
-    cold-follower bootstrap: load the state, set the cursor to
-    ``position``, start tailing.
+    cold-follower bootstrap: adopt the state as a checkpoint at
+    ``position``, set the cursor there, start tailing.
 
 ``/replication/v1/wal/<shard>?from=<seq>&max=<n>``
     Framed WAL records with ``seq >= from``, oldest first, plus the
@@ -40,8 +40,10 @@ receipt, so corruption in transit is detected and the batch re-fetched.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.core.persistence import load_state
+from repro.core.pipeline import StoryPivot
 from repro.errors import DataFormatError
 
 PROTOCOL_VERSION = 1
@@ -75,6 +77,11 @@ def check_payload(payload: Dict[str, object], kind: str) -> Dict[str, object]:
             f"(this node speaks {PROTOCOL_VERSION})"
         )
     return payload
+
+
+def snapshot_state(payload: Dict[str, object]) -> Tuple[StoryPivot, int]:
+    """The (pivot, WAL position) a snapshot payload carries."""
+    return load_state(payload["state"]), int(payload["position"])
 
 
 def snapshot_url(base: str, shard_id: int) -> str:

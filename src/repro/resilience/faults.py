@@ -326,8 +326,8 @@ class ChaosWal:
         self._site = site
         self.torn_writes = 0
 
-    def append(self, snippet) -> int:
-        written = self._wal.append(snippet)
+    def append(self, snippet, seq=None) -> int:
+        written = self._wal.append(snippet, seq)
         profile = self._injector.profile
         if profile.torn_write_rate:
             rng = self._injector._rng(self._site)

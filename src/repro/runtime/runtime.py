@@ -29,7 +29,7 @@ import zlib
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.alignment import Alignment, StoryAligner
 from repro.core.config import StoryPivotConfig
@@ -106,6 +106,32 @@ def shard_of(source_id: str, num_shards: int) -> int:
     killed one did.
     """
     return zlib.crc32(source_id.encode("utf-8")) % num_shards
+
+
+def merge_shards(
+    shards: Sequence[Shard], config: StoryPivotConfig, tracer=NULL_TRACER
+) -> StoryPivot:
+    """A standalone pivot holding every shard's stories.
+
+    Shard locks are taken in ascending shard order, one global order on
+    every node.  Stories are *rebuilt* (sharing the immutable snippets)
+    rather than referenced, so downstream refinement cannot mutate shard
+    state.
+    """
+    with tracer.span("shards.merge"):
+        with ExitStack() as stack:
+            for shard in shards:
+                stack.enter_context(shard.lock)
+            story_sets = {}
+            for shard in shards:
+                story_sets.update(shard.pivot.story_sets())
+            merged = StoryPivot(config)
+            for source_id in sorted(story_sets):
+                for story in story_sets[source_id]:
+                    merged.restore_story(
+                        source_id, story.story_id, story.snippets()
+                    )
+        return merged
 
 
 class ShardedRuntime:
@@ -445,26 +471,9 @@ class ShardedRuntime:
     # -- views -------------------------------------------------------------
 
     def merged_pivot(self) -> StoryPivot:
-        """A standalone pivot holding every shard's stories.
-
-        Stories are *rebuilt* (sharing the immutable snippets) rather than
-        referenced, so downstream refinement cannot mutate shard state.
-        """
+        """A standalone pivot holding every shard's stories."""
         self.start()
-        with self.tracer.span("shards.merge"):
-            with ExitStack() as stack:
-                for shard in self._shards:
-                    stack.enter_context(shard.lock)
-                story_sets = {}
-                for shard in self._shards:
-                    story_sets.update(shard.pivot.story_sets())
-                merged = StoryPivot(self.config)
-                for source_id in sorted(story_sets):
-                    for story in story_sets[source_id]:
-                        merged.restore_story(
-                            source_id, story.story_id, story.snippets()
-                        )
-            return merged
+        return merge_shards(self._shards, self.config, self.tracer)
 
     def flush(self) -> PivotResult:
         """Drain, merge all shards, and run alignment (+refinement)."""
@@ -511,16 +520,9 @@ class ShardedRuntime:
     def _checkpoint_shard(self, shard: Shard) -> int:
         if self._store is None:
             raise ConfigurationError("runtime has no wal_dir configured")
-        with self.tracer.span("checkpoint", shard=shard.shard_id) as span, \
-                shard.lock:
+        with self.tracer.span("checkpoint", shard=shard.shard_id) as span:
             with self.metrics.timer("checkpoint.duration_seconds"):
-                # sp-lint: disable=SP201 -- checkpoint must capture the shard frozen; holding its lock across the save is the consistency contract
-                size = self._store.save(shard.shard_id, shard.pivot)
-                if shard.wal is not None:
-                    # rotate, not truncate: the sealed segment is the
-                    # replication shipping unit; sequence numbers keep
-                    # counting so follower cursors stay meaningful
-                    shard.wal.rotate()
+                size = shard.checkpoint(self._store)
             span.set(bytes=size)
         self.metrics.counter("checkpoint.count").inc()
         self.metrics.counter("checkpoint.bytes").inc(size)

@@ -41,7 +41,7 @@ from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BoundedQueue, Empty, QueueClosed
 from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
-from repro.runtime.wal import ShardWal
+from repro.runtime.wal import CheckpointStore, ShardWal
 from repro.sketch.bloom import BloomFilter
 
 POISON_POLICIES = ("quarantine", "supervise")
@@ -140,14 +140,29 @@ class Shard:
                         self._bloom.add(snippet_id)
                         self._seen.add(snippet_id)
 
+    def checkpoint(self, store: CheckpointStore) -> int:
+        """Save the pivot at the WAL position it covers, then seal the WAL
+        (rotate, not truncate: sealed segments are what replication
+        ships).  Returns the checkpoint's bytes."""
+        with self.lock:
+            # sp-lint: disable=SP201 -- checkpoint must capture the shard frozen; holding its lock across the save is the consistency contract
+            size = store.save(self.shard_id, self.pivot, self.wal.position)
+            # sp-lint: disable=SP201 -- sealed with the shard frozen, so the segment ends where the checkpoint does
+            self.wal.rotate()
+        return size
+
     # -- processing --------------------------------------------------------
 
-    def process(self, snippet: Snippet) -> bool:
-        """Dedup, identify, and WAL one snippet; True if accepted."""
-        with self._tracer.span("shard.integrate", shard=self.shard_id) as span:
-            return self._integrate(snippet, span)
+    def process(self, snippet: Snippet, seq: Optional[int] = None) -> bool:
+        """Dedup, identify, and WAL one snippet; True if accepted.
 
-    def _integrate(self, snippet: Snippet, span) -> bool:
+        A follower passes the leader's ``seq``, so its WAL numbers the
+        record as the leader did, gaps included.
+        """
+        with self._tracer.span("shard.integrate", shard=self.shard_id) as span:
+            return self._integrate(snippet, span, seq)
+
+    def _integrate(self, snippet: Snippet, span, seq: Optional[int]) -> bool:
         if self.fault_hook is not None:
             self.fault_hook(snippet)
         started = time.perf_counter()
@@ -175,7 +190,8 @@ class Shard:
             self.sources.add(snippet.source_id)
             if self.wal is not None:
                 with self._tracer.span("wal.append", shard=self.shard_id):
-                    self._wal_bytes.inc(self.wal.append(snippet))
+                    # sp-lint: disable=SP201 -- the append is integration's durability step, ordered by the shard lock
+                    self._wal_bytes.inc(self.wal.append(snippet, seq))
                 self._wal_records.inc()
             self.accepted += 1
             self._accepted_since_checkpoint += 1

@@ -239,3 +239,27 @@ class TestKillResume:
             assert resumed.options.num_shards == 3
         finally:
             resumed.stop()
+
+    def test_resume_keeps_numbering_when_no_segment_survives(
+        self, stream, tmp_path
+    ):
+        # a clean stop checkpoints, seals and (keep 0) prunes every
+        # segment: only the checkpoint still knows the WAL position
+        wal_dir = str(tmp_path / "wal-pruned")
+        runtime = ShardedRuntime(
+            CONFIG, num_shards=1, wal_dir=wal_dir, wal_keep_segments=0
+        )
+        runtime.consume(stream[:200])
+        runtime.drain()
+        runtime.stop()
+        resumed = ShardedRuntime.resume(wal_dir, wal_keep_segments=0)
+        try:
+            assert resumed.accepted == 200
+            assert resumed.wal_positions() == [200]
+            resumed.consume(stream[200:210])
+            resumed.drain()
+            seqs = [r["seq"] for r in resumed.shard_wal(0).iter_records(0)]
+            # a seq names one record forever: never re-minted
+            assert seqs == list(range(200, 210))
+        finally:
+            resumed.stop()
