@@ -89,8 +89,16 @@ def test_attribute_type_inference_links_held_instance():
         "def drive():\n"
         "    owner = Owner()\n"
         "    return owner._store.save()\n"
+        "class Holder:\n"
+        "    def __init__(self, store: Optional[Store] = None):\n"
+        "        self._store = store\n"
+        "    def flush(self):\n"
+        "        return self._store.save()\n"
     )})
     targets = list(proj.callees("src/repro/a.py::Owner.flush"))
+    assert [t.qualname for _, t in targets] == ["Store.save"]
+    # an attribute bound from an annotated parameter takes its type
+    targets = list(proj.callees("src/repro/a.py::Holder.flush"))
     assert [t.qualname for _, t in targets] == ["Store.save"]
     # a typed local's held instance resolves the same way
     targets = list(proj.callees("src/repro/a.py::drive"))
