@@ -38,18 +38,19 @@ def build_resilient_feed(
     retry=None,
     breaker=None,
     sleep=None,
+    site: Optional[str] = None,
 ):
     """The one way a feed gets chaos-wrapped and made resilient.
 
-    Previously copy-pasted by ``storypivot-serve`` and the API server's
-    ``--follow`` path; any new feed mount (connectors included) should go
-    through here so fault injection and retry/breaker defaults stay in a
-    single place.
+    Corpus replays and :class:`ConnectorStream` pulls both mount here, so
+    fault injection and retry/breaker defaults stay in a single place.
+    ``name`` keys the retry jitter and names the breaker; faults are
+    injected at ``site`` (default: ``name``).
     """
     from repro.eventdata.eventregistry import ResilientFeed
 
     if injector is not None:
-        feed = injector.wrap_feed(feed, site=name)
+        feed = injector.wrap_feed(feed, site=site or name)
     return ResilientFeed(feed, retry=retry, breaker=breaker, sleep=sleep,
                          name=name)
 
@@ -89,10 +90,11 @@ class ConnectorStream:
     """Iterate a connector's admitted snippets; account for the rest.
 
     The stream is an ordinary ``Iterable[Snippet]``: pass it straight to
-    :meth:`ShardedRuntime.consume`.  Internally each pull is retried on
-    the policy schedule behind a circuit breaker (hard-down upstreams
-    trip open instead of being hammered), optionally bounded by a
-    deadline, and each survivor of the gauntlet is admitted exactly once.
+    :meth:`ShardedRuntime.consume`.  Internally the pull is a
+    :func:`build_resilient_feed` (retries on the policy schedule behind a
+    circuit breaker, so hard-down upstreams trip open instead of being
+    hammered), optionally bounded by a deadline, and each survivor of the
+    gauntlet is admitted exactly once.
     """
 
     def __init__(
@@ -110,9 +112,6 @@ class ConnectorStream:
         clock=time.time,
         injector=None,
     ) -> None:
-        from repro.resilience.breaker import CircuitBreaker
-        from repro.resilience.policies import RetryPolicy
-
         self.connector = connector
         self.runtime = runtime
         self.normalizer = normalizer if normalizer is not None else Normalizer(
@@ -125,13 +124,8 @@ class ConnectorStream:
         if tracer is None and runtime is not None:
             tracer = runtime.tracer
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=4, base_delay=0.05, factor=2.0, max_delay=1.0
-        )
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            name=connector.name, failure_threshold=0.5, window=20,
-            min_calls=5, reset_timeout=2.0,
-        )
+        self._retry = retry
+        self._breaker = breaker
         self._sleep = sleep
         self.deadline_seconds = deadline_seconds
         self._clock = clock
@@ -145,20 +139,16 @@ class ConnectorStream:
 
     def __iter__(self) -> Iterator[Snippet]:
         from repro.resilience.deadline import Deadline
-        from repro.resilience.policies import resilient_iter
 
-        raw_items = self.connector.pull()
-        if self._injector is not None:
-            raw_items = self._injector.wrap_feed(
-                raw_items, site=f"connect.{self.connector.scheme}"
-            )
-        kwargs = {"retry": self.retry, "breaker": self.breaker,
-                  "key": self.connector.name}
-        if self._sleep is not None:
-            kwargs["sleep"] = self._sleep
-        if self.deadline_seconds is not None:
-            kwargs["deadline"] = Deadline.after(self.deadline_seconds)
-        pulls = resilient_iter(raw_items, **kwargs)
+        feed = build_resilient_feed(
+            self.connector.pull(), self._injector, name=self.connector.name,
+            retry=self._retry, breaker=self._breaker, sleep=self._sleep,
+            site=f"connect.{self.connector.scheme}",
+        )
+        pulls = feed.pulls(
+            Deadline.after(self.deadline_seconds)
+            if self.deadline_seconds is not None else None
+        )
         scheme = self.connector.scheme or "raw"
         while True:
             with self.tracer.span("connect.pull", connector=scheme):

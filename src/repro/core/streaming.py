@@ -5,7 +5,7 @@ is published online", sources "do not necessarily publish their information
 in a temporally ordered manner", and the system must provide "live
 information on ongoing stories".  The :class:`StreamProcessor` consumes
 snippets in *publication* order (which is out-of-order along the event-time
-axis), deduplicates re-deliveries with a Bloom-filter fast path, keeps
+axis), deduplicates re-deliveries against a window of recent ids, keeps
 identification fully incremental, and refreshes alignment+refinement every
 ``realign_every`` arrivals so a live view is always available.
 """
@@ -22,13 +22,12 @@ from repro.core.pipeline import PivotResult, StoryPivot
 from repro.errors import DuplicateSnippetError
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet
-from repro.sketch.bloom import BloomFilter
 
 
 class BoundedSeenSet:
     """Insertion-ordered set that evicts its oldest member beyond capacity.
 
-    The exact-confirmation half of stream deduplication.  An unbounded set
+    The fast path of stream deduplication.  An unbounded set
     grows forever on an infinite feed; this one keeps the most recent
     ``capacity`` ids.  The trade-off of evicting: a re-delivery *older*
     than the retained window is no longer confirmed here and falls through
@@ -92,7 +91,6 @@ class StreamProcessor:
         self._live: Optional[LiveAligner] = (
             LiveAligner(self.pivot.config) if live_alignment else None
         )
-        self._bloom = BloomFilter(capacity=dedup_capacity)
         self._seen = BoundedSeenSet(dedup_capacity)
         self._since_alignment = 0
         self._latest_event_time: Optional[float] = None
@@ -103,25 +101,25 @@ class StreamProcessor:
     def offer(self, snippet: Snippet) -> bool:
         """Deliver one snippet; returns False for duplicates.
 
-        The Bloom filter answers "definitely new" without touching the
-        exact set; its (rare) positives are confirmed exactly against the
-        bounded seen-set, so recent duplicates never slip through.  An id
-        evicted from the seen-set (older than ``dedup_capacity`` arrivals)
-        is caught by the identifier's own exact check instead — see
-        :class:`BoundedSeenSet` for the trade-off.
+        Recent re-deliveries are answered by the bounded seen-set without
+        touching identification; an id evicted from it (older than
+        ``dedup_capacity`` arrivals) is caught by the identifier's own
+        exact check instead — see :class:`BoundedSeenSet` for the
+        trade-off.  The seen-set admits an id only once integration
+        succeeded, so a snippet whose first attempt raised is integrated
+        when it is offered again.
         """
         self.stats.arrived += 1
-        if snippet.snippet_id in self._bloom and snippet.snippet_id in self._seen:
+        if snippet.snippet_id in self._seen:
             self.stats.duplicates += 1
             return False
-        self._bloom.add(snippet.snippet_id)
-        self._seen.add(snippet.snippet_id)
         try:
             story = self.pivot.add_snippet(snippet)
         except DuplicateSnippetError:
             # evicted from the bounded seen-set but still live in a story
             self.stats.duplicates += 1
             return False
+        self._seen.add(snippet.snippet_id)
         if self._latest_event_time is not None:
             regression = self._latest_event_time - snippet.timestamp
             if regression > self.stats.max_disorder:

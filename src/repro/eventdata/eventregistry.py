@@ -121,10 +121,14 @@ class ResilientFeed:
         self._sleep = sleep
 
     def __iter__(self) -> Iterator:
+        return self.pulls()
+
+    def pulls(self, deadline=None) -> Iterator:
+        """Iterate the feed; a ``deadline`` bounds the whole iteration."""
         from repro.resilience.policies import resilient_iter
 
         kwargs = {"retry": self.retry, "breaker": self.breaker,
-                  "key": self.name}
+                  "key": self.name, "deadline": deadline}
         if self._sleep is not None:
             kwargs["sleep"] = self._sleep
         return resilient_iter(iter(self.feed), **kwargs)

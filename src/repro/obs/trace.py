@@ -29,8 +29,8 @@ Design decisions, in the order they matter:
   decision.
 * **Null object, not ``if tracing:``.**  Call sites are unconditional;
   a disabled tracer hands out a shared no-op span whose context-manager
-  protocol does nothing.  ``tracer.enabled`` exists only for hot paths
-  that want to skip envelope allocation entirely.
+  protocol does nothing.  The ingest path too: an untraced snippet rides
+  an :class:`Envelope` carrying the no-op span, through the same code.
 """
 
 from __future__ import annotations

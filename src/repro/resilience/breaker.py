@@ -206,21 +206,11 @@ class CircuitBreaker:
         **kwargs,
     ):
         """Run ``fn`` on ``retry``'s schedule, each attempt through the
-        breaker.  An open circuit is *not* retried against — the
+        breaker (:meth:`RetryPolicy.call` over :meth:`call`).  An open
+        circuit is *not* retried against — the
         :class:`CircuitOpenError` propagates immediately, since the
         breaker already knows further attempts are pointless."""
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                return self.call(fn, *args, **kwargs)
-            except CircuitOpenError:
-                raise
-            except Exception:
-                if attempt >= retry.max_attempts:
-                    raise
-                pause = retry.delay(attempt, key=key)
-                if deadline is not None and deadline.remaining() < pause:
-                    raise
-                if pause:
-                    sleep(pause)
+        return retry.call(
+            self.call, fn, *args, key=key, sleep=sleep, deadline=deadline,
+            **kwargs,
+        )

@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.obs.trace import add_event
+from repro.resilience.breaker import CircuitOpenError
 from repro.resilience.deadline import Deadline
 
 
@@ -83,7 +84,9 @@ class RetryPolicy:
 
         Retrying stops early when ``deadline`` expires — the last caught
         exception is re-raised rather than burning time the caller no
-        longer has.
+        longer has.  An open circuit
+        (:class:`~repro.resilience.breaker.CircuitOpenError`) is never
+        retried: the breaker already knows further attempts are pointless.
         """
         attempt = 0
         while True:
@@ -91,7 +94,9 @@ class RetryPolicy:
             try:
                 return fn(*args, **kwargs)
             except retry_on as exc:
-                if attempt >= self.max_attempts:
+                if attempt >= self.max_attempts or isinstance(
+                    exc, CircuitOpenError
+                ):
                     raise
                 pause = self.delay(attempt, key=key)
                 if deadline is not None and deadline.remaining() < pause:
@@ -132,8 +137,6 @@ def resilient_iter(
     Requires a pull-safe source: a failed ``__next__`` must not have
     consumed an item (see :class:`~repro.resilience.faults.FaultyFeed`).
     """
-    from repro.resilience.breaker import CircuitOpenError
-
     iterator = iter(items)
     retry = retry if retry is not None else RetryPolicy()
     limit = (

@@ -24,7 +24,6 @@ count.
 from __future__ import annotations
 
 import os
-import threading
 import zlib
 from collections import deque
 from contextlib import ExitStack
@@ -39,7 +38,7 @@ from repro.errors import ConfigurationError
 from repro.eventdata.corpus import Corpus
 from repro.eventdata.models import Snippet
 from repro.obs.decisions import DecisionLog
-from repro.obs.trace import NULL_TRACER, Envelope, Span, current_span
+from repro.obs.trace import NULL_TRACER, Envelope, current_span
 from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
@@ -172,8 +171,6 @@ class ShardedRuntime:
         self._aligner = StoryAligner(self.config)
         self._started = False
         self._stopped = False
-        self._lock = threading.Lock()
-        self._accepted_total = 0
         self._result: Optional[PivotResult] = None
         self._flushed_at = -1
         # pre-register the metrics operators expect in every export
@@ -282,7 +279,6 @@ class ShardedRuntime:
                 dedup_capacity=options.dedup_capacity,
                 checkpoint_every=options.checkpoint_every,
                 checkpoint_fn=self._checkpoint_shard,
-                on_accepted=self._on_accepted,
                 poison_policy=options.poison_policy,
                 retry=options.retry,
                 dlq=dlq,
@@ -293,8 +289,6 @@ class ShardedRuntime:
             restored = self._restored[shard_id]
             if restored is not None:
                 shard.restore(restored)
-                with self._lock:
-                    self._accepted_total += restored.num_snippets
             self._shards.append(shard)
             shard.loop.start()
         return self
@@ -314,41 +308,23 @@ class ShardedRuntime:
         dead).  Acceptance vs duplicate is decided asynchronously by the
         shard worker and visible in the metrics/stats.
 
-        With tracing enabled the snippet travels wrapped in an
-        :class:`~repro.obs.trace.Envelope` carrying its root span; the
-        shard worker ends the root when processing completes.  An
-        ambient ``ingest`` root (from :meth:`consume`) is reused,
-        otherwise a fresh one is started here.
+        The snippet travels wrapped in an
+        :class:`~repro.obs.trace.Envelope` carrying its root span (the
+        shared no-op span when tracing is off); the shard worker ends
+        the root when processing completes.  An ambient ``ingest`` root
+        (from :meth:`consume`) is reused, otherwise a fresh one is
+        started here.
         """
         if not self._started:
             self.start()
         self._arrived.inc()
         shard_id = shard_of(snippet.source_id, self.options.num_shards)
-        if not self.tracer.enabled:
-            return self._offer_plain(shard_id, snippet)
+        shard = self._shards[shard_id]
         root = current_span()
-        if root is None:
+        if root is None or root.tracer is not self.tracer:
             root = self.tracer.start_trace("ingest")
         if root.sampled:  # identity attrs are export-only; skip off-sample
             root.set(snippet=snippet.snippet_id, source=snippet.source_id)
-        return self._offer_traced(shard_id, snippet, root)
-
-    def _offer_plain(self, shard_id: int, snippet: Snippet) -> bool:
-        shard = self._shards[shard_id]
-        if shard.dead:
-            self._dropped.inc()
-            return False
-        try:
-            enqueued = shard.queue.put(snippet)
-        except QueueClosed:
-            self._dropped.inc()
-            return False
-        if not enqueued:
-            self._dropped.inc()
-        return enqueued
-
-    def _offer_traced(self, shard_id: int, snippet: Snippet, root: Span) -> bool:
-        shard = self._shards[shard_id]
         root.set(shard=shard_id)
 
         def drop(reason: str) -> bool:
@@ -360,9 +336,8 @@ class ShardedRuntime:
 
         if shard.dead:
             return drop("shard_dead")
-        envelope = Envelope(snippet, root)
         try:
-            enqueued = shard.queue.put(envelope)
+            enqueued = shard.queue.put(Envelope(snippet, root))
         except QueueClosed:
             return drop("queue_closed")
         if not enqueued:
@@ -394,12 +369,8 @@ class ShardedRuntime:
             )
 
     def consume(self, snippets: Iterable[Snippet]) -> "ShardedRuntime":
-        if not self.tracer.enabled:
-            for snippet in snippets:
-                self.offer(snippet)
-            return self
-        # traced feed: each pulled snippet gets its own ingest root so a
-        # sampled trace shows feed.pull -> queue.wait -> shard.integrate
+        # each pulled snippet gets its own ingest root so a sampled trace
+        # shows feed.pull -> queue.wait -> shard.integrate
         iterator = iter(snippets)
         while True:
             root = self.tracer.start_trace("ingest")
@@ -437,10 +408,6 @@ class ShardedRuntime:
             shard.queue.join(timeout)
 
     # -- cross-shard alignment ---------------------------------------------
-
-    def _on_accepted(self) -> None:
-        with self._lock:
-            self._accepted_total += 1
 
     def realign(self) -> Alignment:
         """On-demand cross-shard alignment over the live story sets.
@@ -487,8 +454,7 @@ class ShardedRuntime:
             result = merged.finish()
             self.decisions.note_alignment(result.alignment)
         self._result = result
-        with self._lock:
-            self._flushed_at = self._accepted_total
+        self._flushed_at = self.accepted
         self.metrics.counter("realign.count").inc()
         self.metrics.histogram("realign.duration_seconds").observe(
             result.timings.get("alignment", 0.0)
@@ -497,12 +463,7 @@ class ShardedRuntime:
 
     def result(self) -> PivotResult:
         """Last flushed view, refreshed if arrivals happened since."""
-        with self._lock:
-            stale = (
-                self._result is None
-                or self._flushed_at != self._accepted_total
-            )
-        if stale:
+        if self._result is None or self._flushed_at != self.accepted:
             return self.flush()
         return self._result
 
@@ -690,8 +651,8 @@ class ShardedRuntime:
 
     @property
     def accepted(self) -> int:
-        with self._lock:
-            return self._accepted_total
+        """Snippets integrated so far, restored checkpoints included."""
+        return sum(shard.pivot.num_snippets for shard in self._shards)
 
     def recent_traces(self) -> List[str]:
         """Trace ids of recently sampled ingests (view-refresh links)."""

@@ -42,7 +42,6 @@ from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BoundedQueue, Empty, QueueClosed
 from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
 from repro.runtime.wal import CheckpointStore, ShardWal
-from repro.sketch.bloom import BloomFilter
 
 POISON_POLICIES = ("quarantine", "supervise")
 
@@ -67,7 +66,6 @@ class Shard:
         dedup_capacity: int = 100_000,
         checkpoint_every: int = 0,
         checkpoint_fn: Optional[Callable[["Shard"], None]] = None,
-        on_accepted: Optional[Callable[[], None]] = None,
         poison_policy: str = "quarantine",
         retry: Optional[RetryPolicy] = None,
         dlq: Optional[DeadLetterQueue] = None,
@@ -99,12 +97,10 @@ class Shard:
         self.poison_policy = poison_policy
         self.retry = retry if retry is not None else DEFAULT_SHARD_RETRY
         self.dlq = dlq
-        self._bloom = BloomFilter(capacity=dedup_capacity)
         self._seen = BoundedSeenSet(dedup_capacity)
         self._checkpoint_every = checkpoint_every
         self._checkpoint_fn = checkpoint_fn
         self._accepted_since_checkpoint = 0
-        self._on_accepted = on_accepted
         self._metrics = metrics
         self._offer_latency = metrics.histogram("ingest.offer_latency_seconds")
         self._accepted_counter = metrics.counter("ingest.accepted")
@@ -137,7 +133,6 @@ class Shard:
                             num_snippets=len(story),
                         )
                     for snippet_id in story.snippet_ids():
-                        self._bloom.add(snippet_id)
                         self._seen.add(snippet_id)
 
     def checkpoint(self, store: CheckpointStore) -> int:
@@ -168,24 +163,23 @@ class Shard:
         started = time.perf_counter()
         with self.lock:
             snippet_id = snippet.snippet_id
-            if snippet_id in self._bloom and snippet_id in self._seen:
+            # the seen-set answers recent re-deliveries; older ones are
+            # caught by the identifier's own exact check
+            duplicate = snippet_id in self._seen
+            if not duplicate:
+                try:
+                    self.pivot.add_snippet(snippet)
+                except DuplicateSnippetError:
+                    duplicate = True
+            if duplicate:
                 self.duplicates += 1
                 self._duplicate_counter.inc()
                 span.add_event("dedup.hit", snippet=snippet_id)
                 span.set(outcome="duplicate")
                 return False
-            try:
-                self.pivot.add_snippet(snippet)
-            except DuplicateSnippetError:
-                self.duplicates += 1
-                self._duplicate_counter.inc()
-                span.add_event("dedup.hit", snippet=snippet_id)
-                span.set(outcome="duplicate")
-                return False
-            # dedup structures admit the id only after integration
-            # succeeds, so a retried poison snippet is not misread as a
-            # duplicate of its own failed attempt
-            self._bloom.add(snippet_id)
+            # the seen-set admits the id only after integration succeeds,
+            # so a retried poison snippet is not misread as a duplicate
+            # of its own failed attempt
             self._seen.add(snippet_id)
             self.sources.add(snippet.source_id)
             if self.wal is not None:
@@ -205,8 +199,6 @@ class Shard:
                 self._checkpoint_fn(self)
         self._offer_latency.observe(time.perf_counter() - started)
         span.set(outcome="accepted")
-        if self._on_accepted is not None:
-            self._on_accepted()
         return True
 
     # -- poison handling ---------------------------------------------------
@@ -275,10 +267,7 @@ class Shard:
         except QueueClosed:
             return None
         try:
-            if isinstance(item, Envelope):
-                self._consume_traced(item)
-            else:
-                self._consume_one(item)
+            self._consume(item)
         except Exception as exc:
             return self.supervisor.crashed(self, exc)
         finally:
@@ -288,34 +277,33 @@ class Shard:
             self.supervisor.note_progress()
         return 0.0
 
-    def _consume_one(self, snippet: Snippet) -> str:
-        """Process one snippet with poison handling; returns the outcome."""
-        try:
-            accepted = self.process(snippet)
-        except Exception as exc:
-            self.failures += 1
-            self._failure_counter.inc()
-            if self.poison_policy != "quarantine":
-                raise ShardCrashed(self.shard_id, exc) from exc
-            recovered = self._retry_or_quarantine(snippet, exc)
-            return "accepted" if recovered else "quarantined"
-        return "accepted" if accepted else "duplicate"
+    def _consume(self, envelope: Envelope) -> None:
+        """Process one queued snippet with poison handling under its root.
 
-    def _consume_traced(self, envelope: Envelope) -> None:
-        """Re-bind the producer's root span, then consume its item.
-
-        The root crossed the queue on the envelope; ``queue.wait`` is
-        measured from the producer's enqueue instant to now, and the
-        root is ended here — processing completes on this thread.
+        The producer's root span crossed the queue on the envelope (the
+        shared no-op span when tracing is off) and is re-bound here;
+        ``queue.wait`` is measured from the producer's enqueue instant to
+        now, and the root is ended here — processing completes on this
+        thread.
         """
         root = envelope.span
+        snippet = envelope.item
         with self._tracer.attach(root):
             # sp-lint: disable=SP301 -- retro-dated span: starts at the producer's enqueue instant, ends now
             self._tracer.span(
                 "queue.wait", start=envelope.enqueued_at, shard=self.shard_id
             ).end()
             try:
-                outcome = self._consume_one(envelope.item)
+                try:
+                    accepted = self.process(snippet)
+                    outcome = "accepted" if accepted else "duplicate"
+                except Exception as exc:
+                    self.failures += 1
+                    self._failure_counter.inc()
+                    if self.poison_policy != "quarantine":
+                        raise ShardCrashed(self.shard_id, exc) from exc
+                    recovered = self._retry_or_quarantine(snippet, exc)
+                    outcome = "accepted" if recovered else "quarantined"
                 root.set(outcome=outcome)
             except BaseException as exc:
                 root.record_error(exc)

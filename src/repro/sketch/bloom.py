@@ -1,8 +1,8 @@
 """Bloom filter for approximate membership.
 
-The streaming integrator uses a Bloom filter over seen snippet ids to
-reject duplicate deliveries cheaply (feeds re-deliver on crawl overlap)
-before falling back to the exact store.
+Stream deduplication does not use it: a filter without false negatives
+in front of an exact seen-set that admits ids at the same moment
+(:class:`~repro.core.streaming.BoundedSeenSet`) never changes an answer.
 """
 
 from __future__ import annotations

@@ -31,6 +31,29 @@ class TestDeduplication:
         assert processor.stats.accepted == len(mh17)
         assert processor.stats.duplicates == len(mh17)
 
+    def test_failed_integration_is_not_remembered(self, demo_cfg, mh17,
+                                                  monkeypatch):
+        # an offer whose integration raised must not mark the id as seen,
+        # or the retry would be dropped as a duplicate of the failure
+        processor = StreamProcessor(demo_cfg)
+        snippet = mh17.snippets()[0]
+        add_snippet = processor.pivot.add_snippet
+        calls = []
+
+        def flaky(s):
+            calls.append(s.snippet_id)
+            if len(calls) == 1:
+                raise RuntimeError("transient identification failure")
+            return add_snippet(s)
+
+        monkeypatch.setattr(processor.pivot, "add_snippet", flaky)
+        with pytest.raises(RuntimeError):
+            processor.offer(snippet)
+        assert processor.offer(snippet) is True
+        assert processor.stats.duplicates == 0
+        assert processor.stats.accepted == 1
+        assert processor.pivot.has_snippet(snippet.snippet_id)
+
 
 class TestOutOfOrder:
     def test_disorder_measured(self, demo_cfg, mh17):
