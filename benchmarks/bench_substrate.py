@@ -2,7 +2,8 @@
 
 Not a paper exhibit — these bound the constants behind Figure 7: index
 insert/query, match-feature extraction (stemming + stopwords), TF-IDF
-vectorization, snippet scoring and event-store candidate retrieval.
+vectorization, snippet scoring and the temporal identifier's candidate
+retrieval (feature postings intersected with the ω-window).
 
     pytest benchmarks/bench_substrate.py --benchmark-only
 """
@@ -12,9 +13,10 @@ import random
 import pytest
 
 from benchmarks.conftest import corpus_for
+from repro.core.identification import TemporalIdentifier
 from repro.core.matchers import SnippetMatcher
 from repro.eventdata.models import DAY
-from repro.storage.event_store import EventStore, match_terms
+from repro.storage.event_store import match_terms
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.temporal_index import TemporalIndex
 from repro.text.stem import PorterStemmer
@@ -70,15 +72,15 @@ def test_inverted_index_candidates(benchmark):
     benchmark(index.candidates, _WORDS[:3])
 
 
-def test_event_store_candidates(benchmark):
+def test_identifier_candidates(benchmark):
     corpus = corpus_for(500)
-    store = EventStore()
-    store.insert_all(corpus.snippets())
-    source_id = store.source_ids[0]
-    partition = store.partition(source_id)
-    query = store.snippets(source_id)[len(partition) // 2]
-    partition.remove(query.snippet_id)
-    benchmark(partition.candidates, query, 14 * DAY)
+    source_id = sorted(corpus.sources)[0]
+    snippets = corpus.by_source(source_id)
+    identifier = TemporalIdentifier(source_id)
+    identifier.identify(snippets)
+    query = snippets[len(snippets) // 2]
+    identifier.remove(query.snippet_id)
+    benchmark(identifier._candidate_story_ids, query)
 
 
 def test_snippet_pair_scoring(benchmark):

@@ -20,6 +20,7 @@ import xml.etree.ElementTree as ET
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.connect.base import RawItem, SourceConnector, register
+from repro.core.streaming import BoundedSeenSet
 from repro.errors import ConfigurationError
 from repro.obs.propagate import inject_headers
 
@@ -206,11 +207,9 @@ class RssConnector(SourceConnector):
         if not _is_http_locator(locator):
             _require_file(locator, "rss")
         self._seq = 0
-        # insertion-ordered FIFO set, same shape as Normalizer._seen: a
-        # long-polled feed must not grow this without bound, and the
-        # oldest ids are the ones the feed itself has already rotated out
-        self._seen_ids: Dict[str, None] = {}
-        self._seen_limit = 4096
+        # bounded: a long-polled feed must not grow this without limit,
+        # and the oldest ids are the ones the feed has already rotated out
+        self._seen_ids = BoundedSeenSet(4096)
         self._feed_title = ""
 
     def default_source(self) -> Optional[str]:
@@ -242,12 +241,8 @@ class RssConnector(SourceConnector):
         for fields, note in entries:
             marker = str(fields.get("id") or fields.get("url")
                          or fields.get("title") or "")
-            if marker and marker in self._seen_ids:
+            if marker and not self._seen_ids.add(marker):
                 continue
-            if marker:
-                self._seen_ids[marker] = None
-                while len(self._seen_ids) > self._seen_limit:
-                    self._seen_ids.pop(next(iter(self._seen_ids)))
             self._seq += 1
             yield RawItem(self.name, self._seq, fields, note=note)
 

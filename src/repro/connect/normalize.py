@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.connect.base import RawItem
+from repro.core.streaming import BoundedSeenSet
 from repro.errors import ConfigurationError
 from repro.eventdata.models import DAY, HOUR, Snippet
 
@@ -206,7 +207,11 @@ class Normalizer:
         self.rejections: Dict[str, int] = {}
         self.gaps = 0
         self.admitted = 0
-        self._seen: Dict[int, None] = {}  # insertion-ordered FIFO set
+        self._seen = (
+            BoundedSeenSet(self.config.dedup_window)
+            if self.config.dedup_window
+            else None
+        )
         self._last_published: Dict[str, float] = {}
         self._synth_counter = 0
         # strings proven clean by a previous fast-path scan; wire feeds
@@ -601,18 +606,15 @@ class Normalizer:
         to the same token set; the day bucket keeps a genuinely
         recurring daily item from being eaten forever.
         """
-        if not self.config.dedup_window:
+        if self._seen is None:
             return
         text = f"{title} {description} {body}" if title else (
             f"{description} {body}"
         )
         tokens = frozenset(text.lower().translate(_SEPARATORS).split())
         key = hash((source_id, int(timestamp // DAY), tokens))
-        if key in self._seen:
+        if not self._seen.add(key):
             raise _Rejected("near_duplicate", f"{source_id}: {title[:40]!r}")
-        self._seen[key] = None
-        while len(self._seen) > self.config.dedup_window:
-            self._seen.pop(next(iter(self._seen)))
 
     def _note_gap(self, source_id: str, published: float) -> float:
         cursors = self._last_published

@@ -55,7 +55,9 @@ class DecisionLog:
         self._absorbed_into: Dict[str, str] = {}  # absorbed id -> keeper id
         self._split_from: Dict[str, str] = {}  # child id -> parent id
         self._aligned_map: Dict[str, object] = {}  # story id -> last membership
-        self._seq = 0
+        # a resumed run appends to its predecessor's file: number after
+        # it, or history() would dedup the two runs' events by seq
+        self._seq = _last_seq(path)
         self._file = None
         self.recorded = 0
         #: canonical story id -> live id (set post-canonicalization so
@@ -285,6 +287,12 @@ class DecisionLog:
         for event in events:
             lines.append("  " + format_event(event))
         return "\n".join(lines)
+
+
+def _last_seq(path: Optional[str]) -> int:
+    if path is None or not os.path.exists(path):
+        return 0
+    return max((entry.get("seq", 0) for entry in read_jsonl(path)), default=0)
 
 
 def format_event(event: dict) -> str:

@@ -1,25 +1,17 @@
-"""The partitioned event store.
+"""The match features a snippet is indexed and compared on.
 
-Snippets are partitioned by data source — the ``V_i ⊆ V`` of Section 2.1 —
-and each partition maintains a temporal index plus an inverted index over
-the snippet's match features (entities and stemmed terms).  The store
-supports dynamic insertion *and removal* because the demo lets users add
-and remove documents, and removing a source entirely must be cheap (drop
-its partition).
+Entities are a snippet's own field; the term features are computed here.
+Every per-source index is keyed on them: each source's identifier keeps
+its own snippet map, temporal index and entity/term inverted indexes
+(:class:`repro.core.identification.BaseIdentifier`), so this module holds
+the feature function those indexes and the matchers share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Set, Tuple
 
-from repro.errors import (
-    DuplicateSnippetError,
-    UnknownSnippetError,
-    UnknownSourceError,
-)
-from repro.eventdata.models import Snippet, Source
-from repro.storage.inverted_index import InvertedIndex
-from repro.storage.temporal_index import TemporalIndex
+from repro.eventdata.models import Snippet
 from repro.text.stem import stem
 from repro.text.stopwords import STOPWORDS
 from repro.text.tokenize import word_tokens
@@ -50,143 +42,3 @@ def match_terms(snippet: Snippet) -> Tuple[str, ...]:
     result = tuple(seen)
     object.__setattr__(snippet, "_match_terms", result)
     return result
-
-
-class SourcePartition:
-    """All state the store keeps for one data source."""
-
-    def __init__(self, source: Source) -> None:
-        self.source = source
-        self.snippets: Dict[str, Snippet] = {}
-        self.temporal = TemporalIndex()
-        self.entity_index = InvertedIndex()
-        self.term_index = InvertedIndex()
-
-    def __len__(self) -> int:
-        return len(self.snippets)
-
-    def insert(self, snippet: Snippet) -> None:
-        if snippet.snippet_id in self.snippets:
-            raise DuplicateSnippetError(snippet.snippet_id)
-        self.snippets[snippet.snippet_id] = snippet
-        self.temporal.insert(snippet.snippet_id, snippet.timestamp)
-        self.entity_index.insert(snippet.snippet_id, snippet.entities)
-        self.term_index.insert(snippet.snippet_id, match_terms(snippet))
-
-    def remove(self, snippet_id: str) -> Snippet:
-        if snippet_id not in self.snippets:
-            raise UnknownSnippetError(snippet_id)
-        snippet = self.snippets.pop(snippet_id)
-        self.temporal.remove(snippet_id)
-        self.entity_index.remove(snippet_id)
-        self.term_index.remove(snippet_id)
-        return snippet
-
-    def in_window(self, timestamp: float, radius: float) -> List[Snippet]:
-        """Snippets of this source within ``radius`` of ``timestamp``."""
-        return [
-            self.snippets[snippet_id]
-            for snippet_id in self.temporal.around(timestamp, radius)
-        ]
-
-    def candidates(
-        self,
-        snippet: Snippet,
-        radius: Optional[float] = None,
-    ) -> List[Snippet]:
-        """Snippets sharing an entity or term with ``snippet``.
-
-        With ``radius`` the candidates are additionally restricted to the
-        temporal window — the exact candidate set of temporal
-        identification (Figure 2b).  The query snippet itself is excluded.
-        """
-        ids = self.entity_index.candidates(snippet.entities)
-        ids |= self.term_index.candidates(match_terms(snippet))
-        ids.discard(snippet.snippet_id)
-        if radius is not None:
-            in_window = set(self.temporal.around(snippet.timestamp, radius))
-            ids &= in_window
-        found = [self.snippets[snippet_id] for snippet_id in ids]
-        return sorted(found, key=lambda s: (s.timestamp, s.snippet_id))
-
-
-class EventStore:
-    """Partitioned snippet store with per-source indexes."""
-
-    def __init__(self) -> None:
-        self._partitions: Dict[str, SourcePartition] = {}
-        self._source_of: Dict[str, str] = {}
-
-    # -- sources ----------------------------------------------------------
-
-    def add_source(self, source: Source) -> None:
-        if source.source_id not in self._partitions:
-            self._partitions[source.source_id] = SourcePartition(source)
-
-    def remove_source(self, source_id: str) -> List[Snippet]:
-        """Drop a source and return the snippets that lived in it."""
-        partition = self._partitions.pop(source_id, None)
-        if partition is None:
-            raise UnknownSourceError(source_id)
-        removed = list(partition.snippets.values())
-        for snippet in removed:
-            del self._source_of[snippet.snippet_id]
-        return removed
-
-    @property
-    def source_ids(self) -> List[str]:
-        return sorted(self._partitions)
-
-    def partition(self, source_id: str) -> SourcePartition:
-        partition = self._partitions.get(source_id)
-        if partition is None:
-            raise UnknownSourceError(source_id)
-        return partition
-
-    # -- snippets ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._source_of)
-
-    def __contains__(self, snippet_id: str) -> bool:
-        return snippet_id in self._source_of
-
-    def insert(self, snippet: Snippet) -> None:
-        """Insert a snippet, creating its source partition on first sight."""
-        if snippet.snippet_id in self._source_of:
-            raise DuplicateSnippetError(snippet.snippet_id)
-        if snippet.source_id not in self._partitions:
-            self._partitions[snippet.source_id] = SourcePartition(
-                Source(snippet.source_id, snippet.source_id)
-            )
-        self._partitions[snippet.source_id].insert(snippet)
-        self._source_of[snippet.snippet_id] = snippet.source_id
-
-    def insert_all(self, snippets: Iterable[Snippet]) -> None:
-        for snippet in snippets:
-            self.insert(snippet)
-
-    def remove(self, snippet_id: str) -> Snippet:
-        source_id = self._source_of.pop(snippet_id, None)
-        if source_id is None:
-            raise UnknownSnippetError(snippet_id)
-        return self._partitions[source_id].remove(snippet_id)
-
-    def get(self, snippet_id: str) -> Snippet:
-        source_id = self._source_of.get(snippet_id)
-        if source_id is None:
-            raise UnknownSnippetError(snippet_id)
-        return self._partitions[source_id].snippets[snippet_id]
-
-    def snippets(self, source_id: Optional[str] = None) -> List[Snippet]:
-        """All snippets (of one source, if given) in time order."""
-        if source_id is not None:
-            partition = self.partition(source_id)
-            pool = partition.snippets.values()
-        else:
-            pool = (
-                snippet
-                for partition in self._partitions.values()
-                for snippet in partition.snippets.values()
-            )
-        return sorted(pool, key=lambda s: (s.timestamp, s.snippet_id))

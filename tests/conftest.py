@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import time
+from types import SimpleNamespace
+
 import pytest
 
 pytest_plugins = ("repro.analysis.pytest_lockwatch",)
@@ -34,6 +38,30 @@ def small_synthetic():
 def medium_synthetic():
     """A mid-size labelled synthetic corpus for integration tests."""
     return synthetic_corpus(total_events=400, num_sources=5, seed=11)
+
+
+@pytest.fixture(scope="session")
+def src_lint():
+    """One full lint of the ``src/`` tree, shared by the whole-tree gates.
+
+    Every rule family runs; a gate filters ``findings`` to the families it
+    owns.  ``elapsed`` times the whole run and ``stats`` is the call
+    graph's resolution accounting.
+    """
+    from repro.analysis import LintEngine
+
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    engine = LintEngine()
+    started = time.monotonic()
+    findings, checked = engine.check_paths(
+        [os.path.join(repo_root, "src")], root=repo_root
+    )
+    return SimpleNamespace(
+        findings=findings,
+        checked=checked,
+        elapsed=time.monotonic() - started,
+        stats=engine.last_project.stats(),
+    )
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 
@@ -20,7 +19,6 @@ GOLDEN_JSON = os.path.join(
 GOLDEN_SARIF = os.path.join(
     REPO_ROOT, "tests", "fixtures", "flowfix_expected.sarif"
 )
-SRC = os.path.join(REPO_ROOT, "src")
 
 NEW_FAMILIES = ("SP4", "SP5", "SP6")
 
@@ -170,21 +168,18 @@ def test_family_prefix_rejects_unknown_prefix():
 # -- the src tree gates ------------------------------------------------------
 
 
-def test_src_tree_is_clean_for_new_families_within_budget():
-    config = LintConfig(select=list(NEW_FAMILIES))
-    engine = LintEngine(config)
-    started = time.monotonic()
-    findings, checked = engine.check_paths([SRC], root=REPO_ROOT)
-    elapsed = time.monotonic() - started
+def test_src_tree_is_clean_for_new_families_within_budget(src_lint):
+    findings = [
+        f for f in src_lint.findings if f.code.startswith(NEW_FAMILIES)
+    ]
     assert findings == [], [f"{f.code} {f.path}:{f.line}" for f in findings]
-    assert checked > 100
+    assert src_lint.checked > 100
+    elapsed = src_lint.elapsed
     assert elapsed < 30.0, f"lint took {elapsed:.1f}s, budget is 30s"
 
 
-def test_src_tree_unresolved_ratio_within_checked_in_threshold():
-    engine = LintEngine(LintConfig(select=["SP401"]))
-    engine.check_paths([SRC], root=REPO_ROOT)
-    stats = engine.last_project.stats()
+def test_src_tree_unresolved_ratio_within_checked_in_threshold(src_lint):
+    stats = src_lint.stats
     # the CI gate (.github/workflows/ci.yml) passes --max-unresolved-ratio
     # with this same threshold; move both together, downward only
     assert stats["unresolved_ratio"] <= 0.45

@@ -334,13 +334,12 @@ def test_golden_json_output(capsys):
     assert payload == expected
 
 
-def test_src_tree_is_clean():
+def test_src_tree_is_clean(src_lint):
     """The gate CI enforces: the shipped tree carries zero findings."""
-    findings, checked = LintEngine().check_paths(
-        [os.path.join(REPO_ROOT, "src")], root=REPO_ROOT
+    assert src_lint.checked > 50
+    assert src_lint.findings == [], render_report(
+        src_lint.findings, checked_files=src_lint.checked
     )
-    assert checked > 50
-    assert findings == [], render_report(findings, checked_files=checked)
 
 
 # -- CLI surface --------------------------------------------------------------

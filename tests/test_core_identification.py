@@ -1,5 +1,7 @@
 """Tests for story identification (temporal, complete, single-pass)."""
 
+import random
+
 import pytest
 
 from repro.core.config import StoryPivotConfig
@@ -10,7 +12,8 @@ from repro.core.identification import (
     make_identifier,
 )
 from repro.errors import DuplicateSnippetError, UnknownSnippetError
-from repro.eventdata.models import DAY
+from repro.eventdata.models import DAY, Snippet, parse_timestamp
+from repro.storage.event_store import match_terms
 from tests.conftest import make_snippet
 
 
@@ -221,6 +224,74 @@ class TestRemoval:
         story = identifier.add(crash("v2", "2014-07-18"))
         assert len(identifier.stories) == 1
         assert len(story) == 1
+
+
+class TestCandidateOracle:
+    """Temporal candidate retrieval equals a brute-force scan of the source.
+
+    The candidates of ``q`` are the stories of every held snippet within
+    ω of ``q`` (inclusive) sharing an entity or a match term with it,
+    ``q`` itself excluded — checked before every add, then again for every
+    snippet (held or withdrawn) after removals.
+    """
+
+    ENTITIES = ("UKR", "MAS", "RUS", "FRA", "EU", "USA")
+    WORDS = ("crash", "plane", "missile", "election", "ballot", "flood",
+             "rescue", "summit", "strike", "protest")
+
+    def random_snippet(self, rng, index):
+        # whole-day offsets make |t - t'| == ω exact, so the window's
+        # inclusive edges are exercised
+        return Snippet(
+            snippet_id=f"v{index:03d}",
+            source_id="s1",
+            timestamp=parse_timestamp("2014-07-01") + rng.randrange(60) * DAY,
+            description=" ".join(rng.sample(self.WORDS, rng.randint(1, 2))),
+            entities=frozenset(rng.sample(self.ENTITIES, rng.randint(0, 2))),
+            keywords=(rng.choice(self.WORDS),),
+        )
+
+    @staticmethod
+    def oracle(identifier, held, query):
+        terms = set(match_terms(query))
+        return {
+            identifier.stories.story_of(other.snippet_id).story_id
+            for other in held.values()
+            if other.snippet_id != query.snippet_id
+            and abs(other.timestamp - query.timestamp) <= identifier.config.window
+            and (other.entities & query.entities
+                 or terms.intersection(match_terms(other)))
+        }
+
+    def test_candidates_match_brute_force(self):
+        rng = random.Random(7)
+        identifier = make_identifier("s1", StoryPivotConfig.temporal())
+        held = {}
+
+        def add_checked(snippet):
+            expected = self.oracle(identifier, held, snippet)
+            assert identifier._candidate_story_ids(snippet) == expected
+            identifier.add(snippet)
+            held[snippet.snippet_id] = snippet
+
+        snippets = [self.random_snippet(rng, i) for i in range(120)]
+        for snippet in snippets:
+            add_checked(snippet)
+        assert len(identifier.stories) > 1
+        removed = rng.sample(snippets, 40)
+        for snippet in removed:
+            identifier.remove(snippet.snippet_id)
+            del held[snippet.snippet_id]
+        for snippet in snippets:
+            expected = self.oracle(identifier, held, snippet)
+            assert identifier._candidate_story_ids(snippet) == expected
+        # withdrawn documents come back revised under their old ids
+        for snippet in removed[:20]:
+            index = int(snippet.snippet_id[1:])
+            add_checked(self.random_snippet(rng, index))
+        for snippet in held.values():
+            expected = self.oracle(identifier, held, snippet)
+            assert identifier._candidate_story_ids(snippet) == expected
 
 
 class TestSketchPath:

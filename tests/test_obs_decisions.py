@@ -221,6 +221,40 @@ class TestPipelineIntegration:
         finally:
             resumed.stop()
 
+    def test_resumed_log_continues_the_files_numbering(self, tmp_path, mh17):
+        """A resumed runtime appends to the same decisions.jsonl; its
+        events must extend the file's seq order, not restart it, or the
+        offline ``explain`` drops and misorders them."""
+        snippets = mh17.snippets_by_publication()
+        half = len(snippets) // 2
+        options = RuntimeOptions(num_shards=2, wal_dir=str(tmp_path))
+        runtime = ShardedRuntime(StoryPivotConfig(), options).start()
+        try:
+            runtime.consume(snippets[:half])
+            runtime.flush()
+        finally:
+            runtime.stop()
+        resumed = ShardedRuntime.resume(
+            str(tmp_path), config=StoryPivotConfig(), options=options
+        ).start()
+        try:
+            resumed.consume(snippets[half:])
+            resumed.flush()
+        finally:
+            resumed.stop()
+        path = tmp_path / "decisions.jsonl"
+        events = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        seqs = [e["seq"] for e in events]
+        assert seqs == sorted(set(seqs))
+        assert any(e["event"] == "restored" for e in events)
+        loaded = DecisionLog.load(str(path))
+        for story_id in {e["story_id"] for e in events}:
+            written = [e for e in events if e["story_id"] == story_id]
+            history = loaded.history(story_id)
+            assert all(e in history for e in written), story_id
+
 
 class TestChaosLineage:
     @pytest.mark.parametrize("seed", [3, 17, 42])

@@ -1,14 +1,6 @@
-"""Tests for the partitioned event store."""
+"""Tests for the match features every per-source index is keyed on."""
 
-import pytest
-
-from repro.errors import (
-    DuplicateSnippetError,
-    UnknownSnippetError,
-    UnknownSourceError,
-)
-from repro.eventdata.models import DAY, Source
-from repro.storage.event_store import EventStore, match_terms
+from repro.storage.event_store import match_terms
 from tests.conftest import make_snippet
 
 
@@ -32,131 +24,3 @@ class TestMatchTerms:
     def test_memoized_on_instance(self):
         snippet = make_snippet("v")
         assert match_terms(snippet) is match_terms(snippet)
-
-
-class TestEventStore:
-    def test_insert_creates_partition(self):
-        store = EventStore()
-        store.insert(make_snippet("v1", source_id="sX"))
-        assert "sX" in store.source_ids
-        assert len(store) == 1
-
-    def test_duplicate_insert_rejected(self):
-        store = EventStore()
-        store.insert(make_snippet("v1"))
-        with pytest.raises(DuplicateSnippetError):
-            store.insert(make_snippet("v1"))
-
-    def test_get_and_contains(self):
-        store = EventStore()
-        snippet = make_snippet("v1")
-        store.insert(snippet)
-        assert store.get("v1") == snippet
-        assert "v1" in store
-        with pytest.raises(UnknownSnippetError):
-            store.get("nope")
-
-    def test_remove(self):
-        store = EventStore()
-        store.insert(make_snippet("v1"))
-        removed = store.remove("v1")
-        assert removed.snippet_id == "v1"
-        assert len(store) == 0
-        with pytest.raises(UnknownSnippetError):
-            store.remove("v1")
-
-    def test_remove_source_returns_snippets(self):
-        store = EventStore()
-        store.insert(make_snippet("v1", source_id="a"))
-        store.insert(make_snippet("v2", source_id="a"))
-        store.insert(make_snippet("v3", source_id="b"))
-        removed = store.remove_source("a")
-        assert {s.snippet_id for s in removed} == {"v1", "v2"}
-        assert len(store) == 1
-        with pytest.raises(UnknownSourceError):
-            store.remove_source("a")
-
-    def test_snippets_time_ordered(self):
-        store = EventStore()
-        store.insert(make_snippet("late", date="2014-08-01"))
-        store.insert(make_snippet("early", date="2014-07-01"))
-        assert [s.snippet_id for s in store.snippets()] == ["early", "late"]
-
-    def test_snippets_filtered_by_source(self):
-        store = EventStore()
-        store.insert(make_snippet("v1", source_id="a"))
-        store.insert(make_snippet("v2", source_id="b"))
-        assert [s.snippet_id for s in store.snippets("a")] == ["v1"]
-
-    def test_insert_all(self):
-        store = EventStore()
-        store.insert_all([make_snippet("v1"), make_snippet("v2")])
-        assert len(store) == 2
-
-
-class TestPartitionCandidates:
-    def make_store(self):
-        store = EventStore()
-        store.add_source(Source("s1", "Alpha"))
-        store.insert(make_snippet(
-            "crash1", date="2014-07-01", description="plane crash",
-            entities=("UKR",), keywords=("crash",)))
-        store.insert(make_snippet(
-            "crash2", date="2014-07-05", description="crash investigation",
-            entities=("UKR", "UN"), keywords=("investigation",)))
-        store.insert(make_snippet(
-            "vote1", date="2014-07-03", description="election vote",
-            entities=("FRA",), keywords=("vote",)))
-        store.insert(make_snippet(
-            "crash_old", date="2014-05-01", description="old plane crash",
-            entities=("UKR",), keywords=("crash",)))
-        return store
-
-    def test_in_window(self):
-        partition = self.make_store().partition("s1")
-        from repro.eventdata.models import parse_timestamp
-        found = partition.in_window(parse_timestamp("2014-07-03"), 2 * DAY)
-        assert {s.snippet_id for s in found} == {"crash1", "crash2", "vote1"}
-
-    def test_candidates_share_features(self):
-        store = self.make_store()
-        partition = store.partition("s1")
-        query = make_snippet("q", date="2014-07-02",
-                             description="plane crash report",
-                             entities=("UKR",), keywords=("crash",))
-        candidates = partition.candidates(query)
-        ids = {s.snippet_id for s in candidates}
-        assert "vote1" not in ids
-        assert {"crash1", "crash2", "crash_old"} <= ids
-
-    def test_candidates_with_radius_excludes_old(self):
-        store = self.make_store()
-        partition = store.partition("s1")
-        query = make_snippet("q", date="2014-07-02",
-                             description="plane crash report",
-                             entities=("UKR",), keywords=("crash",))
-        candidates = partition.candidates(query, radius=14 * DAY)
-        ids = {s.snippet_id for s in candidates}
-        assert "crash_old" not in ids
-        assert "crash1" in ids
-
-    def test_candidates_exclude_self(self):
-        store = self.make_store()
-        partition = store.partition("s1")
-        existing = partition.snippets["crash1"]
-        ids = {s.snippet_id for s in partition.candidates(existing)}
-        assert "crash1" not in ids
-
-    def test_unknown_partition(self):
-        with pytest.raises(UnknownSourceError):
-            EventStore().partition("zzz")
-
-    def test_remove_updates_indexes(self):
-        store = self.make_store()
-        partition = store.partition("s1")
-        partition.remove("crash1")
-        query = make_snippet("q", date="2014-07-02",
-                             description="plane crash",
-                             entities=("UKR",), keywords=("crash",))
-        ids = {s.snippet_id for s in partition.candidates(query)}
-        assert "crash1" not in ids
