@@ -70,7 +70,13 @@ def test_refinement_phase_cost(benchmark):
 
 
 def test_refinement_work_per_pass(benchmark):
-    """Scored vs carried over: every alignment and vote pass of one finish()."""
+    """Scored vs carried over: every alignment and vote pass of one finish().
+
+    ``snippet_pairs_scored`` counts the ``snippet_score`` calls each pass
+    made through the counterpart graph: the first scores every pair once,
+    a re-alignment after moves scores none (moves change no snippet).
+    ``votes_recomputed`` are re-sums of stored scores.
+    """
     corpus = corpus_for(800)
     config = MethodSpec("t+a", "temporal", "greedy", refine=True).make_config()
 

@@ -449,7 +449,8 @@ class ViewRefresher:
                 align_s=round(result.timings["alignment"], 6),
                 refine_s=round(result.timings["refinement"], 6),
                 install_s=round(time.perf_counter() - finished_at, 6),
-                # totals, then each alignment pass and each vote round
+                # totals, then each alignment pass and each vote round; a
+                # pass's snippet pairs are those the counterpart graph scored
                 story_pairs_scored=sum(p.story_pairs_scored for p in passes),
                 story_pairs_reused=sum(p.story_pairs_reused for p in passes),
                 votes_recomputed=sum(recomputed),

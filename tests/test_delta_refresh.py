@@ -345,7 +345,7 @@ class TestLongLivedPivot:
         assert expected.refinement is None
         assert got.refinement.votes_recomputed == []
         assert got.refinement.rounds == 0 and got.refinement.moves == []
-        assert zero.refiner._snippets == {} and zero.refiner._temporal == {}
+        assert zero.refiner._votes_of == {} and zero.refiner._homes == {}
         assert got.alignment.edge_scores == expected.alignment.edge_scores
         assert got.alignment.links == expected.alignment.links
         assert got.alignment.roles == expected.alignment.roles
