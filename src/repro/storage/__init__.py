@@ -13,10 +13,8 @@ dynamic insertion and removal (documents can be added/removed in the demo).
 
 from repro.storage.temporal_index import TemporalIndex
 from repro.storage.inverted_index import InvertedIndex
-from repro.storage.window import SlidingWindow
 
 __all__ = [
     "TemporalIndex",
     "InvertedIndex",
-    "SlidingWindow",
 ]

@@ -5,7 +5,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch.bloom import BloomFilter
 from repro.sketch.minhash import MinHash
 from repro.text.similarity import jaccard_similarity
 
@@ -48,13 +47,3 @@ class TestMinHashProperties:
         sig_sub = _minhash.signature(subset)
         merged = _minhash.merge(sig_all, sig_sub)
         assert merged == sig_all  # subset adds nothing to the union
-
-
-class TestBloomProperties:
-    @given(st.sets(st.text(min_size=1, max_size=12), min_size=1, max_size=200))
-    @settings(max_examples=30, deadline=None)
-    def test_never_false_negative(self, items):
-        bloom = BloomFilter(capacity=max(len(items), 10), error_rate=0.01)
-        for item in items:
-            bloom.add(item)
-        assert all(item in bloom for item in items)

@@ -1,10 +1,9 @@
-"""Tests for the temporal index, inverted index and sliding window."""
+"""Tests for the temporal index and the inverted index."""
 
 import pytest
 
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.temporal_index import TemporalIndex
-from repro.storage.window import SlidingWindow
 
 
 class TestTemporalIndex:
@@ -136,48 +135,3 @@ class TestInvertedIndex:
         index = InvertedIndex()
         index.insert("v1", ["b", "a"])
         assert set(index.features_of("v1")) == {"a", "b"}
-
-
-class TestSlidingWindow:
-    def test_eviction_by_width(self):
-        window = SlidingWindow(10.0)
-        window.push("a", 0.0)
-        window.push("b", 5.0)
-        evicted = window.push("c", 12.0)
-        assert evicted == ["a"]
-        assert window.ids() == ["b", "c"]
-
-    def test_no_eviction_within_width(self):
-        window = SlidingWindow(10.0)
-        assert window.push("a", 0.0) == []
-        assert window.push("b", 9.0) == []
-        assert len(window) == 2
-
-    def test_late_arrival_does_not_unevict(self):
-        window = SlidingWindow(10.0)
-        window.push("a", 0.0)
-        window.push("b", 20.0)  # evicts a
-        evicted = window.push("late", 5.0)  # older than horizon: evicted at once
-        assert "late" in evicted
-
-    def test_boundary_is_inclusive(self):
-        window = SlidingWindow(10.0)
-        window.push("a", 0.0)
-        evicted = window.push("b", 10.0)
-        assert evicted == []  # exactly width apart stays
-
-    def test_clear(self):
-        window = SlidingWindow(5.0)
-        window.push("a", 0.0)
-        window.clear()
-        assert len(window) == 0
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0.0)
-
-    def test_iteration_order(self):
-        window = SlidingWindow(100.0)
-        window.push("a", 1.0)
-        window.push("b", 2.0)
-        assert [item for _, item in window] == ["a", "b"]
