@@ -28,8 +28,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.config import StoryPivotConfig
 from repro.core.matchers import SnippetMatcher, snippet_features
 from repro.core.stories import Story, StorySet
@@ -315,6 +313,43 @@ class CounterpartGraph:
 _Seen = Dict[str, Tuple[Dict[str, Snippet], List[object]]]
 
 
+class _UnionFind:
+    """Merge-only disjoint sets over story ids.
+
+    :meth:`components` yields each set at its earliest-added member, in
+    insertion order: the order a breadth-first sweep over the items would
+    find the connected components in.
+    """
+
+    def __init__(self) -> None:
+        self._parent: Dict[str, str] = {}
+
+    def add(self, item: str) -> None:
+        self._parent.setdefault(item, item)
+
+    def find(self, item: str) -> str:
+        self.add(item)
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:  # path compression
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a: str, b: str) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    def components(self) -> Dict[str, Set[str]]:
+        groups: Dict[str, Set[str]] = defaultdict(set)
+        for item in self._parent:
+            groups[self.find(item)].add(item)
+        return dict(groups)
+
+
 class StoryAligner:
     """Compute story alignment over per-source story sets.
 
@@ -434,13 +469,14 @@ class StoryAligner:
             edges = self._one_to_one(edges, stories)
         alignment.stats.edges = len(edges)
 
-        graph = nx.Graph()
-        graph.add_nodes_from(stories)
+        union = _UnionFind()
+        for story_id in stories:
+            union.add(story_id)
         for id_a, id_b, score in edges:
-            graph.add_edge(id_a, id_b, weight=score)
+            union.union(id_a, id_b)
             alignment.edge_scores[(min(id_a, id_b), max(id_a, id_b))] = score
 
-        for component in nx.connected_components(graph):
+        for component in union.components().values():
             aligned = AlignedStory(f"c'{next(_aligned_counter):06d}")
             for story_id in sorted(component):
                 aligned.stories.append(stories[story_id])

@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.core.alignment import AlignedStory, Alignment, StoryAligner
+from repro.core.alignment import AlignedStory, Alignment, StoryAligner, _UnionFind
 from repro.core.config import StoryPivotConfig
 from repro.core.stories import Story, StorySet
 
@@ -38,38 +38,6 @@ class LiveAlignerStats:
     edges_added: int = 0
     edges_dropped: int = 0
     compactions: int = 0
-
-
-class _UnionFind:
-    """Merge-only disjoint sets over story ids."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[str, str] = {}
-
-    def add(self, item: str) -> None:
-        self._parent.setdefault(item, item)
-
-    def find(self, item: str) -> str:
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:  # path compression
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-    def components(self) -> Dict[str, Set[str]]:
-        groups: Dict[str, Set[str]] = defaultdict(set)
-        for item in self._parent:
-            groups[self.find(item)].add(item)
-        return dict(groups)
 
 
 class LiveAligner:

@@ -1,9 +1,14 @@
 """Tests for the incremental (live) aligner."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import StoryPivotConfig
-from repro.core.live_alignment import LiveAligner, _UnionFind
+from repro.core.alignment import _UnionFind
+from repro.core.live_alignment import LiveAligner
 from repro.core.pipeline import StoryPivot
 from repro.core.stories import StorySet
 from repro.core.streaming import StreamProcessor
@@ -31,6 +36,41 @@ class TestUnionFind:
         union.union("a", "b")
         union.union("b", "c")
         assert union.find("a") == union.find("c")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_component_order_matches_breadth_first_sweep(self, data):
+        """Components come out at their first-added node, as a breadth-first
+        sweep over the nodes in insertion order finds them; the aligner's
+        ``c'`` ids are minted in this order."""
+        nodes = data.draw(st.lists(st.text("abcdefgh", min_size=1, max_size=2),
+                                   unique=True))
+        index = st.integers(0, max(len(nodes) - 1, 0))
+        edges = data.draw(st.lists(st.tuples(index, index))) if nodes else []
+        union = _UnionFind()
+        for node in nodes:
+            union.add(node)
+        for a, b in edges:
+            union.union(nodes[a], nodes[b])
+
+        neighbours = {node: [] for node in nodes}
+        for a, b in edges:
+            neighbours[nodes[a]].append(nodes[b])
+            neighbours[nodes[b]].append(nodes[a])
+        expected, seen = [], set()
+        for start in nodes:
+            if start in seen:
+                continue
+            component, queue = {start}, deque([start])
+            while queue:
+                for other in neighbours[queue.popleft()]:
+                    if other not in component:
+                        component.add(other)
+                        queue.append(other)
+            seen |= component
+            expected.append(component)
+
+        assert list(union.components().values()) == expected
 
 
 def crash(snippet_id, source_id, date):
