@@ -10,16 +10,7 @@ crises), and recover each source's empirical reporting profile
 """
 
 from repro import StoryPivot, StoryPivotConfig, synthetic_corpus
-from repro.analytics import (
-    cooccurrence_graph,
-    entity_pagerank,
-    lifecycle,
-    lifecycle_table,
-    profile_sources,
-    relationship_trends,
-    story_bursts,
-    top_relationships,
-)
+from repro.analytics import lifecycle, lifecycle_table, profile_sources, story_bursts
 from repro.analytics.source_profile import source_report_table
 from repro.core.granularity import StoryHierarchy
 from repro.eventdata.models import DAY, format_timestamp
@@ -58,22 +49,6 @@ def main() -> None:
     dormant = sum(1 for a in aligned_stories if lifecycle(a).is_dormant_prone)
     print(f"\n{len(aligned_stories)} stories: {flash} flash events, "
           f"{dormant} with long dormant phases\n")
-
-    # --- entity relationships (the paper's "evolving relationships") -----------
-    snippets = corpus.snippets()
-    graph = cooccurrence_graph(snippets)
-    print("Strongest entity relationships:")
-    for a, b, weight in top_relationships(graph, k=5):
-        print(f"  {a} — {b}: {weight} co-mentions")
-    central = ", ".join(f"{e} ({score:.3f})"
-                        for e, score in entity_pagerank(graph, k=5))
-    print(f"most central actors: {central}")
-    emerging = [t for t in relationship_trends(snippets) if t.is_emerging]
-    if emerging:
-        t = emerging[0]
-        print(f"emerging relationship: {t.entity_a} — {t.entity_b} "
-              f"({t.before} → {t.after} co-mentions)")
-    print()
 
     # --- granularity: browse themes (Section 4.3) --------------------------------
     # a stricter threshold than the demo default: synthetic sources sprinkle

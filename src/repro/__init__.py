@@ -7,6 +7,10 @@ story alignment, story refinement, sketch-accelerated similarity, streaming
 integration, synthetic GDELT/EventRegistry-style workloads with ground
 truth, and the demo's exploration modules.
 
+The package root re-exports the paper's pipeline only; the serving stack
+(``repro.runtime``, ``repro.server``, ...) and the analyst packages are
+imported from their own modules.
+
 Quickstart::
 
     from repro import StoryPivot, StoryPivotConfig, mh17_corpus
@@ -28,31 +32,13 @@ from repro.core.identification import (
 )
 from repro.core.alignment import AlignedStory, Alignment, StoryAligner
 from repro.core.refinement import StoryRefiner
-from repro.core.streaming import (
-    BoundedSeenSet,
-    StreamProcessor,
-    replay_out_of_order,
-)
-from repro.runtime import MetricsRegistry, RuntimeOptions, ShardedRuntime
+from repro.core.streaming import StreamProcessor, replay_out_of_order
 from repro.eventdata.corpus import Corpus, GroundTruth
 from repro.eventdata.models import Document, Snippet, Source
 from repro.eventdata.handcrafted import mh17_corpus
 from repro.eventdata.sourcegen import SourceSimulator, default_profiles, synthetic_corpus
 from repro.eventdata.worldgen import WorldConfig, WorldGenerator
-from repro.evaluation.harness import (
-    MethodSpec,
-    default_method_grid,
-    run_experiment,
-    sweep_events,
-)
 from repro.evaluation.metrics import pairwise_scores
-from repro.kb import EntityLinker, KnowledgeBase, build_default_kb, story_context
-from repro.analytics import detect_bursts, lifecycle, profile_sources
-from repro.query import QueryEngine, parse_query
-from repro.core.granularity import StoryHierarchy, cluster_themes
-from repro.evaluation.diff import diff_alignments
-from repro.evaluation.significance import bootstrap_f1_comparison
-from repro.evaluation.tuning import tune
 
 __version__ = "1.0.0"
 
@@ -60,10 +46,6 @@ __all__ = [
     "StoryPivot",
     "StoryPivotConfig",
     "PivotResult",
-    "BoundedSeenSet",
-    "MetricsRegistry",
-    "RuntimeOptions",
-    "ShardedRuntime",
     "Story",
     "StorySet",
     "TemporalIdentifier",
@@ -87,24 +69,6 @@ __all__ = [
     "default_profiles",
     "WorldConfig",
     "WorldGenerator",
-    "MethodSpec",
-    "default_method_grid",
-    "run_experiment",
-    "sweep_events",
     "pairwise_scores",
-    "KnowledgeBase",
-    "build_default_kb",
-    "EntityLinker",
-    "story_context",
-    "detect_bursts",
-    "lifecycle",
-    "profile_sources",
-    "QueryEngine",
-    "parse_query",
-    "StoryHierarchy",
-    "cluster_themes",
-    "diff_alignments",
-    "bootstrap_f1_comparison",
-    "tune",
     "__version__",
 ]

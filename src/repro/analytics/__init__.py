@@ -19,14 +19,6 @@ from repro.analytics.bursts import Burst, detect_bursts, story_bursts
 from repro.analytics.lifecycle import StoryLifecycle, lifecycle, lifecycle_table
 from repro.analytics.source_profile import SourceReport, profile_sources
 from repro.analytics.trending import TrendingEntry, TrendingMonitor, story_heat, trending_stories
-from repro.analytics.cooccurrence import (
-    RelationshipTrend,
-    cooccurrence_graph,
-    entity_pagerank,
-    relationship_series,
-    relationship_trends,
-    top_relationships,
-)
 
 __all__ = [
     "Burst",
@@ -41,10 +33,4 @@ __all__ = [
     "TrendingMonitor",
     "story_heat",
     "trending_stories",
-    "cooccurrence_graph",
-    "top_relationships",
-    "entity_pagerank",
-    "RelationshipTrend",
-    "relationship_trends",
-    "relationship_series",
 ]

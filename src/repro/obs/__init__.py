@@ -5,11 +5,12 @@ tracing across threads and queues (:mod:`repro.obs.trace`), a bounded
 span store behind ``/tracez`` (:mod:`repro.obs.store`), the story
 lifecycle decision log behind ``/storyz`` and ``storypivot explain``
 (:mod:`repro.obs.decisions`), and low-overhead profiling hooks
-(:mod:`repro.obs.profile`).
+(:mod:`repro.obs.profile`).  The fleet plane (:mod:`repro.obs.fleet`) is
+imported from its own module: it reads the runtime, which imports this
+package.
 """
 
 from repro.obs.decisions import DecisionLog, format_event
-from repro.obs.fleet import FleetCollector, federate_payload, node_summary
 from repro.obs.profile import SlowSpanBoard
 from repro.obs.propagate import (
     extract_context,
@@ -45,9 +46,6 @@ from repro.obs.trace import (
 __all__ = [
     "DecisionLog",
     "format_event",
-    "FleetCollector",
-    "federate_payload",
-    "node_summary",
     "SlowSpanBoard",
     "extract_context",
     "format_traceparent",

@@ -1,122 +1,8 @@
-"""Tests for entity co-occurrence analytics and bootstrap significance."""
+"""Tests for the bootstrap significance test of F1 comparisons."""
 
 import pytest
 
-from repro.analytics.cooccurrence import (
-    cooccurrence_graph,
-    entity_pagerank,
-    relationship_series,
-    relationship_trends,
-    top_relationships,
-)
 from repro.evaluation.significance import bootstrap_f1_comparison
-from repro.eventdata.models import DAY
-from tests.conftest import make_snippet
-
-
-def snippets_with(pairs):
-    """One snippet per (date, entity-tuple) row."""
-    return [
-        make_snippet(f"v{i}", date=date, entities=entities)
-        for i, (date, entities) in enumerate(pairs)
-    ]
-
-
-class TestCooccurrenceGraph:
-    def test_edge_weights_count_comentions(self):
-        graph = cooccurrence_graph(snippets_with([
-            ("2014-07-01", ("UKR", "RUS")),
-            ("2014-07-02", ("UKR", "RUS")),
-            ("2014-07-03", ("UKR", "FRA")),
-        ]))
-        assert graph["UKR"]["RUS"]["weight"] == 2
-        assert graph["UKR"]["FRA"]["weight"] == 1
-        assert not graph.has_edge("RUS", "FRA")
-
-    def test_node_mentions(self):
-        graph = cooccurrence_graph(snippets_with([
-            ("2014-07-01", ("UKR",)),
-            ("2014-07-02", ("UKR", "RUS")),
-        ]))
-        assert graph.nodes["UKR"]["mentions"] == 2
-        assert graph.nodes["RUS"]["mentions"] == 1
-
-    def test_empty(self):
-        graph = cooccurrence_graph([])
-        assert graph.number_of_nodes() == 0
-
-    def test_top_relationships_ordering(self):
-        graph = cooccurrence_graph(snippets_with([
-            ("2014-07-01", ("A", "B")),
-            ("2014-07-02", ("A", "B")),
-            ("2014-07-03", ("A", "C")),
-        ]))
-        top = top_relationships(graph, k=2)
-        assert top[0] == ("A", "B", 2)
-        with pytest.raises(ValueError):
-            top_relationships(graph, k=0)
-
-    def test_pagerank_hub_entity(self):
-        graph = cooccurrence_graph(snippets_with([
-            ("2014-07-01", ("HUB", "A")),
-            ("2014-07-02", ("HUB", "B")),
-            ("2014-07-03", ("HUB", "C")),
-        ]))
-        ranked = entity_pagerank(graph, k=1)
-        assert ranked[0][0] == "HUB"
-
-    def test_pagerank_empty(self):
-        import networkx as nx
-        assert entity_pagerank(nx.Graph()) == []
-
-
-class TestRelationshipTrends:
-    def test_emerging_pair_detected(self):
-        rows = [("2014-06-%02d" % (i + 1), ("UKR", "FRA")) for i in range(3)]
-        rows += [("2014-08-%02d" % (i + 1), ("UKR", "RUS")) for i in range(6)]
-        from repro.eventdata.models import parse_timestamp
-        trends = relationship_trends(
-            snippets_with(rows), split_time=parse_timestamp("2014-07-15")
-        )
-        by_pair = {(t.entity_a, t.entity_b): t for t in trends}
-        assert by_pair[("RUS", "UKR")].is_emerging
-        assert by_pair[("FRA", "UKR")].is_fading
-
-    def test_min_total_filters_noise(self):
-        rows = [("2014-06-01", ("A", "B"))]
-        assert relationship_trends(snippets_with(rows), min_total=3) == []
-
-    def test_ordering_by_change(self):
-        rows = [("2014-08-%02d" % (i + 1), ("A", "B")) for i in range(8)]
-        rows += [("2014-08-%02d" % (i + 1), ("C", "D")) for i in range(4)]
-        from repro.eventdata.models import parse_timestamp
-        trends = relationship_trends(
-            snippets_with(rows), split_time=parse_timestamp("2014-07-01")
-        )
-        assert abs(trends[0].change) >= abs(trends[-1].change)
-
-    def test_empty(self):
-        assert relationship_trends([]) == []
-
-
-class TestRelationshipSeries:
-    def test_series_counts_per_window(self):
-        rows = [("2014-07-01", ("A", "B")),
-                ("2014-07-02", ("A", "B")),
-                ("2014-07-20", ("A", "B")),
-                ("2014-07-21", ("A", "C"))]
-        series = relationship_series(snippets_with(rows), "A", "B",
-                                     window=7 * DAY)
-        counts = [count for _, count in series]
-        assert sum(counts) == 3
-        assert counts[0] == 2
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            relationship_series([], "A", "B", window=0)
-
-    def test_empty(self):
-        assert relationship_series([], "A", "B") == []
 
 
 class TestBootstrap:

@@ -16,7 +16,8 @@ import time
 import pytest
 
 from repro.core.config import StoryPivotConfig
-from repro.obs import FleetCollector, SLOEngine, SpanStore, Tracer
+from repro.obs import SLOEngine, SpanStore, Tracer
+from repro.obs.fleet import FleetCollector
 from repro.obs.propagate import inject_headers
 from repro.obs.slo import default_objectives
 from repro.replication import ReplicaRuntime, ReplicationServer

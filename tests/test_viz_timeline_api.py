@@ -78,7 +78,3 @@ class TestPublicApi:
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
-
-    def test_kb_exported(self):
-        kb = repro.build_default_kb()
-        assert repro.EntityLinker(kb).link("Ukraine").entity_id == "UKR"
