@@ -332,7 +332,7 @@ class Project:
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 ctor = _dotted(node.value.func)
-                if ctor and ctor.rsplit(".", 1)[-1][:1].isupper():
+                if ctor and ctor.rsplit(".", 1)[-1].lstrip("_")[:1].isupper():
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             types.setdefault(target.id, ctor)

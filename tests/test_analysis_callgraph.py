@@ -69,11 +69,20 @@ def test_virtual_dispatch_fans_out_to_subclass_overrides():
         "def drive():\n"
         "    worker = Base()\n"
         "    return worker.work()\n"
+        "class _Private:\n"
+        "    def work(self):\n"
+        "        return 2\n"
+        "def drive_private():\n"
+        "    worker = _Private()\n"
+        "    return worker.work()\n"
     )})
     names = sorted(
         t.qualname for _, t in proj.callees("src/repro/a.py::drive")
     )
     assert "Base.work" in names and "Child.work" in names
+    # a private class's constructor types its local the same way
+    names = [t.qualname for _, t in proj.callees("src/repro/a.py::drive_private")]
+    assert names == ["_Private.work"]
 
 
 def test_attribute_type_inference_links_held_instance():
