@@ -9,6 +9,7 @@ demo and far simpler than a tree; the interface would let a B-tree drop in.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterator, List, Optional, Tuple
 
 
@@ -47,8 +48,10 @@ class TemporalIndex:
         """Item ids with ``start <= timestamp <= end``, in time order."""
         if end < start:
             return []
-        lo = bisect.bisect_left(self._entries, (start, ""))
-        hi = bisect.bisect_right(self._entries, (end, "￿"))
+        # one-element bounds sort before every entry of their timestamp,
+        # whatever its id's characters
+        lo = bisect.bisect_left(self._entries, (start,))
+        hi = bisect.bisect_left(self._entries, (math.nextafter(end, math.inf),))
         return [item_id for _, item_id in self._entries[lo:hi]]
 
     def around(self, timestamp: float, radius: float) -> List[str]:

@@ -17,6 +17,13 @@ class TestTemporalIndex:
         index = TemporalIndex()
         index.insert("a", 1.0)
         assert index.window(1.0, 1.0) == ["a"]
+        # ids that sort after any one-character sentinel: the bounds must
+        # not depend on the ids' characters
+        index.insert("\U0001F600-a", 10.0)
+        index.insert("\uffffx", 5.0)
+        assert index.window(0.0, 10.0) == ["a", "\uffffx", "\U0001F600-a"]
+        assert index.window(5.0, 5.0) == ["\uffffx"]
+        assert index.window(10.0, 10.0) == ["\U0001F600-a"]
 
     def test_window_empty_range(self):
         index = TemporalIndex()
