@@ -33,7 +33,6 @@ from repro.core.matchers import SnippetMatcher, snippet_features
 from repro.core.stories import Story, StorySet
 from repro.errors import AlignmentError
 from repro.eventdata.models import DEFAULT_TRUST, Snippet, format_timestamp
-from repro.storage.temporal_index import TemporalIndex
 
 _aligned_counter = itertools.count()
 #: stamps every counterpart graph's changes: none is ever handed out twice
@@ -231,7 +230,8 @@ class CounterpartGraph:
 
     def _clear(self) -> None:
         self._snippets: Dict[str, Snippet] = {}
-        self._temporal: Dict[str, TemporalIndex] = defaultdict(TemporalIndex)
+        #: per source, its snippets as sorted (timestamp, id, features, snippet)
+        self._timelines: Dict[str, List[tuple]] = defaultdict(list)
         self._pairs: Dict[str, List[Pair]] = {}
         self._stamps: Dict[str, int] = {}
 
@@ -271,24 +271,29 @@ class CounterpartGraph:
 
     def _drop(self, snippet_id: str, stamp: int) -> None:
         snippet = self._snippets.pop(snippet_id)
-        self._temporal[snippet.source_id].remove(snippet_id)
         del self._stamps[snippet_id]
         key = (snippet.timestamp, snippet_id)
+        timeline = self._timelines[snippet.source_id]
+        del timeline[bisect.bisect_left(timeline, key)]
         for _, other_id, _, _ in self._pairs.pop(snippet_id):
             theirs = self._pairs[other_id]
             del theirs[bisect.bisect_left(theirs, key)]
             self._stamps[other_id] = stamp
 
     def _add(self, snippet: Snippet, stamp: int) -> int:
-        snippet_id, scored = snippet.snippet_id, 0
-        entities, terms = snippet_features(snippet)
+        snippet_id, timestamp, scored = snippet.snippet_id, snippet.timestamp, 0
+        entities, terms = features = snippet_features(snippet)
+        # inclusive bounds whatever the ids' characters
+        low = (timestamp - self.radius,)
+        high = (math.nextafter(timestamp + self.radius, math.inf),)
         mine: List[Pair] = []
-        for source_id, index in self._temporal.items():
+        for source_id, timeline in self._timelines.items():
             if source_id == snippet.source_id:
                 continue
-            for other_id in index.around(snippet.timestamp, self.radius):
-                other = self._snippets[other_id]
-                other_entities, other_terms = snippet_features(other)
+            window = timeline[bisect.bisect_left(timeline, low):
+                              bisect.bisect_left(timeline, high)]
+            for other_timestamp, other_id, other_features, other in window:
+                other_entities, other_terms = other_features
                 shared = not (entities.isdisjoint(other_entities)
                               and terms.isdisjoint(other_terms))
                 if not shared and not self._keep_disjoint:
@@ -297,20 +302,23 @@ class CounterpartGraph:
                 scored += 1
                 if score < self.threshold:
                     continue
-                mine.append((other.timestamp, other_id, score, shared))
+                mine.append((other_timestamp, other_id, score, shared))
                 bisect.insort(self._pairs[other_id],
-                              (snippet.timestamp, snippet_id, score, shared))
+                              (timestamp, snippet_id, score, shared))
                 self._stamps[other_id] = stamp
         mine.sort()
         self._pairs[snippet_id] = mine
         self._snippets[snippet_id] = snippet
-        self._temporal[snippet.source_id].insert(snippet_id, snippet.timestamp)
+        bisect.insort(self._timelines[snippet.source_id],
+                      (timestamp, snippet_id, features, snippet))
         self._stamps[snippet_id] = stamp
         return scored
 
 
-#: story id -> (snapshot of its members, its candidate features)
-_Seen = Dict[str, Tuple[Dict[str, Snippet], List[object]]]
+#: the (start, end) of a story's members; None for an empty story
+Span = Optional[Tuple[float, float]]
+#: story id -> (snapshot of its members, its candidate features, its span)
+_Seen = Dict[str, Tuple[Dict[str, Snippet], List[object], Span]]
 
 
 class _UnionFind:
@@ -364,13 +372,20 @@ class StoryAligner:
 
     def __init__(self, config: Optional[StoryPivotConfig] = None) -> None:
         self.config = config if config is not None else StoryPivotConfig()
+        weights = self.config.weights
+        self._weights = tuple(weights.get(channel, 0.0)
+                              for channel in ("entity", "term", "temporal"))
+        self._total_weight = sum(weights.values())
+        self._tolerance = max(
+            1.0, self.config.alignment_tolerance * self.config.window
+        )
         #: what roles and refinement's votes read; no trust in it: kept by _forget()
         self.counterparts = CounterpartGraph(self.config)
         self._source_trust: Dict[str, int] = {}
         self._forget()
 
     def _forget(self) -> None:
-        # story id -> (members snapshot, features).  Members, not the
+        # story id -> (members snapshot, features, span).  Members, not the
         # story object: merged_pivot() re-creates every story each
         # generation, and all that alignment reads of a story (profiles,
         # span, features, signature, links) is a function of its members.
@@ -404,8 +419,15 @@ class StoryAligner:
         trust_b = self._source_trust.get(b.source_id, DEFAULT_TRUST)
         return 0.75 + 0.025 * (trust_a + trust_b)
 
-    def story_pair_score(self, a: Story, b: Story) -> float:
-        """Cross-source story similarity: content + evolution."""
+    def story_pair_score(
+        self, a: Story, b: Story, spans: Optional[Tuple[Span, Span]] = None
+    ) -> float:
+        """Cross-source story similarity: content + evolution.
+
+        Evolution is 1.0 for overlapping spans, decaying with the gap
+        beyond that; ``spans`` are the two stories' spans when the caller
+        has read them already.
+        """
         if len(a) == 0 or len(b) == 0:
             return 0.0
         sketch_a, sketch_b = a.sketch, b.sketch
@@ -417,21 +439,15 @@ class StoryAligner:
             sketch_a.term_counts, sketch_a.term_mass,
             sketch_b.term_counts, sketch_b.term_mass,
         )
-        temporal_sim = self._span_score(a, b)
-        weights = self.config.weights
-        total = sum(weights.values())
+        (start_a, end_a), (start_b, end_b) = spans or (sketch_a.span, sketch_b.span)
+        gap = max(0.0, max(start_a, start_b) - min(end_a, end_b))
+        entity_weight, term_weight, temporal_weight = self._weights
         score = (
-            weights.get("entity", 0.0) * entity_sim
-            + weights.get("term", 0.0) * term_sim
-            + weights.get("temporal", 0.0) * temporal_sim
-        ) / total
+            entity_weight * entity_sim
+            + term_weight * term_sim
+            + temporal_weight * math.exp(-gap / self._tolerance)
+        ) / self._total_weight
         return min(1.0, score * self._trust_factor(a, b))
-
-    def _span_score(self, a: Story, b: Story) -> float:
-        """1.0 for overlapping spans, decaying with the gap beyond that."""
-        gap = max(0.0, max(a.start, b.start) - min(a.end, b.end))
-        tolerance = max(1.0, self.config.alignment_tolerance * self.config.window)
-        return math.exp(-gap / tolerance)
 
     # -- alignment -------------------------------------------------------------
 
@@ -457,7 +473,9 @@ class StoryAligner:
             ]
             alignment.stats.story_pairs_reused = len(edges)
             for id_a, id_b in self._candidate_pairs(stories, seen, touched):
-                score = self.story_pair_score(stories[id_a], stories[id_b])
+                score = self.story_pair_score(
+                    stories[id_a], stories[id_b], (seen[id_a][2], seen[id_b][2])
+                )
                 alignment.stats.story_pairs_scored += 1
                 if score >= self.config.align_threshold:
                     edges.append((id_a, id_b, score))
@@ -535,7 +553,8 @@ class StoryAligner:
                 ]
                 features += [("t", term) for term, _ in story.sketch.top_terms(10)]
                 # a copy: a live story's own map changes under us
-                entry = (dict(story.members), features)
+                span = story.sketch.span if len(story) else None
+                entry = (dict(story.members), features, span)
             seen[story_id] = entry
         return seen, touched
 
@@ -543,45 +562,42 @@ class StoryAligner:
         self, stories: Dict[str, Story], seen: _Seen, touched: Set[str]
     ) -> List[Tuple[str, str]]:
         """Cross-source story pairs, at least one side touched, sharing at
-        least one salient feature.
+        least one salient feature, whose spans are at most 3× the alignment
+        tolerance apart, sorted.
 
-        Uses an inverted index over each story's top entities/terms; pairs
-        whose spans are farther apart than 3× the alignment tolerance are
-        dropped outright.
+        Each touched story takes the union of its features' posting lists
+        less its own source and the touched stories already visited: every
+        pair is examined once.
         """
-        feature_map: Dict[object, List[str]] = defaultdict(list)
-        for story_id in stories:
+        postings: Dict[object, Set[str]] = defaultdict(set)
+        by_source: Dict[str, Set[str]] = defaultdict(set)
+        for story_id, story in stories.items():
+            by_source[story.source_id].add(story_id)
             for feature in seen[story_id][1]:
-                feature_map[feature].append(story_id)
-        tolerance = max(1.0, self.config.alignment_tolerance * self.config.window)
-        pairs: Set[Tuple[str, str]] = set()
-        for ids in feature_map.values():
-            # a posting list nobody touched yields no pair: skip it whole
-            if len(ids) < 2 or touched.isdisjoint(ids):
-                continue
-            for id_a, id_b in itertools.combinations(sorted(ids), 2):
-                if id_a not in touched and id_b not in touched:
-                    continue
-                story_a, story_b = stories[id_a], stories[id_b]
-                if story_a.source_id == story_b.source_id:
-                    continue
-                gap = max(
-                    0.0,
-                    max(story_a.start, story_b.start)
-                    - min(story_a.end, story_b.end),
-                )
-                if gap > 3 * tolerance:
+                postings[feature].add(story_id)
+        limit = 3 * self._tolerance
+        pairs: List[Tuple[str, str]] = []
+        visited: Set[str] = set()
+        for story_id in touched:
+            story, (_, features, span) = stories[story_id], seen[story_id]
+            visited.add(story_id)
+            others = set().union(*[postings[feature] for feature in features])
+            others -= by_source[story.source_id]
+            others -= visited
+            signature = story.sketch.signature
+            for other_id in others:
+                other_span = seen[other_id][2]
+                if max(span[0], other_span[0]) - min(span[1], other_span[1]) > limit:
                     continue
                 # sketch fast path (Section 2.4): when story signatures are
                 # maintained, a MinHash estimate prunes pairs before the
                 # exact profile comparison
-                signature_a = story_a.sketch.signature
-                signature_b = story_b.sketch.signature
-                if (signature_a is not None and signature_b is not None
-                        and signature_a.similarity(signature_b)
+                other_signature = stories[other_id].sketch.signature
+                if (signature is not None and other_signature is not None
+                        and signature.similarity(other_signature)
                         < self.config.sketch_candidate_floor):
                     continue
-                pairs.add((id_a, id_b))
+                pairs.append((min(story_id, other_id), max(story_id, other_id)))
         return sorted(pairs)
 
     def _one_to_one(

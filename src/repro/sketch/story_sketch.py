@@ -126,7 +126,8 @@ class StorySketch:
 
     # -- temporal view ----------------------------------------------------------
 
-    def _cached_span(self) -> Tuple[float, float]:
+    @property
+    def span(self) -> Tuple[float, float]:
         """(start, end): kept current by add, recomputed after a remove."""
         if self._span is None:
             if not self._timestamps:
@@ -138,11 +139,11 @@ class StorySketch:
 
     @property
     def start(self) -> float:
-        return self._cached_span()[0]
+        return self.span[0]
 
     @property
     def end(self) -> float:
-        return self._cached_span()[1]
+        return self.span[1]
 
     def timestamp_of(self, snippet_id: str) -> float:
         return self._timestamps[snippet_id]

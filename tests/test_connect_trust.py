@@ -128,6 +128,35 @@ class TestTrustWeighting:
         )
         assert low.story_pair_score(a, b) == pytest.approx(plain * 0.75)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_edge_scores_are_story_pair_score(self, weighted):
+        """Every stored edge score is what ``story_pair_score`` gives the
+        pair, after the first alignment and after refinement re-aligns."""
+        corpus = self.corpus()
+        pivot = StoryPivot(
+            StoryPivotConfig.temporal(trust_weighted_alignment=weighted)
+        )
+        for snippet in corpus.snippets_by_time():
+            pivot.add_snippet(snippet)
+        aligner, story_sets = pivot.aligner, pivot.story_sets()
+        aligner.set_source_trust({
+            source_id: 3 * i % 11 for i, source_id in enumerate(story_sets)
+        })
+
+        def check(alignment):
+            stories = {s.story_id: s for ss in story_sets.values() for s in ss}
+            assert alignment.edge_scores
+            for (id_a, id_b), score in alignment.edge_scores.items():
+                assert score == aligner.story_pair_score(
+                    stories[id_a], stories[id_b]
+                )
+
+        alignment = aligner.align(story_sets)
+        check(alignment)
+        refinement = pivot.refiner.refine(story_sets, alignment)
+        assert len(refinement.passes) > 1  # refinement re-aligned
+        check(refinement.alignment)
+
     def test_score_stays_capped_at_one(self):
         config = StoryPivotConfig(trust_weighted_alignment=True)
         corpus = self.corpus()

@@ -1,5 +1,9 @@
 """Tests for story alignment across sources."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from repro.core.alignment import StoryAligner
@@ -8,6 +12,7 @@ from repro.core.identification import make_identifier
 from repro.core.stories import StorySet
 from repro.errors import AlignmentError
 from repro.eventdata.models import DAY
+from repro.sketch.minhash import MinHash
 from tests.conftest import make_snippet
 
 
@@ -248,3 +253,93 @@ class TestEndToEndWithIdentification:
         assert {s.snippet_id for s in flood.snippets()} == {"a:1", "a:2", "b:1"}
         election = alignment.aligned_of_snippet("a:3")
         assert {s.snippet_id for s in election.snippets()} == {"a:3", "b:2"}
+
+
+def random_story_sets(seed, minhash=None):
+    """3–5 sources of stories over a small entity/term vocabulary, on a
+    7-day grid so that some spans lie exactly 3× the default alignment
+    tolerance (84 days) apart; each source also holds one empty story."""
+    rng = random.Random(seed)
+    entities = [f"E{i}" for i in range(14)]
+    words = [f"word{i}" for i in range(16)]
+    sets, serial = {}, 0
+    for source_index in range(rng.randint(3, 5)):
+        source_id = f"s{source_index}"
+        story_set = StorySet(source_id, minhash=minhash)
+        story_set.new_story()
+        for _ in range(rng.randint(2, 6)):
+            story, center = story_set.new_story(), rng.randrange(0, 40, 3)
+            for _ in range(rng.randint(1, 4)):
+                serial += 1
+                snippet = make_snippet(
+                    f"{source_id}:{serial}", source_id=source_id,
+                    description=" ".join(rng.sample(words, 2)),
+                    entities=rng.sample(entities, 3),
+                    keywords=rng.sample(words, 2),
+                )
+                day = center + rng.randint(0, 2)
+                snippet = dataclasses.replace(
+                    snippet, timestamp=day * 7 * DAY, published=None
+                )
+                story_set.assign(snippet, story)
+        sets[source_id] = story_set
+    return sets
+
+
+def brute_force_pairs(config, stories, touched):
+    """Every cross-source pair, at least one side touched, sharing a top-8
+    entity or top-10 term, at most 3× the tolerance apart, over the
+    sketch floor when both stories carry a signature."""
+    tolerance = max(1.0, config.alignment_tolerance * config.window)
+    pairs = []
+    for id_a, id_b in itertools.combinations(sorted(stories), 2):
+        a, b = stories[id_a], stories[id_b]
+        if a.source_id == b.source_id or not {id_a, id_b} & touched:
+            continue
+        shares = (
+            {e for e, _ in a.sketch.top_entities(8)}
+            & {e for e, _ in b.sketch.top_entities(8)}
+            or {t for t, _ in a.sketch.top_terms(10)}
+            & {t for t, _ in b.sketch.top_terms(10)}
+        )
+        if not shares:
+            continue
+        if max(0.0, max(a.start, b.start) - min(a.end, b.end)) > 3 * tolerance:
+            continue
+        sig_a, sig_b = a.sketch.signature, b.sketch.signature
+        if (sig_a is not None and sig_b is not None
+                and sig_a.similarity(sig_b) < config.sketch_candidate_floor):
+            continue
+        pairs.append((id_a, id_b))
+    return pairs
+
+
+class TestCandidatePairs:
+    """``_candidate_pairs`` against a brute-force scan of every pair."""
+
+    @pytest.mark.parametrize("sketches", [False, True])
+    def test_equals_brute_force(self, sketches):
+        config = StoryPivotConfig(
+            use_sketches=sketches, sketch_candidate_floor=0.3
+        )
+        minhash = MinHash(config.minhash_permutations) if sketches else None
+        at_bound = pruned = 0
+        for seed in range(30):
+            sets = random_story_sets(seed, minhash)
+            stories = {s.story_id: s for ss in sets.values() for s in ss}
+            aligner = StoryAligner(config)
+            seen, _ = aligner._diff(stories)
+            rng = random.Random(seed)
+            for touched in (set(), set(stories),
+                            set(rng.sample(sorted(stories), 3))):
+                got = aligner._candidate_pairs(stories, seen, touched)
+                assert got == brute_force_pairs(config, stories, touched)
+            for a, b in itertools.combinations(stories.values(), 2):
+                if len(a) and len(b) and a.source_id != b.source_id:
+                    gap = max(a.start, b.start) - min(a.end, b.end)
+                    at_bound += gap == 3 * aligner._tolerance
+            unfloored = dataclasses.replace(config, sketch_candidate_floor=0.0)
+            pruned += len(brute_force_pairs(unfloored, stories, set(stories))) \
+                - len(brute_force_pairs(config, stories, set(stories)))
+        assert at_bound  # the gap bound is exercised at equality
+        assert bool(pruned) == sketches  # the floor prunes only with sketches
