@@ -100,6 +100,7 @@ class BaseIdentifier:
             if self.config.use_sketches
             else None
         )
+        self._indexed = True  # False: copied stories wait to be indexed
         self.stats = IdentificationStats()
 
     # -- public API ---------------------------------------------------------
@@ -119,6 +120,7 @@ class BaseIdentifier:
             )
         if snippet.snippet_id in self._snippets:
             raise DuplicateSnippetError(snippet.snippet_id)
+        self._build_indexes()
         ranked = self._score_candidates(snippet)
         story = self._place(snippet, ranked)
         self._index(snippet)
@@ -144,6 +146,7 @@ class BaseIdentifier:
             raise ValueError("restore_story requires at least one snippet")
         if story_id in self.stories:
             raise ValueError(f"story {story_id!r} already present")
+        self._build_indexes()
         story = self.stories.new_story()
         story = self.stories.rebind_story_id(story.story_id, story_id)
         for snippet in members:
@@ -160,10 +163,27 @@ class BaseIdentifier:
             )
         return story
 
+    def copy_stories(self, stories: Iterable[Story]) -> int:
+        """Hold a :meth:`Story.copy` of each of ``stories``; returns their
+        snippet count.  The indexes wait for the next add or remove."""
+        count = 0
+        for story in map(Story.copy, stories):
+            self.stories.adopt(story)
+            self._snippets.update(story.members)
+            self._indexed, count = False, count + len(story)
+        self.stats.snippets += count
+        return count
+
+    def _build_indexes(self) -> None:
+        for snippet in () if self._indexed else self._snippets.values():
+            self._index(snippet)
+        self._indexed = True
+
     def remove(self, snippet_id: str) -> Snippet:
         """Withdraw a snippet (demo: removing a document from the system)."""
         if snippet_id not in self._snippets:
             raise UnknownSnippetError(snippet_id)
+        self._build_indexes()
         snippet = self.stories.unassign(snippet_id)
         del self._snippets[snippet_id]
         self._temporal.remove(snippet_id)

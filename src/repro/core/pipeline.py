@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.alignment import AlignedStory, Alignment, StoryAligner
 from repro.core.config import StoryPivotConfig
@@ -111,13 +111,25 @@ class StoryPivot:
         """Bulk-restore one persisted story without re-running identification.
 
         The public restoration entry point used by checkpoint loading and
-        the sharded runtime's shard merge: the story keeps ``story_id`` and
+        WAL recovery: the story keeps ``story_id`` and
         its exact snippet membership, all identifier indexes are rebuilt,
         and the snippet count is advanced.  Returns the restored story.
         """
         story = self.identifier(source_id).restore_story(story_id, snippets)
         self._snippet_count += len(story)
         return story
+
+    @classmethod
+    def copy_of(cls, story_sets: Mapping[str, StorySet],
+                config: Optional[StoryPivotConfig] = None) -> "StoryPivot":
+        """A pivot holding a copy of every story of ``story_sets``, sources
+        sorted: what restoring each under its id builds, less the hashing,
+        indexing and id minting.  Refining it leaves ``story_sets`` alone."""
+        pivot = cls(config)
+        for source_id in sorted(story_sets):
+            identifier = pivot.identifier(source_id)
+            pivot._snippet_count += identifier.copy_stories(story_sets[source_id])
+        return pivot
 
     def has_snippet(self, snippet_id: str) -> bool:
         """Whether any source currently holds ``snippet_id``."""

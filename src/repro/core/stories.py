@@ -73,6 +73,15 @@ class Story:
         )
         self._snippets[snippet.snippet_id] = snippet
 
+    def copy(self) -> "Story":
+        """What adding the members in ``(timestamp, id)`` order builds,
+        sharing the immutable snippets and re-deriving nothing."""
+        clone = object.__new__(Story)
+        clone.story_id, clone.source_id = self.story_id, self.source_id
+        clone.sketch = self.sketch.copy()
+        clone._snippets = {sid: self._snippets[sid] for sid in clone.sketch._timestamps}
+        return clone
+
     def remove(self, snippet_id: str) -> Snippet:
         if snippet_id not in self._snippets:
             raise UnknownSnippetError(snippet_id)
@@ -212,6 +221,13 @@ class StorySet:
         )
         self._stories[story_id] = story
         return story
+
+    def adopt(self, story: Story) -> None:
+        """Register ``story`` (of this source) under its own id."""
+        if story.story_id in self._stories:
+            raise ValueError(f"story id {story.story_id!r} already in use")
+        self._stories[story.story_id] = story
+        self._story_of.update(dict.fromkeys(story.members, story.story_id))
 
     def rebind_story_id(self, old_id: str, new_id: str) -> Story:
         """Re-key a registered story under ``new_id``.

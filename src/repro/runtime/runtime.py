@@ -110,12 +110,13 @@ def shard_of(source_id: str, num_shards: int) -> int:
 def merge_shards(
     shards: Sequence[Shard], config: StoryPivotConfig, tracer=NULL_TRACER
 ) -> StoryPivot:
-    """A standalone pivot holding every shard's stories.
+    """A standalone pivot holding a copy of every shard's stories.
 
     Shard locks are taken in ascending shard order, one global order on
-    every node.  Stories are *rebuilt* (sharing the immutable snippets)
-    rather than referenced, so downstream refinement cannot mutate shard
-    state.
+    every node.  Each story is copied (:meth:`StoryPivot.copy_of`) under
+    its id, sharing only the immutable snippets, so downstream refinement
+    cannot mutate shard state; the copy is what restoring it would build,
+    but it re-derives no feature, signature or index and mints no id.
     """
     with tracer.span("shards.merge"):
         with ExitStack() as stack:
@@ -124,13 +125,7 @@ def merge_shards(
             story_sets = {}
             for shard in shards:
                 story_sets.update(shard.pivot.story_sets())
-            merged = StoryPivot(config)
-            for source_id in sorted(story_sets):
-                for story in story_sets[source_id]:
-                    merged.restore_story(
-                        source_id, story.story_id, story.snippets()
-                    )
-        return merged
+            return StoryPivot.copy_of(story_sets, config)
 
 
 class ShardedRuntime:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.eventdata.models import DAY
@@ -96,6 +97,24 @@ class StorySketch:
                 self._merged_signature = self._minhash.merge(
                     self._merged_signature, signature
                 )
+
+    def copy(self) -> "StorySketch":
+        """The sketch :meth:`add` builds from these members in
+        ``(timestamp, id)`` order, hashing nothing: every member-order
+        sum reads the same floats, and the merged signature (a
+        coordinate-wise minimum) is this one's."""
+        clone = StorySketch(self._minhash, self.decay_half_life)
+        order = sorted(sorted(self._timestamps), key=self._timestamps.get)
+        clone._timestamps, clone._entities, clone._terms, clone._signatures = (
+            {sid: held[sid] for sid in order} if held else {} for held in
+            (self._timestamps, self._entities, self._terms, self._signatures))
+        # keys in first-seen order, as add() puts them
+        clone.entity_counts.update(chain.from_iterable(clone._entities.values()))
+        clone.term_counts.update(chain.from_iterable(clone._terms.values()))
+        clone.entity_mass, clone.term_mass = self.entity_mass, self.term_mass
+        clone._span = self.span if order else None
+        clone._merged_signature = self._merged_signature
+        return clone
 
     def remove(self, snippet_id: str) -> None:
         """Exactly undo one snippet's contribution (KeyError if absent)."""
@@ -222,9 +241,6 @@ class StorySketch:
 
     def entity_set(self) -> Set[str]:
         return set(self.entity_counts)
-
-    def term_set(self) -> Set[str]:
-        return set(self.term_counts)
 
     @property
     def signature(self) -> Optional[MinHashSignature]:
