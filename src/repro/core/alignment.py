@@ -317,8 +317,8 @@ class CounterpartGraph:
 
 #: the (start, end) of a story's members; None for an empty story
 Span = Optional[Tuple[float, float]]
-#: story id -> (snapshot of its members, its candidate features, its span)
-_Seen = Dict[str, Tuple[Dict[str, Snippet], List[object], Span]]
+#: story id -> (snapshot of its members, candidate features, span, source)
+_Seen = Dict[str, Tuple[Dict[str, Snippet], List[object], Span, str]]
 
 
 class _UnionFind:
@@ -362,12 +362,12 @@ class StoryAligner:
     """Compute story alignment over per-source story sets.
 
     The aligner remembers its last :meth:`align` — per story a snapshot
-    of its members and its candidate features; the raw edges; the snippet
-    links of each integrated story — and the next call re-derives only
-    what involves a *touched* story (unseen, or members differ from the
-    snapshot).  An aligner that has seen nothing finds every story
-    touched: from scratch is the same code.  ``config`` must not change
-    between calls.
+    of its members and its candidate features, posted by feature; the raw
+    edges; the snippet links of each integrated story — and the next call
+    re-derives only what involves a *touched* story (unseen, or members
+    differ from the snapshot) or a vanished one.  An aligner that has seen
+    nothing (or whose last pass raised) finds every story touched: from
+    scratch is the same code.  ``config`` must not change between calls.
     """
 
     def __init__(self, config: Optional[StoryPivotConfig] = None) -> None:
@@ -385,11 +385,13 @@ class StoryAligner:
         self._forget()
 
     def _forget(self) -> None:
-        # story id -> (members snapshot, features, span).  Members, not the
+        # story id -> (members, features, span, source).  Members, not the
         # story object: merged_pivot() re-creates every story each
         # generation, and all that alignment reads of a story (profiles,
         # span, features, signature, links) is a function of its members.
         self._seen: _Seen = {}
+        # of the stories in _seen: feature -> ids, and ("s", source) -> ids
+        self._postings: Dict[object, Set[str]] = {}
         self._edges: List[Tuple[str, str, float]] = []  # before _one_to_one
         # member story ids of an integrated story -> (snapshots of their
         # members, links, roles); stands while the members equal them
@@ -463,26 +465,30 @@ class StoryAligner:
 
         seen, touched = self._diff(stories)
         edges: List[Tuple[str, str, float]] = []
-        if self.config.alignment_strategy != "none":
-            # an edge between two untouched stories stands: whether a pair
-            # is a candidate, and its score, depend on its two stories only
-            edges = [
-                edge for edge in self._edges
-                if edge[0] in stories and edge[1] in stories
-                and edge[0] not in touched and edge[1] not in touched
-            ]
-            alignment.stats.story_pairs_reused = len(edges)
-            for id_a, id_b in self._candidate_pairs(stories, seen, touched):
-                score = self.story_pair_score(
-                    stories[id_a], stories[id_b], (seen[id_a][2], seen[id_b][2])
-                )
-                alignment.stats.story_pairs_scored += 1
-                if score >= self.config.align_threshold:
-                    edges.append((id_a, id_b, score))
-            edges.sort()
-            self._edges = edges
-        # only now, beside the edges: a pass that raised remembered nothing
-        self._seen = seen
+        try:
+            if self.config.alignment_strategy != "none":
+                # an edge between two untouched stories stands: its being
+                # a candidate, and its score, depend on its two stories only
+                edges = [
+                    edge for edge in self._edges
+                    if edge[0] in stories and edge[1] in stories
+                    and edge[0] not in touched and edge[1] not in touched
+                ]
+                alignment.stats.story_pairs_reused = len(edges)
+                for id_a, id_b in self._candidate_pairs(stories, seen, touched):
+                    score = self.story_pair_score(
+                        stories[id_a], stories[id_b],
+                        (seen[id_a][2], seen[id_b][2]),
+                    )
+                    alignment.stats.story_pairs_scored += 1
+                    if score >= self.config.align_threshold:
+                        edges.append((id_a, id_b, score))
+                edges.sort()
+                self._edges = edges
+            self._seen = seen
+        except BaseException:
+            self._forget()  # half-updated: the next pass starts over
+            raise
         if self.config.alignment_strategy == "optimal":
             edges = self._one_to_one(edges, stories)
         alignment.stats.edges = len(edges)
@@ -554,9 +560,22 @@ class StoryAligner:
                 features += [("t", term) for term, _ in story.sketch.top_terms(10)]
                 # a copy: a live story's own map changes under us
                 span = story.sketch.span if len(story) else None
-                entry = (dict(story.members), features, span)
+                entry = (dict(story.members), features, span, story.source_id)
             seen[story_id] = entry
         return seen, touched
+
+    def _post(self, seen: _Seen, touched: Set[str]) -> None:
+        """Bring the posting sets from the remembered stories to ``seen``'s:
+        only touched and vanished ids move."""
+        postings = self._postings
+        for story_id in touched | (self._seen.keys() - seen.keys()):
+            old, new = self._seen.get(story_id), seen.get(story_id)
+            for key in old[1] + [("s", old[3])] if old else ():
+                postings[key].discard(story_id)
+                if not postings[key]:
+                    del postings[key]
+            for key in new[1] + [("s", new[3])] if new else ():
+                postings.setdefault(key, set()).add(story_id)
 
     def _candidate_pairs(
         self, stories: Dict[str, Story], seen: _Seen, touched: Set[str]
@@ -565,24 +584,21 @@ class StoryAligner:
         least one salient feature, whose spans are at most 3× the alignment
         tolerance apart, sorted.
 
-        Each touched story takes the union of its features' posting lists
+        Each touched story takes the union of its features' posting sets
         less its own source and the touched stories already visited: every
-        pair is examined once.
+        pair is examined once.  The posting sets are first brought from the
+        last pass's stories to ``seen``'s.
         """
-        postings: Dict[object, Set[str]] = defaultdict(set)
-        by_source: Dict[str, Set[str]] = defaultdict(set)
-        for story_id, story in stories.items():
-            by_source[story.source_id].add(story_id)
-            for feature in seen[story_id][1]:
-                postings[feature].add(story_id)
+        self._post(seen, touched)
+        postings = self._postings
         limit = 3 * self._tolerance
         pairs: List[Tuple[str, str]] = []
         visited: Set[str] = set()
         for story_id in touched:
-            story, (_, features, span) = stories[story_id], seen[story_id]
+            story, (_, features, span, _) = stories[story_id], seen[story_id]
             visited.add(story_id)
             others = set().union(*[postings[feature] for feature in features])
-            others -= by_source[story.source_id]
+            others -= postings[("s", story.source_id)]
             others -= visited
             signature = story.sketch.signature
             for other_id in others:

@@ -9,7 +9,7 @@ import pytest
 from repro.core.alignment import StoryAligner
 from repro.core.config import StoryPivotConfig
 from repro.core.identification import make_identifier
-from repro.core.stories import StorySet
+from repro.core.stories import Story, StorySet
 from repro.errors import AlignmentError
 from repro.eventdata.models import DAY
 from repro.sketch.minhash import MinHash
@@ -314,6 +314,69 @@ def brute_force_pairs(config, stories, touched):
     return pairs
 
 
+def failing(*args):
+    raise RuntimeError("injected")
+
+
+def posted(seen):
+    """feature -> story ids, and ("s", source) -> story ids, of what an
+    aligner remembers."""
+    postings = {}
+    for story_id, (_, features, _, source_id) in seen.items():
+        for key in features + [("s", source_id)]:
+            postings.setdefault(key, set()).add(story_id)
+    return postings
+
+
+def materialized(model, minhash):
+    """New story sets holding ``model``'s stories (source -> story id ->
+    snippets) under their ids, empty ones included."""
+    sets = {}
+    for source_id, stories in model.items():
+        story_set = sets[source_id] = StorySet(source_id, minhash=minhash)
+        for story_id, snippets in stories.items():
+            story = Story(story_id, source_id, minhash=minhash)
+            for snippet in snippets:
+                story.add(snippet)
+            story_set.adopt(story)
+    return sets
+
+
+def mutate(model, gone, rng, serial):
+    """One edit of ``model``; returns its kind.  ``gone`` keeps removed
+    stories' ids so that they can come back."""
+    source_id = rng.choice(sorted(model))
+    stories = model[source_id]
+    kind = rng.choice(["add", "grow", "grow", "empty", "remove", "re-add"])
+    if kind == "re-add" and not gone.get(source_id):
+        kind = "add"
+    if kind in ("grow", "empty", "remove") and not stories:
+        kind = "add"
+    fresh = [
+        dataclasses.replace(make_snippet(
+            f"{source_id}:m{serial}:{i}", source_id=source_id,
+            description=" ".join(rng.sample([f"word{k}" for k in range(16)], 2)),
+            entities=rng.sample([f"E{k}" for k in range(14)], 3),
+            keywords=rng.sample([f"word{k}" for k in range(16)], 2),
+        ), timestamp=rng.randrange(0, 45) * 7 * DAY, published=None)
+        for i in range(rng.randint(1, 3))
+    ]
+    if kind == "add":
+        stories[f"{source_id}/m{serial}"] = fresh
+    elif kind == "re-add":
+        stories[gone[source_id].pop()] = fresh
+    else:
+        story_id = rng.choice(sorted(stories))
+        if kind == "grow":
+            stories[story_id] = stories[story_id] + fresh
+        elif kind == "empty":
+            stories[story_id] = []
+        else:
+            del stories[story_id]
+            gone.setdefault(source_id, []).append(story_id)
+    return kind
+
+
 class TestCandidatePairs:
     """``_candidate_pairs`` against a brute-force scan of every pair."""
 
@@ -343,3 +406,55 @@ class TestCandidatePairs:
                 - len(brute_force_pairs(config, stories, set(stories)))
         assert at_bound  # the gap bound is exercised at equality
         assert bool(pruned) == sketches  # the floor prunes only with sketches
+
+    @pytest.mark.parametrize("sketches", [False, True])
+    def test_a_long_lived_aligner_equals_brute_force(self, sketches):
+        """One aligner over passes that add, grow, empty, remove and re-add
+        stories under the same id, each pass over new story objects (as a
+        merged pivot is): its candidate pairs equal the brute-force scan,
+        and its posting sets a cold aligner's, after every pass — a pass
+        that raised included."""
+        config = StoryPivotConfig(
+            use_sketches=sketches, sketch_candidate_floor=0.3
+        )
+        minhash = MinHash(config.minhash_permutations) if sketches else None
+        kinds = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            model = {
+                source_id: {s.story_id: s.snippets() for s in story_set}
+                for source_id, story_set in
+                random_story_sets(seed, minhash).items()
+            }
+            aligner = StoryAligner(config)
+            candidates = []
+            real = aligner._candidate_pairs
+
+            def spy(stories, seen, touched):
+                pairs = real(stories, seen, touched)
+                candidates.append(brute_force_pairs(config, stories, touched) == pairs)
+                return pairs
+
+            aligner._candidate_pairs = spy
+            gone, raised = {}, False
+            for step in range(16):
+                if step:
+                    kinds.add(mutate(model, gone, rng, seed * 100 + step))
+                sets = materialized(model, minhash)
+                with pytest.MonkeyPatch.context() as patched:
+                    if step >= 8 and not raised:  # once, in a pass that scores
+                        patched.setattr(aligner, "story_pair_score", failing)
+                    try:
+                        aligner.align(sets)
+                    except RuntimeError:
+                        raised = True  # it forgets what it had posted
+                        assert aligner._seen == {}
+                        assert aligner._postings == {}
+                        patched.undo()
+                        aligner.align(sets)
+                assert all(candidates)
+                cold = StoryAligner(config)
+                cold.align(sets)
+                assert aligner._postings == cold._postings == posted(cold._seen)
+            assert raised
+        assert kinds == {"add", "grow", "empty", "remove", "re-add"}
