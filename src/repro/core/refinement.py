@@ -82,10 +82,10 @@ class StoryRefiner:
 
     The refiner remembers what its last round saw — a stamp of the
     aligner's counterpart graph, a copy of the snippet → story map, every
-    snippet's votes and the stories found free of conflicts — and each
-    round brings that up to date with one diff.  A refiner that remembers
-    nothing finds every snippet changed: from scratch is the same code.
-    ``config`` must not change between calls.
+    snippet's votes with their voters per story, and the conflict-free
+    stories — and each round brings that up to date with one diff.  A
+    refiner that remembers nothing finds every snippet changed: from
+    scratch is the same code.  ``config`` must not change between calls.
     """
 
     def __init__(
@@ -117,6 +117,8 @@ class StoryRefiner:
         # story id -> its members' votes, in time order, as of a scan that
         # found no conflict; _find_conflict reads nothing else of a story
         self._certified: Dict[str, Tuple[Votes, ...]] = {}
+        # _votes_of reversed, story -> voters (lists: a fifth of sets' memory)
+        self._voted_by: Dict[str, List[str]] = {}
 
     def refine(
         self,
@@ -149,7 +151,7 @@ class StoryRefiner:
     def _refresh_votes(
         self, story_sets: Mapping[str, StorySet], result: RefinementResult
     ) -> None:
-        """Bring the counterpart graph and the votes up to date.
+        """Bring the counterpart graph, the votes and their voters up to date.
 
         Stale are the votes of a snippet whose pairs changed since this
         refiner's last round — whether or not an alignment synced the graph
@@ -169,7 +171,7 @@ class StoryRefiner:
         # only members of multi-member stories can be in (or resolve) a
         # conflict, so singleton stories carry no votes at all
         votes_of: Dict[str, Votes] = {}
-        recomputed = 0
+        recomputed: List[str] = []
         for story in stories:
             if len(story) < 2:
                 continue
@@ -178,11 +180,23 @@ class StoryRefiner:
                 if (votes is None or snippet_id in stale
                         or graph.stamp(snippet_id) > since):
                     votes = self._counterpart_votes(snippet, story_sets)
-                    recomputed += 1
+                    recomputed.append(snippet_id)
                 votes_of[snippet_id] = votes
+        # the voter index follows the snippets whose votes object changed
+        old, voted_by = self._votes_of, self._voted_by
+        for snippet_id in [*(old.keys() - votes_of.keys()), *recomputed]:
+            for per_source in old.get(snippet_id, {}).values():
+                for story_id in per_source:
+                    voted_by[story_id].remove(snippet_id)
+                    if not voted_by[story_id]:
+                        del voted_by[story_id]
+        for snippet_id in recomputed:
+            for per_source in votes_of[snippet_id].values():
+                for story_id in per_source:
+                    voted_by.setdefault(story_id, []).append(snippet_id)
         self._votes_of, self._homes = votes_of, homes
-        result.votes_recomputed.append(recomputed)
-        result.votes_reused.append(len(votes_of) - recomputed)
+        result.votes_recomputed.append(len(recomputed))
+        result.votes_reused.append(len(votes_of) - len(recomputed))
 
     def _counterpart_votes(
         self, snippet: Snippet, story_sets: Mapping[str, StorySet]
@@ -217,14 +231,7 @@ class StoryRefiner:
         story_sets: Mapping[str, StorySet],
         result: RefinementResult,
     ) -> List[Move]:
-        votes_of = self._votes_of
-        # reverse index: evidence story -> snippets voting for it
-        voted_by: Dict[str, Set[str]] = {}
-        for snippet_id, per_source_votes in votes_of.items():
-            for per_source in per_source_votes.values():
-                for story_id in per_source:
-                    voted_by.setdefault(story_id, set()).add(snippet_id)
-
+        votes_of, voted_by = self._votes_of, self._voted_by
         moves: List[Move] = []
         # fresh stories created this round, keyed by (source, evidence
         # stories): conflicting snippets sharing evidence group together
@@ -315,7 +322,7 @@ class StoryRefiner:
         snippet: Snippet,
         story: Story,
         story_set: StorySet,
-        voted_by: Dict[str, Set[str]],
+        voted_by: Dict[str, List[str]],
         evidence_stories: Set[str],
         evidence: float,
         fresh_homes: Dict[Tuple[str, frozenset], Story],

@@ -591,3 +591,50 @@ class TestThePeriodIsStartToStart:
         assert self.starts([0.4, 0.4, 0.4], poke_during=(1,)) == pytest.approx(
             [1.0, 1.4, 2.4]
         )
+
+
+def listed(voted_by):
+    """The voter lists as sets; no voter is listed twice."""
+    assert all(len(set(voters)) == len(voters) for voters in voted_by.values())
+    return {story_id: set(voters) for story_id, voters in voted_by.items()}
+
+
+def reverse(votes_of):
+    """evidence story -> the snippets voting for it, rebuilt from votes."""
+    voted_by = {}
+    for snippet_id, votes in votes_of.items():
+        for per_source in votes.values():
+            for story_id in per_source:
+                voted_by.setdefault(story_id, set()).add(snippet_id)
+    return voted_by
+
+
+class TestVoterIndex:
+    """The refiner keeps its voter index across rounds and refreshes."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_it_is_the_reverse_of_the_votes_after_every_round(
+        self, corpora, monkeypatch, seed
+    ):
+        one_round, checked = StoryRefiner._one_round, []
+
+        def checking_round(self, story_sets, result):
+            assert listed(self._voted_by) == reverse(self._votes_of)
+            moves = one_round(self, story_sets, result)
+            assert listed(self._voted_by) == reverse(self._votes_of)
+            checked.append(len(moves))
+            return moves
+
+        monkeypatch.setattr(StoryRefiner, "_one_round", checking_round)
+        runtime = ShardedRuntime(StoryPivotConfig.temporal(), num_shards=2).start()
+        refresher = ViewRefresher(runtime, RecordingStore())
+        try:
+            for batch in batches(corpora[seed]):
+                runtime.consume(batch).drain()
+                refresher.refresh(force=True)
+                refiner = refresher._refiner
+                assert listed(refiner._voted_by) == reverse(refiner._votes_of)
+        finally:
+            runtime.stop(checkpoint=False)
+        # rounds with moves and rounds after them, in every generation
+        assert len(checked) > GENERATIONS and sum(checked) > 0
