@@ -145,6 +145,8 @@ class ReadView:
     Everything a handler needs is precomputed into plain lists and dicts
     at build time; after construction the view is never mutated, so any
     number of request threads can read it without synchronization.
+    Built after a ``previous`` view, it reuses that view's records of
+    unchanged snippets and stories (re-stamped with their new ``id``).
     """
 
     def __init__(
@@ -153,6 +155,7 @@ class ReadView:
         generation: int,
         dataset: str = "corpus",
         corpus: Optional[Corpus] = None,
+        previous: Optional["ReadView"] = None,
     ) -> None:
         self.generation = generation
         self.dataset = dataset
@@ -167,19 +170,33 @@ class ReadView:
             alignment.aligned.values(),
             key=lambda a: (-len(a), a.aligned_id),
         )
+        # what the next view may reuse: snippet id -> (snippet, record);
+        # member story ids -> (their members, summary, detail)
+        records = previous._records if previous is not None else {}
+        built = previous._built if previous is not None else {}
+        self._records: Dict[str, Tuple[Snippet, dict]] = {}
+        self._built: Dict[tuple, tuple] = {}
         self.stories: List[Dict[str, object]] = []
         self.story_details: Dict[str, Dict[str, object]] = {}
+        self.story_snippets: Dict[str, List[Dict[str, object]]] = {}
         for aligned in ranked:
-            summary, detail = _story_records(aligned)
-            self.stories.append(summary)
-            self.story_details[aligned.aligned_id] = detail
-        self.story_snippets: Dict[str, List[Dict[str, object]]] = {
-            a.aligned_id: [
-                _snippet_record(s, alignment.role(s.snippet_id))
-                for s in a.snippets()
-            ]
-            for a in ranked
-        }
+            key = tuple(story.story_id for story in aligned.stories)
+            entry = built.get(key)
+            if entry is None or entry[0] != tuple(s.members for s in aligned.stories):
+                entry = (tuple(dict(s.members) for s in aligned.stories),
+                         *_story_records(aligned))
+            self._built[key] = entry
+            self.stories.append({**entry[1], "id": aligned.aligned_id})
+            self.story_details[aligned.aligned_id] = {
+                **entry[2], "id": aligned.aligned_id}
+            rows = self.story_snippets[aligned.aligned_id] = []
+            for snippet in aligned.snippets():
+                role = alignment.role(snippet.snippet_id)
+                old = records.get(snippet.snippet_id)
+                self._records[snippet.snippet_id] = kept = (
+                    old if old and old[0] is snippet and old[1]["role"] == role
+                    else (snippet, _snippet_record(snippet, role)))
+                rows.append(kept[1])
 
         source_meta = dict(corpus.sources) if corpus is not None else {}
         self.source_stories: Dict[str, List[Dict[str, object]]] = {}
@@ -295,6 +312,7 @@ class ViewStore:
                 generation=generation,
                 dataset=self.dataset,
                 corpus=corpus,
+                previous=self._view,
             )
             self._view = view
         return view
