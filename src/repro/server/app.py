@@ -26,7 +26,8 @@ status counters, cache hit/miss, in-flight gauge) exposed at
 
 from __future__ import annotations
 
-from typing import IO, Optional
+import re
+from typing import IO, Dict, Optional
 from urllib.parse import unquote
 
 from repro.obs.decisions import format_event, merge_histories
@@ -43,6 +44,7 @@ from repro.push.transport import (
     stream,
 )
 from repro.runtime.metrics import (
+    Counter,
     MetricsRegistry,
     prometheus_render,
     render_table,
@@ -63,6 +65,22 @@ from repro.server.views import ViewStore
 
 #: content type Prometheus scrapers send in Accept and expect back
 PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+#: one entity tag of an ``If-None-Match`` list, its ``W/`` left out
+_ENTITY_TAG = re.compile(r'(?:W/)?("[^"]*")')
+
+
+def if_none_match(header: Optional[str], etag: str) -> bool:
+    """Whether ``If-None-Match: header`` matches a current ``etag``.
+
+    RFC 9110 §13.1.2: ``*`` matches any current representation, else
+    the header is a comma-separated list of entity tags compared weakly
+    (``W/"x"`` matches ``"x"``).
+    """
+    if not header:
+        return False
+    if header.strip() == "*":
+        return True
+    return etag.removeprefix("W/") in _ENTITY_TAG.findall(header)
 
 
 class StoryPivotAPI(Listener):
@@ -139,17 +157,21 @@ class StoryPivotAPI(Listener):
             "/subscribez": self._subscribez,
             "/healthz": self._healthz,
         }
-        # pre-register the serving metrics operators expect in every export
-        self.metrics.counter("http.requests")
-        self.metrics.histogram("http.latency_seconds")
-        self.metrics.counter("http.cache.hits")
-        self.metrics.counter("http.cache.misses")
-        self.metrics.counter("http.not_modified")
-        self.metrics.counter("http.ratelimited")
-        self.metrics.counter("http.shed")
-        self.metrics.counter("http.warming")
-        self.metrics.counter("http.bytes_sent")
-        self.metrics.gauge("http.inflight")
+        # pre-register the serving metrics operators expect in every
+        # export; the ones every request moves are bound here, once
+        metrics = self.metrics
+        self._requests = metrics.counter("http.requests")
+        self._latency = metrics.histogram("http.latency_seconds")
+        self._hits = metrics.counter("http.cache.hits")
+        self._misses = metrics.counter("http.cache.misses")
+        metrics.counter("http.not_modified")
+        metrics.counter("http.ratelimited")
+        metrics.counter("http.shed")
+        metrics.counter("http.warming")
+        self._bytes_sent = metrics.counter("http.bytes_sent")
+        self._inflight_gauge = metrics.gauge("http.inflight")
+        #: status -> its ``http.status.<status>`` counter
+        self._by_status: Dict[int, Counter] = {}
 
     def close(self) -> None:
         """Graceful shutdown: refuse new work, drain in-flight, tear down."""
@@ -175,14 +197,19 @@ class StoryPivotAPI(Listener):
         return super().dispatch(request)
 
     def inflight_changed(self, inflight: int) -> None:
-        self.metrics.gauge("http.inflight").set(inflight)
+        self._inflight_gauge.set(inflight)
 
     def record(self, request: Request, elapsed: float) -> None:
         request.root.set(cache=request.cache)
-        self.metrics.counter("http.requests").inc()
-        self.metrics.counter(f"http.status.{request.status}").inc()
-        self.metrics.histogram("http.latency_seconds").observe(elapsed)
-        self.metrics.counter("http.bytes_sent").inc(request.sent)
+        self._requests.inc()
+        by_status = self._by_status.get(request.status)
+        if by_status is None:
+            by_status = self._by_status[request.status] = self.metrics.counter(
+                f"http.status.{request.status}"
+            )
+        by_status.inc()
+        self._latency.observe(elapsed)
+        self._bytes_sent.inc(request.sent)
 
     # -- data: one snapshot, the response cache ------------------------------
 
@@ -220,10 +247,10 @@ class StoryPivotAPI(Listener):
         entry = self.cache.get(view.generation, cache_key)
         if entry is not None:
             request.cache = "hit"
-            self.metrics.counter("http.cache.hits").inc()
+            self._hits.inc()
         else:
             request.cache = "miss"
-            self.metrics.counter("http.cache.misses").inc()
+            self._misses.inc()
             result = route(view, split.path, request.params)
             body = json_bytes(result.payload)
             if result.status != 200:  # non-200 routed responses are not cached
@@ -231,7 +258,7 @@ class StoryPivotAPI(Listener):
             entry = self.cache.put(view.generation, cache_key, body, JSON_TYPE)
         headers = {"ETag": entry.etag, "Cache-Control": "private, must-revalidate"}
         headers.update(stale)
-        if entry.etag in request.headers.get("If-None-Match", ""):
+        if if_none_match(request.headers.get("If-None-Match"), entry.etag):
             self.metrics.counter("http.not_modified").inc()
             return Reply(304, b"", entry.content_type, headers)
         return Reply(200, entry.body, entry.content_type, headers)
