@@ -47,6 +47,8 @@ class Story:
         self.source_id = source_id
         self.sketch = StorySketch(minhash=minhash, decay_half_life=decay_half_life)
         self._snippets: Dict[str, Snippet] = {}
+        #: the members in ``(timestamp, id)`` order; None until asked for
+        self._ordered: Optional[List[Snippet]] = None
 
     def __len__(self) -> int:
         return len(self._snippets)
@@ -72,6 +74,7 @@ class Story:
             shingles=snippet_shingles(snippet),
         )
         self._snippets[snippet.snippet_id] = snippet
+        self._ordered = None
 
     def copy(self) -> "Story":
         """What adding the members in ``(timestamp, id)`` order builds,
@@ -80,19 +83,24 @@ class Story:
         clone.story_id, clone.source_id = self.story_id, self.source_id
         clone.sketch = self.sketch.copy()
         clone._snippets = {sid: self._snippets[sid] for sid in clone.sketch._timestamps}
+        clone._ordered = None
         return clone
 
     def remove(self, snippet_id: str) -> Snippet:
         if snippet_id not in self._snippets:
             raise UnknownSnippetError(snippet_id)
         self.sketch.remove(snippet_id)
+        self._ordered = None
         return self._snippets.pop(snippet_id)
 
     def snippets(self) -> List[Snippet]:
-        """Member snippets in time order."""
-        return sorted(
-            self._snippets.values(), key=lambda s: (s.timestamp, s.snippet_id)
-        )
+        """Member snippets in time order (a fresh list; sorted once per
+        membership change)."""
+        if self._ordered is None:
+            self._ordered = sorted(
+                self._snippets.values(), key=lambda s: (s.timestamp, s.snippet_id)
+            )
+        return list(self._ordered)
 
     def snippet_ids(self) -> Set[str]:
         return set(self._snippets)

@@ -199,13 +199,20 @@ class ReadView:
                 rows.append(kept[1])
 
         source_meta = dict(corpus.sources) if corpus is not None else {}
+        # (start, end) timestamps -> their formatted dates, for the next view
+        dates = previous._dates if previous is not None else {}
+        self._dates: Dict[Tuple[float, float], Tuple[str, str]] = {}
         self.source_stories: Dict[str, List[Dict[str, object]]] = {}
         self.sources: List[Dict[str, object]] = []
         for source_id in sorted(result.story_sets):
             story_set = result.story_sets[source_id]
             rows = []
             for story in story_set.stories_by_size():
-                start, end = story.date_range()
+                span = (story.start, story.end)
+                pair = dates.get(span)
+                if pair is None:
+                    pair = story.date_range()
+                start, end = self._dates[span] = pair
                 rows.append({
                     "id": story.story_id,
                     "num_snippets": len(story),
