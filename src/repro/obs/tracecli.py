@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import urllib.request
 from typing import Dict, List, Optional, Sequence
 
 from repro.nodecli import console_entry
-from repro.obs.store import read_jsonl
+from repro.recordlog import RecordLog
 
 
 def _load_source(source: str) -> List[dict]:
@@ -33,7 +34,8 @@ def _load_source(source: str) -> List[dict]:
             payload = json.loads(response.read().decode("utf-8"))
         recent = payload.get("recent", [])
         return [t for t in recent if isinstance(t, dict)]
-    return list(read_jsonl(source))  # a live export may end in a torn line
+    os.stat(source)  # a missing file is an error, not an empty export
+    return list(RecordLog(source).read())  # a live export may end in a torn line
 
 
 def gather_spans(sources: Sequence[str], trace_id: str) -> List[dict]:

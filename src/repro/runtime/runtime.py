@@ -533,35 +533,31 @@ class ShardedRuntime:
     def replay_dlq(self) -> Dict[str, int]:
         """Re-offer every quarantined snippet through normal ingestion.
 
-        The DLQ files are drained first; snippets that fail again are
+        The DLQs are drained first; snippets that fail again are
         re-quarantined by their shard workers, so replay converges and
-        is safe to repeat.  Records rejected at admission stay behind:
-        their stored snippet is an audit shell of raw input that never
-        passed normalization, so re-offering it would inject garbage.
+        is safe to repeat.  Each DLQ file is rewritten only once the
+        drained snippets reached the WAL, so a crash mid-replay loses no
+        letter.  Records rejected at admission stay behind: their stored
+        snippet is an audit shell of raw input that never passed
+        normalization, so re-offering it would inject garbage.
         Returns counts: ``{"replayed": offered, "requeued": still
         quarantined after, "held": rejected records left in place}``.
         """
         self.start()
+        dlqs = [shard.dlq for shard in self._shards if shard.dlq is not None]
         letters = []
-        held = 0
-        for shard in self._shards:
-            if shard.dlq is None:
-                continue
-            for letter in shard.dlq.take_all():
-                if letter.error.startswith(REJECTED_PREFIX):
-                    shard.dlq.append(
-                        letter.snippet, error=letter.error,
-                        attempts=letter.attempts, shard_id=letter.shard_id,
-                    )
-                    held += 1
-                else:
-                    letters.append(letter)
+        for dlq in dlqs:
+            letters.extend(dlq.take_all(
+                keep=lambda letter: letter.error.startswith(REJECTED_PREFIX)
+            ))
+        held = sum(len(dlq) for dlq in dlqs)
         for letter in letters:
             self.offer(letter.snippet)
         self.drain()
-        requeued = sum(
-            len(shard.dlq) for shard in self._shards if shard.dlq is not None
-        ) - held
+        for shard in self._shards:
+            if shard.dlq is not None and not shard.dead:
+                shard.dlq.rewrite()
+        requeued = sum(len(dlq) for dlq in dlqs) - held
         return {"replayed": len(letters), "requeued": requeued, "held": held}
 
     # -- health ------------------------------------------------------------

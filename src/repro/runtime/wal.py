@@ -4,7 +4,7 @@ Layered on :mod:`repro.core.persistence`.  Each shard owns one append-only
 JSON-lines WAL: every *accepted* snippet is logged after identification
 integrates it.  Periodically the shard compacts — its full
 :class:`~repro.core.pipeline.StoryPivot` state is written as a checkpoint
-(atomic temp-file + rename) and the WAL is truncated.  Recovery loads the
+(atomic temp-file + rename) and the WAL is sealed.  Recovery loads the
 last checkpoint and replays the WAL tail through ordinary identification,
 so a killed runtime resumes *exactly*: replay is idempotent (records
 already present in the checkpoint are skipped), and a torn final line —
@@ -15,21 +15,15 @@ count and pipeline config, because source→shard routing depends on the
 shard count: resuming with a different count would replay snippets into
 the wrong shards.
 
-Replication additions (see :mod:`repro.replication`):
-
-* every record carries a **cumulative sequence number** that survives
-  checkpoints, so a follower can say "give me everything from seq N";
-* every record carries a **CRC32 frame** over its canonical payload, so
-  a record corrupted on disk *or in transit* is detected (counted under
-  the existing ``wal.torn_records`` accounting) — unframed seed-era
-  records stay readable;
-* a checkpoint records the sequence **position** it covers (numbering
-  resumes there even when no segment survives) and **rotates** the
-  active WAL into a sealed, immutable segment instead of truncating
-  it.  Sealed segments are what the leader
-  ships; a bounded number are retained (they are fully covered by the
-  checkpoint, so pruning never endangers recovery — only a very-behind
-  follower, which then re-bootstraps from the snapshot).
+Replication additions (see :mod:`repro.replication`): every record
+carries a **cumulative sequence number**, so a follower can say "give
+me everything from seq N", and a **CRC32 frame** over its canonical
+payload, so a record corrupted on disk *or in transit* is detected
+(counted under ``wal.torn_records``; unframed seed-era records stay
+readable).  A checkpoint records the **position** it covers (numbering
+resumes there even when no segment survives) and seals the active WAL
+into the segments the leader ships; they are covered by the checkpoint,
+so pruning them only sends a very-behind follower back to a snapshot.
 """
 
 from __future__ import annotations
@@ -37,10 +31,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import threading
 import zlib
-from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import StoryPivotConfig
 from repro.core.persistence import (
@@ -54,12 +47,10 @@ from repro.core.pipeline import StoryPivot
 from repro.errors import DataFormatError
 from repro.obs.trace import add_event, current_span
 from repro.eventdata.models import Snippet
+from repro.recordlog import LENIENT, STRICT, TAIL, RecordLog, atomic_write
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
-
-#: sealed-segment name: ``<active>.<first>-<last>.seg`` (seqs inclusive)
-_SEGMENT_RE = re.compile(r"\.(\d{8})-(\d{8})\.seg$")
 
 logger = logging.getLogger("repro.runtime.wal")
 
@@ -96,34 +87,21 @@ def verify_record(record: Dict[str, object]) -> bool:
     return crc == record_crc(record)
 
 
-def atomic_write(path: str, write: Callable[[IO[str]], object]) -> int:
-    """Replace ``path`` with what ``write(handle)`` writes; returns bytes.
-
-    The bytes go to ``path.tmp``, are flushed and fsynced, and only then
-    renamed over ``path``: a crash, or ``write`` raising, mid-write leaves
-    the previous file intact — never an empty or half-written one.
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        write(handle)
-        handle.flush()
-        os.fsync(handle.fileno())
-    size = os.path.getsize(tmp)
-    os.replace(tmp, path)
-    return size
+def _check_entry(record: Dict[str, object]) -> None:
+    if record.get("kind") != "wal-entry":
+        raise DataFormatError("not a wal entry")
+    if not verify_record(record):
+        raise DataFormatError("CRC32 frame mismatch")
 
 
 class ShardWal:
-    """Append-only snippet log for one shard.
+    """Append-only snippet log for one shard: a codec on a RecordLog.
 
-    Sequence numbers are **cumulative**: they keep increasing across
-    checkpoint rotations (and across reopen — the counter is recovered
-    by scanning sealed segments and the active file, never below
-    ``start``: the position the shard's checkpoint covers, which is all
-    that is left once every segment was pruned), so a replication
-    cursor is meaningful for the lifetime of the shard, not just one
-    active file.  ``keep_segments`` bounds how many sealed segments
-    :meth:`rotate` retains for followers to tail.
+    The :class:`~repro.recordlog.RecordLog` owns the file, its segments
+    and the cumulative sequence numbers, which never start below
+    ``start`` (the position the shard's checkpoint covers); this class
+    adds the ``wal-entry`` record and its CRC32 frame.
+    ``keep_segments`` bounds the sealed segments :meth:`rotate` keeps.
     """
 
     def __init__(
@@ -131,13 +109,11 @@ class ShardWal:
         start: int = 0,
     ) -> None:
         self.path = path
-        self.fsync = fsync
         self.keep_segments = keep_segments
-        self._start = start
-        self._handle = None
-        self._next_seq = 0
-        self._active_base_seq = 0
-        self._bootstrapped = False
+        self.log = RecordLog(
+            path, floor=start, fsync=fsync, frame=frame_record,
+            check=_check_entry,
+        )
         #: serializes rotation against readers.  The worker thread
         #: rotates (rename active → segment, prune old segments) while
         #: the replication ship thread iterates records; without mutual
@@ -149,52 +125,11 @@ class ShardWal:
         #: torn/corrupt records skipped by the last :meth:`replay`
         self.torn_records = 0
 
-    # -- sequence bootstrap ------------------------------------------------
-
-    def _bootstrap(self) -> None:
-        """Recover the cumulative sequence counter from disk (once)."""
-        with self._rotate_lock:
-            if not self._bootstrapped:
-                # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-                self._scan()
-
-    def _scan(self, count_bad: bool = False) -> List[Dict[str, object]]:
-        """The active file's decodable records; recovers the counter.
-
-        The active file continues after the last sealed segment (and
-        never below ``start``); within it the highest *decodable*
-        record's ``seq`` wins.  Torn lines are skipped, not stopped at:
-        the file is at rest while scanned (first append, reopen or
-        replay), so a mid-file torn write must not hide the valid
-        records after it — reusing their sequence numbers would make two
-        different records share a seq.  A torn *tail* record's seq is
-        reused by the next append, which is fine: the torn record is
-        invisible to every reader.
-        """
-        with self._rotate_lock:
-            # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            records = list(self._decode_lines(self.path, count_bad=count_bad))
-            base = self._start
-            for _, end, _ in self.segments():
-                base = max(base, end + 1)
-            seqs = [r["seq"] for r in records if isinstance(r.get("seq"), int)]
-            # unsequenced (seed-era) records count from the base
-            after = max(seqs) + 1 if seqs else len(records)
-            self._active_base_seq = base
-            self._next_seq = max(base, after)
-            self._bootstrapped = True
-            return records
-
     @property
     def position(self) -> int:
         """The next sequence number (= records ever appended, fresh WAL)."""
-        self._bootstrap()
-        return self._next_seq
-
-    def _ensure_open(self) -> None:
-        self._bootstrap()
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
+        with self._rotate_lock:
+            return self.log.position
 
     def append(self, snippet: Snippet, seq: Optional[int] = None) -> int:
         """Log one accepted snippet; returns bytes written.
@@ -202,86 +137,44 @@ class ShardWal:
         ``seq`` numbers it past a gap (a follower mirroring the leader's
         numbering); numbering never goes back.
         """
+        record = snippet_record(snippet)
+        record["kind"] = "wal-entry"
+        record["seq"] = seq  # stamped by the log
+        # ingest provenance: the sampled trace this snippet was accepted
+        # under rides along, so a shipped record can be stitched back to
+        # the leader-side ingest trace from any follower (the field is
+        # covered by the CRC frame and ignored by replay)
+        span = current_span()
+        if span is not None and span.sampled:
+            record["trace"] = span.trace_id
         with self._rotate_lock:
+            size = self.log.size
             # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            self._ensure_open()
-            if seq is not None:
-                self._next_seq = max(self._next_seq, seq)
-            record = snippet_record(snippet)
-            record["kind"] = "wal-entry"
-            record["seq"] = self._next_seq
-            # ingest provenance: the sampled trace this snippet was
-            # accepted under rides along, so a shipped record can be
-            # stitched back to the leader-side ingest trace from any
-            # follower (the field is covered by the CRC frame and
-            # ignored by replay)
-            span = current_span()
-            if span is not None and span.sampled:
-                record["trace"] = span.trace_id
-            frame_record(record)
-            self._next_seq += 1
-            line = json.dumps(record) + "\n"
-            self._handle.write(line)
-            self._handle.flush()
-            if self.fsync:
-                # sp-lint: disable=SP201 -- the durability barrier is part of the append critical section: a rotate must not rename bytes that are not yet on disk
-                os.fsync(self._handle.fileno())
-            return len(line.encode("utf-8"))
+            self.log.append(record, seq)
+            return self.log.size - size
 
-    def _decode_lines(
-        self, path: str, stop_on_error: bool = False, count_bad: bool = False
-    ) -> Iterator[Dict[str, object]]:
-        """Decoded, CRC-verified records of one file, in order.
+    def _torn(self, path: str, line_no: int, exc: Exception) -> None:
+        # sp-lint: disable=SP202 -- called by replay's read, under the rotate lock
+        self.torn_records += 1
+        add_event("wal.torn_record", path=path, line=line_no, error=str(exc))
+        logger.warning(
+            "%s:%d: skipping torn/corrupt WAL record (%s)", path, line_no, exc
+        )
 
-        Bad lines (torn writes, CRC mismatches, non-entries) are skipped
-        — or, with ``stop_on_error``, end the iteration: that is the live
-        tailing mode, where an undecodable final line usually means an
-        append is racing us and the bytes simply are not all there yet.
-        ``count_bad`` accumulates skips into :attr:`torn_records`.
-        """
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if record.get("kind") != "wal-entry":
-                        raise DataFormatError("not a wal entry")
-                    if not verify_record(record):
-                        raise DataFormatError("CRC32 frame mismatch")
-                except (ValueError, KeyError, TypeError, AttributeError,
-                        DataFormatError) as exc:
-                    if stop_on_error:
-                        return
-                    if count_bad:
-                        # sp-lint: disable=SP202 -- count_bad callers (replay, reset's bootstrap) hold the rotate lock
-                        self.torn_records += 1
-                        add_event(
-                            "wal.torn_record", path=path, line=line_no,
-                            error=str(exc),
-                        )
-                        logger.warning(
-                            "%s:%d: skipping torn/corrupt WAL record (%s)",
-                            path, line_no, exc,
-                        )
-                    continue
-                yield record
-
-    def replay(self) -> List[Snippet]:
+    def replay(self, strict: bool = False) -> List[Snippet]:
         """Active-file snippets in append order; torn records are skipped.
 
         A record can be torn by a kill mid-append (the classic truncated
-        final line), by a torn write mid-file (crash between ``write``
-        and ``fsync``, or injected chaos) that merges two records into
-        one garbage line, or corrupted in place (caught by the CRC32
-        frame).  Either way the damage is *local*: the bad line is
-        skipped with a warning and counted in :attr:`torn_records`, and
-        every decodable record before and after it is recovered.
+        final line, which the next append leaves on a line of its own),
+        by a torn write mid-file (injected chaos) that merges two
+        records into one garbage line, or corrupted in place (caught by
+        the CRC32 frame).  Either way the damage is *local*: the bad line
+        is skipped with a warning and counted in :attr:`torn_records`,
+        and every decodable record before and after it is recovered.
         Raising here would poison restart forever — a corrupt byte must
-        cost one record, not the shard.
+        cost one record, not the shard.  ``strict`` raises
+        :class:`DataFormatError` instead, for a node that can fetch its
+        state again.
 
         Sealed segments are *not* replayed: they are rotated out only
         after a checkpoint durably captured their records, so the active
@@ -290,90 +183,46 @@ class ShardWal:
         with self._rotate_lock:
             self.torn_records = 0
             # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            return [snippet_from_record(r) for r in self._scan(True)]
+            records = self.log.read(
+                STRICT if strict else LENIENT, on_bad=self._torn
+            )
+            return [snippet_from_record(r) for r in records]
 
     # -- segments (replication shipping units) -----------------------------
 
     def segments(self) -> List[Tuple[int, int, str]]:
         """Sealed segments as ``(first_seq, last_seq, path)``, in order."""
-        directory = os.path.dirname(self.path) or "."
-        prefix = os.path.basename(self.path) + "."
-        found: List[Tuple[int, int, str]] = []
-        try:
-            names = os.listdir(directory)
-        except OSError:
-            return []
-        for name in names:
-            if not name.startswith(prefix):
-                continue
-            match = _SEGMENT_RE.search(name)
-            if match is None:
-                continue
-            found.append((
-                int(match.group(1)), int(match.group(2)),
-                os.path.join(directory, name),
-            ))
-        found.sort()
-        return found
+        return self.log.segments()
 
     def rotate(self) -> Optional[str]:
-        """Seal the active file into an immutable segment.
+        """Seal the active file into a segment (:meth:`RecordLog.seal`).
 
         Called right after a checkpoint captured every record in the
-        active file.  The file is renamed to
-        ``<active>.<first>-<last>.seg`` (sequence range inclusive) and a
-        fresh empty active file takes its place; sequence numbering
-        continues.  At most :attr:`keep_segments` sealed segments are
-        retained — older ones are fully covered by the checkpoint, so
-        pruning only affects how far back a follower can tail before it
-        must re-bootstrap from a snapshot.  Returns the segment path,
-        or None when the active file has no records.
+        active file, so the :attr:`keep_segments` retained only bound
+        how far back a follower can tail.  Returns the segment path, or
+        None when the active file has no records.
         """
         with self._rotate_lock:
-            # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            self._bootstrap()
-            if self._next_seq == self._active_base_seq:
-                return None  # nothing appended since the last rotation
-            self.close()
-            first, last = self._active_base_seq, self._next_seq - 1
-            segment = f"{self.path}.{first:08d}-{last:08d}.seg"
-            os.replace(self.path, segment)
-            self._start = self._active_base_seq = self._next_seq
             # sp-lint: disable=SP201 -- the rename/reopen must be atomic vs readers; this lock is what makes it so
-            with open(self.path, "w", encoding="utf-8"):
-                pass
-            if self.keep_segments >= 0:
-                retained = self.segments()
-                for _, _, stale in retained[:max(
-                    0, len(retained) - self.keep_segments
-                )]:
-                    try:
-                        os.unlink(stale)
-                    except OSError:
-                        pass
-            return segment
+            return self.log.seal(self.keep_segments)
 
     def earliest_available_seq(self) -> int:
         """The oldest sequence still on disk (segments included)."""
         with self._rotate_lock:
-            # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            self._bootstrap()
-            retained = self.segments()
-            if retained:
-                return retained[0][0]
-            return self._active_base_seq
+            retained = self.log.segments()
+            return retained[0][0] if retained else self.log.base
 
     def iter_records(
         self, from_seq: int = 0, max_records: Optional[int] = None
     ) -> Iterator[Dict[str, object]]:
         """Framed records with ``seq >= from_seq``, oldest first.
 
-        Reads sealed segments first, then the active file.  The active
-        file may be receiving concurrent appends; iteration stops at the
-        first undecodable active line (an append racing the read) rather
-        than mis-counting it as corruption.  Callers below
-        :meth:`earliest_available_seq` should bootstrap from a snapshot
-        instead — pruned records are gone.
+        Reads sealed segments first, then the active file in tail mode:
+        the active file may be receiving concurrent appends, so iteration
+        stops at an unterminated last line (an append racing the read)
+        and skips a bad line that ends in a newline, as replay does.
+        Callers below :meth:`earliest_available_seq` should bootstrap
+        from a snapshot instead — pruned records are gone.
 
         The whole iteration holds the rotation lock: a checkpoint that
         rotated (or pruned) files between the segment listing and the
@@ -382,16 +231,15 @@ class ShardWal:
         leader" and skips it, silently losing the records.
         """
         with self._rotate_lock:
-            # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            self._bootstrap()
-            if self._handle is not None:
-                self._handle.flush()
+            files = [
+                (path, LENIENT) for _, end, path in self.log.segments()
+                if end >= from_seq
+            ]
+            files.append((self.path, TAIL))
             yielded = 0
-            for _, end, path in self.segments():
-                if end < from_seq:
-                    continue
+            for path, mode in files:
                 # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-                for record in self._decode_lines(path):
+                for record in self.log.read(mode, path):
                     seq = record.get("seq")
                     if isinstance(seq, int) and seq < from_seq:
                         continue
@@ -399,15 +247,6 @@ class ShardWal:
                     yielded += 1
                     if max_records is not None and yielded >= max_records:
                         return
-            # sp-lint: disable=SP201 -- WAL file I/O is serialized by this lock; that is its purpose
-            for record in self._decode_lines(self.path, stop_on_error=True):
-                seq = record.get("seq")
-                if isinstance(seq, int) and seq < from_seq:
-                    continue
-                yield record
-                yielded += 1
-                if max_records is not None and yielded >= max_records:
-                    return
 
     def reset(self, position: int = 0) -> None:
         """Discard the log entirely and number on from ``position``.
@@ -417,35 +256,21 @@ class ShardWal:
         cycle uses :meth:`rotate`, which keeps sealed segments.
         """
         with self._rotate_lock:
-            self.close()
             # sp-lint: disable=SP201 -- truncation must be atomic vs readers; this lock is what makes it so
-            with open(self.path, "w", encoding="utf-8"):
-                pass
-            for _, _, path in self.segments():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            self._start = self._next_seq = self._active_base_seq = position
-            self._bootstrapped = True
+            self.log.rewrite(floor=position)
 
     @property
     def unsealed(self) -> int:
         """Sequences appended (or skipped) since the last rotation."""
-        return self.position - self._active_base_seq
+        with self._rotate_lock:
+            return self.log.position - self.log.base
 
     def size_bytes(self) -> int:
-        if self._handle is not None:
-            self._handle.flush()
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
+        return self.log.size
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._rotate_lock:
+            self.log.close()
 
 
 class CheckpointStore:
@@ -562,13 +387,11 @@ class CheckpointStore:
             pivot = StoryPivot(config)
         replayed = 0
         wal = self.wal(shard_id)
-        for snippet in wal.replay():
+        for snippet in wal.replay(strict):
             if pivot.has_snippet(snippet.snippet_id):
                 continue
             pivot.add_snippet(snippet)
             replayed += 1
         if wal.torn_records and metrics is not None:
             metrics.counter("wal.torn_records").inc(wal.torn_records)
-        if wal.torn_records and strict:
-            raise DataFormatError(f"shard {shard_id}: torn WAL records")
         return pivot, replayed

@@ -274,6 +274,13 @@ class Request(BaseHTTPRequestHandler):
         self.send_error_json(ApiError(405, "only GET is supported", close=True))
         return False
 
+    def send_error(self, code, message=None, explain=None) -> None:
+        # stdlib refuses HTTP/2 and above before it adopts the request's
+        # version, so it would answer as to HTTP/0.9: the page, no head
+        if code == HTTPStatus.HTTP_VERSION_NOT_SUPPORTED:
+            self.request_version = self.protocol_version
+        super().send_error(code, message, explain)
+
     def _read_head(self) -> bool:
         """An HTTP/1.x request line and its header fields.
 
@@ -284,7 +291,8 @@ class Request(BaseHTTPRequestHandler):
         So is a bare CR anywhere but the line's end (RFC 9112 §2.2): a
         value is echoed back, and a CR in it would split a response line.
         Any other request line (HTTP/0.9, another version, too few or
-        too many words) gets stdlib's own parse and answers.
+        too many words) gets stdlib's own parse and answers, HTTP/2 and
+        above a ``505`` with a status line.
         """
         requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
         words = requestline.split()

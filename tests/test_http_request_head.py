@@ -238,12 +238,14 @@ def test_http09_gets_stdlibs_bare_body(api):
     assert raw == single.body  # no status line, no headers, then close
 
 
-def test_http2_gets_stdlibs_bare_error_page(api):
-    # stdlib refuses the version before adopting it, so it answers as
-    # to HTTP/0.9: the HTML page alone
-    raw = read_to_close(api, request(version="HTTP/2.0"))
-    assert raw.startswith(b"<!DOCTYPE HTML>")
-    assert b"Error code: 505" in raw
+@pytest.mark.parametrize("version", ["HTTP/2.0", "HTTP/3.0", "HTTP/10.1"])
+def test_http2_and_above_get_a_505_status_line_and_close(api, version):
+    raw = read_to_close(api, request(version=version))
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.split(b"\r\n")
+    assert lines[0] == f"HTTP/1.1 505 Invalid HTTP version ({version[5:]})".encode()
+    assert b"Connection: close" in lines
+    assert b"Error code: 505" in body
 
 
 # -- If-None-Match (RFC 9110 §13.1.2) ---------------------------------------

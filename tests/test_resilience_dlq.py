@@ -63,23 +63,26 @@ class TestDeadLetterQueue:
         resumed.close()
 
         reopened = DeadLetterQueue(path)
-        # the first post-restart record shares a line with the torn
-        # prefix and is lost, as in the WAL; the four after it load
+        # the resumed queue first ends the torn prefix's line, so only
+        # the torn record is lost and every post-restart record loads
         assert [l.snippet.snippet_id for l in reopened.records()] == [
-            "s0", "s1", "s4", "s5", "s6", "s7",
+            "s0", "s1", "s3", "s4", "s5", "s6", "s7",
         ]
         reopened.close()
 
-    def test_take_all_drains_memory_and_file(self, tmp_path):
+    def test_take_all_drains_memory_and_rewrite_the_file(self, tmp_path):
         path = str(tmp_path / "drain.dlq.jsonl")
         dlq = DeadLetterQueue(path)
         dlq.append(make_snippet("a:1", "a"), error="x", attempts=1)
-        drained = dlq.take_all()
-        assert len(drained) == 1
-        assert len(dlq) == 0
-        assert os.path.getsize(path) == 0
+        dlq.append(make_snippet("a:2", "a"), error="rejected: x", attempts=1)
+        drained = dlq.take_all(keep=lambda l: l.error.startswith("rejected"))
+        assert [l.snippet.snippet_id for l in drained] == ["a:1"]
+        assert [l.snippet.snippet_id for l in dlq.records()] == ["a:2"]
+        assert len(DeadLetterQueue(path)) == 2  # the file waits for rewrite
+        dlq.rewrite()
         dlq.close()
-        assert len(DeadLetterQueue(path)) == 0
+        reopened = DeadLetterQueue(path)
+        assert [l.snippet.snippet_id for l in reopened.records()] == ["a:2"]
 
 
 class TestQuarantinePolicy:
