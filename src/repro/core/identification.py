@@ -24,6 +24,8 @@ snippets when documents are withdrawn in the demo.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -34,7 +36,6 @@ from repro.errors import DuplicateSnippetError, UnknownSnippetError
 from repro.eventdata.models import Snippet
 from repro.sketch.lsh import LshIndex
 from repro.sketch.minhash import MinHash
-from repro.storage.event_store import match_terms
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.temporal_index import TemporalIndex
 
@@ -92,16 +93,10 @@ class BaseIdentifier:
             decay_half_life=self.config.decay_half_life,
         )
         self._snippets: Dict[str, Snippet] = {}
-        self._temporal = TemporalIndex()
-        self._entity_index = InvertedIndex()
-        self._term_index = InvertedIndex()
-        self._lsh = (
-            LshIndex(self.config.minhash_permutations, self.config.lsh_bands)
-            if self.config.use_sketches
-            else None
-        )
+        self._lsh: Optional[LshIndex] = None
         self._indexed = True  # False: copied stories wait to be indexed
         self.stats = IdentificationStats()
+        self._new_indexes()
 
     # -- public API ---------------------------------------------------------
 
@@ -136,7 +131,7 @@ class BaseIdentifier:
 
         Bypasses candidate scoring entirely — the snippets are assigned to
         one story exactly as a checkpoint recorded them — while still
-        maintaining every internal index (temporal, inverted, LSH), so the
+        maintaining the mode's candidate indexes, so the
         restored identifier accepts incremental adds and removals
         immediately.  Identification *work* counters are not replayed;
         only :attr:`IdentificationStats.snippets` is advanced.
@@ -186,11 +181,7 @@ class BaseIdentifier:
         self._build_indexes()
         snippet = self.stories.unassign(snippet_id)
         del self._snippets[snippet_id]
-        self._temporal.remove(snippet_id)
-        self._entity_index.remove(snippet_id)
-        self._term_index.remove(snippet_id)
-        if self._lsh is not None and snippet_id in self._lsh:
-            self._lsh.remove(snippet_id)
+        self._unindex(snippet)
         self.stats.removals += 1
         return snippet
 
@@ -300,34 +291,34 @@ class BaseIdentifier:
                 moved=len(tail),
             )
 
-    # -- indexing ---------------------------------------------------------------
+    # -- indexing: each mode builds the indexes its lookup reads, no more -----
+
+    def _new_indexes(self) -> None:
+        """Build this mode's empty candidate indexes (single-pass: none)."""
 
     def _index(self, snippet: Snippet) -> None:
-        self._temporal.insert(snippet.snippet_id, snippet.timestamp)
-        self._entity_index.insert(snippet.snippet_id, snippet.entities)
-        self._term_index.insert(snippet.snippet_id, match_terms(snippet))
-        if self._lsh is not None:
-            self._lsh.insert(
-                snippet.snippet_id, self._snippet_signature(snippet)
-            )
+        """Enter ``snippet`` into this mode's candidate indexes."""
+
+    def _unindex(self, snippet: Snippet) -> None:
+        """Exactly undo :meth:`_index`."""
+
+    def _use_lsh(self) -> bool:
+        """Build the LSH if the config asks for sketches; True if it did."""
+        if self.config.use_sketches:
+            self._lsh = LshIndex(self.config.minhash_permutations, self.config.lsh_bands)
+        return self.config.use_sketches
+
+    def _index_signature(self, snippet: Snippet) -> None:
+        assert self._lsh is not None
+        self._lsh.insert(snippet.snippet_id, self._snippet_signature(snippet))
 
     def _snippet_signature(self, snippet: Snippet):
         assert self._minhash is not None
         return self._minhash.signature(snippet_shingles(snippet))
 
-    # -- feature candidates shared by modes ----------------------------------
-
-    def _feature_candidate_snippets(self, snippet: Snippet) -> Set[str]:
-        ids = self._entity_index.candidates(snippet.entities)
-        ids |= self._term_index.candidates(match_terms(snippet))
-        ids.discard(snippet.snippet_id)
-        return ids
-
-    def _stories_of_snippets(self, snippet_ids: Set[str]) -> Set[str]:
-        story_ids: Set[str] = set()
-        for snippet_id in snippet_ids:
-            story_ids.add(self.stories.story_of(snippet_id).story_id)
-        return story_ids
+    def _stories_of_snippets(self, snippet_ids: Iterable[str]) -> Set[str]:
+        homes = self.stories.snippet_homes
+        return {homes[snippet_id] for snippet_id in snippet_ids}
 
     def _sketch_candidates(self, snippet: Snippet) -> Set[str]:
         """Candidate *snippet* ids colliding with the query in the LSH.
@@ -348,41 +339,99 @@ class BaseIdentifier:
 
 
 class TemporalIdentifier(BaseIdentifier):
-    """Sliding-window identification (Figure 2b) — the paper's method."""
+    """Sliding-window identification (Figure 2b) — the paper's method.
+
+    Without sketches each feature of :func:`snippet_shingles` keeps its
+    snippets' ``(timestamp, id)`` entries in time order: a lookup bisects
+    the arriving snippet's postings to its ω-window and reads nothing
+    else.  With sketches, a :class:`TemporalIndex` window meets the LSH.
+    """
 
     mode = "temporal"
 
-    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
-        window_ids = set(
-            self._temporal.around(snippet.timestamp, self.config.window)
-        )
-        window_ids.discard(snippet.snippet_id)
-        if self._lsh is not None:
-            candidate_ids = self._sketch_candidates(snippet) & window_ids
+    def _new_indexes(self) -> None:
+        if self._use_lsh():
+            self._temporal = TemporalIndex()
         else:
-            candidate_ids = self._feature_candidate_snippets(snippet) & window_ids
-        return self._stories_of_snippets(candidate_ids)
+            #: feature -> time-ordered entries; one entry tuple per snippet
+            self._postings: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
+
+    def _index(self, snippet: Snippet) -> None:
+        if self._lsh is not None:
+            self._temporal.insert(snippet.snippet_id, snippet.timestamp)
+            return self._index_signature(snippet)
+        entry = (snippet.timestamp, snippet.snippet_id)
+        for feature in snippet_shingles(snippet):
+            insort(self._postings.setdefault(feature, []), entry)
+
+    def _unindex(self, snippet: Snippet) -> None:
+        if self._lsh is not None:
+            self._temporal.remove(snippet.snippet_id)
+            return self._lsh.remove(snippet.snippet_id)
+        entry = (snippet.timestamp, snippet.snippet_id)
+        for feature in snippet_shingles(snippet):
+            posting = self._postings[feature]
+            del posting[bisect_left(posting, entry)]
+            if not posting:
+                del self._postings[feature]
+
+    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
+        start = snippet.timestamp - self.config.window
+        end = snippet.timestamp + self.config.window
+        if self._lsh is not None:
+            ids = self._sketch_candidates(snippet)
+            ids.intersection_update(self._temporal.window(start, end))
+            ids.discard(snippet.snippet_id)
+            return self._stories_of_snippets(ids)
+        # TemporalIndex.window's inclusive bounds: one-element tuples sort
+        # before every entry of their timestamp, whatever its id
+        lo, hi = (start,), (math.nextafter(end, math.inf),)
+        entries: Set[Tuple[float, str]] = set()
+        for feature in snippet_shingles(snippet):
+            posting = self._postings.get(feature)
+            if posting:
+                entries.update(posting[bisect_left(posting, lo):bisect_left(posting, hi)])
+        own = snippet.snippet_id
+        return self._stories_of_snippets(sid for _, sid in entries if sid != own)
 
     def _score(self, snippet: Snippet, story: Story) -> float:
         return self.matcher.story_score(snippet, story, decayed=True)
 
 
 class CompleteIdentifier(BaseIdentifier):
-    """Complete matching (Figure 2a): compare against all history."""
+    """Complete matching (Figure 2a): compare against all history.
+    Keeps an inverted index over :func:`snippet_shingles`, or the LSH."""
 
     mode = "complete"
+
+    def _new_indexes(self) -> None:
+        if not self._use_lsh():
+            self._inverted = InvertedIndex()
+
+    def _index(self, snippet: Snippet) -> None:
+        if self._lsh is not None:
+            return self._index_signature(snippet)
+        self._inverted.insert(snippet.snippet_id, snippet_shingles(snippet))
+
+    def _unindex(self, snippet: Snippet) -> None:
+        if self._lsh is not None:
+            return self._lsh.remove(snippet.snippet_id)
+        self._inverted.remove(snippet.snippet_id)
 
     def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
         if self._lsh is not None:
             return self._stories_of_snippets(self._sketch_candidates(snippet))
-        return self._stories_of_snippets(self._feature_candidate_snippets(snippet))
+        ids = self._inverted.candidates(snippet_shingles(snippet))
+        ids.discard(snippet.snippet_id)
+        return self._stories_of_snippets(ids)
 
     def _score(self, snippet: Snippet, story: Story) -> float:
         return self.matcher.story_score(snippet, story, decayed=False)
 
 
 class SinglePassIdentifier(BaseIdentifier):
-    """On-line new-event-detection baseline: nearest story, no repair."""
+    """On-line new-event-detection baseline: nearest story, no repair.
+    Every story is a candidate, so it keeps no index."""
 
     mode = "single_pass"
 

@@ -138,7 +138,7 @@ def dumps_state(pivot: StoryPivot, canonical_ids: bool = False) -> str:
 def load_state(stream_or_text) -> StoryPivot:
     """Rebuild a StoryPivot from a checkpoint written by :func:`dump_state`.
 
-    Story ids are preserved; identifier indexes (temporal, inverted, LSH)
+    Story ids are preserved; each identifier's candidate indexes
     are reconstructed from the stored snippets, so the restored pivot
     accepts new snippets and removals immediately.  A header that
     counts its snippets must match the body, or the file was cut short.

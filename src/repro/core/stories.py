@@ -66,12 +66,13 @@ class Story:
                 f"snippet {snippet.snippet_id!r} from source "
                 f"{snippet.source_id!r} cannot join story of {self.source_id!r}"
             )
+        hashes = self.sketch.minhash is not None  # only a MinHash reads shingles
         self.sketch.add(
             snippet.snippet_id,
             snippet.timestamp,
             snippet.entities,
             match_terms(snippet),
-            shingles=snippet_shingles(snippet),
+            shingles=snippet_shingles(snippet) if hashes else None,
         )
         self._snippets[snippet.snippet_id] = snippet
         self._ordered = None

@@ -35,7 +35,7 @@ class StorySketch:
     ) -> None:
         if decay_half_life <= 0:
             raise ValueError("decay_half_life must be positive")
-        self._minhash = minhash
+        self.minhash = minhash
         self.decay_half_life = decay_half_life
         self.entity_counts: Counter = Counter()
         self.term_counts: Counter = Counter()
@@ -87,14 +87,14 @@ class StorySketch:
         self.term_counts.update(term_tuple)
         self.entity_mass += len(entity_tuple)
         self.term_mass += len(term_tuple)
-        if self._minhash is not None:
+        if self.minhash is not None:
             elements = shingles if shingles is not None else set(term_tuple)
-            signature = self._minhash.signature(elements)
+            signature = self.minhash.signature(elements)
             self._signatures[snippet_id] = signature
             if self._merged_signature is None:
                 self._merged_signature = signature
             else:
-                self._merged_signature = self._minhash.merge(
+                self._merged_signature = self.minhash.merge(
                     self._merged_signature, signature
                 )
 
@@ -103,7 +103,7 @@ class StorySketch:
         ``(timestamp, id)`` order, hashing nothing: every member-order
         sum reads the same floats, and the merged signature (a
         coordinate-wise minimum) is this one's."""
-        clone = StorySketch(self._minhash, self.decay_half_life)
+        clone = StorySketch(self.minhash, self.decay_half_life)
         order = sorted(sorted(self._timestamps), key=self._timestamps.get)
         clone._timestamps, clone._entities, clone._terms, clone._signatures = (
             {sid: held[sid] for sid in order} if held else {} for held in
@@ -132,14 +132,14 @@ class StorySketch:
             for key in set(removed):
                 if counter[key] <= 0:
                     del counter[key]
-        if self._minhash is not None:
+        if self.minhash is not None:
             self._signatures.pop(snippet_id, None)
             self._merged_signature = None
             for signature in self._signatures.values():
                 if self._merged_signature is None:
                     self._merged_signature = signature
                 else:
-                    self._merged_signature = self._minhash.merge(
+                    self._merged_signature = self.minhash.merge(
                         self._merged_signature, signature
                     )
 

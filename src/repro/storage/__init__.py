@@ -5,9 +5,9 @@ window ``[t - ω, t + ω]`` (Figure 2b) and (2) candidate snippets sharing an
 entity or term (to avoid scoring everything in the window).  Snippets are
 partitioned by source (the ``V_i`` of Section 2.1) by
 :class:`repro.core.pipeline.StoryPivot`, which keeps one identifier per
-source; each identifier owns a :class:`TemporalIndex` and one
-:class:`InvertedIndex` each for entities and for the terms of
-:func:`repro.storage.event_store.match_terms`, with full support for
+source.  Each identifier owns only the index its mode reads (see
+:mod:`repro.core.identification`): :class:`InvertedIndex` serves complete
+identification and :class:`TemporalIndex` temporal with sketches, with
 dynamic insertion and removal (documents can be added/removed in the demo).
 """
 

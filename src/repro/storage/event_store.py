@@ -1,8 +1,8 @@
 """The match features a snippet is indexed and compared on.
 
 Entities are a snippet's own field; the term features are computed here.
-Every per-source index is keyed on them: each source's identifier keeps
-its own snippet map, temporal index and entity/term inverted indexes
+Every per-source candidate index is keyed on them: each source's
+identifier keeps its own snippet map and the index its mode reads
 (:class:`repro.core.identification.BaseIdentifier`), so this module holds
 the feature function those indexes and the matchers share.
 """

@@ -15,6 +15,8 @@ from repro.eventdata.corpus import Corpus
 from repro.eventdata.handcrafted import demo_config, mh17_corpus
 from repro.eventdata.models import Snippet, Source, parse_timestamp
 from repro.eventdata.sourcegen import synthetic_corpus
+from repro.sketch.lsh import LshIndex
+from repro.storage import InvertedIndex, TemporalIndex
 
 
 @pytest.fixture
@@ -88,6 +90,38 @@ def make_snippet(
         keywords=tuple(keywords),
         **kwargs,
     )
+
+
+#: the candidate indexes each (mode, sketches) reads, and so holds
+MODE_INDEXES = {
+    ("temporal", False): {"_postings"},
+    ("temporal", True): {"_temporal", "_lsh"},
+    ("complete", False): {"_inverted"},
+    ("complete", True): {"_lsh"},
+    ("single_pass", False): set(),
+    ("single_pass", True): set(),
+}
+
+
+def held_indexes(identifier):
+    """Every candidate index ``identifier`` holds, in held order: found by
+    type on the identifier, so an index its mode does not read (empty or
+    not) fails here rather than passing unexamined."""
+    held = {}
+    for name, index in vars(identifier).items():
+        if isinstance(index, TemporalIndex):
+            held[name] = (list(index._positions.items()), list(index.items()))
+        elif isinstance(index, InvertedIndex):
+            held[name] = (list(index._features_of.items()),
+                          list(index._postings.items()))
+        elif isinstance(index, LshIndex):
+            held[name] = (index._buckets, list(index._signatures.items()))
+        elif name == "_postings":
+            held[name] = [(feature, list(posting))
+                          for feature, posting in index.items()]
+    mode = (identifier.mode, identifier.config.use_sketches)
+    assert set(held) == MODE_INDEXES[mode]
+    return held
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.core.config import StoryPivotConfig
 from repro.core.pipeline import StoryPivot
 from repro.eventdata.sourcegen import synthetic_corpus
 from repro.runtime import ShardedRuntime
+from tests.conftest import held_indexes
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def restored(story_sets, config):
 
 def fields(pivot, indexed=False):
     """Everything of a pivot's stories, in the orders they are held, and
-    with ``indexed`` every identifier's temporal, inverted and LSH index."""
+    with ``indexed`` every candidate index each identifier holds."""
     out = {"snippets": pivot.num_snippets, "sources": list(pivot.story_sets())}
     for source_id, identifier in sorted(pivot._identifiers.items()):
         story_set = identifier.stories
@@ -52,15 +53,7 @@ def fields(pivot, indexed=False):
             "stories": [sketched(story) for story in story_set._stories.values()],
         }
         if indexed:
-            lsh = identifier._lsh
-            out[source_id]["indexes"] = (
-                list(identifier._temporal._positions.items()),
-                list(identifier._temporal.items()),
-                list(identifier._entity_index._features_of.items()),
-                list(identifier._term_index._features_of.items()),
-                None if lsh is None else (
-                    lsh._buckets, list(lsh._signatures.items())),
-            )
+            out[source_id]["indexes"] = held_indexes(identifier)
     return out
 
 
