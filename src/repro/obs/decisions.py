@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import current_trace_id
 from repro.recordlog import RecordLog
@@ -69,7 +69,8 @@ class DecisionLog:
     def add_listener(self, listener: Callable[[dict], None]) -> None:
         """Subscribe to every recorded entry (fired outside the lock).
 
-        This is the feed for the push EventBus: listeners run in the
+        The push EventBus takes each call as a wake-up and reads the
+        entries themselves through :meth:`since`.  Listeners run in the
         recording thread *after* the log's lock is released, so they may
         take their own locks without creating a decisions→anything
         ordering edge.
@@ -169,6 +170,22 @@ class DecisionLog:
     def events(self) -> List[dict]:
         with self._lock:
             return list(self._events)
+
+    def since(self, seq: float) -> Tuple[List[dict], int]:
+        """Retained entries numbered after ``seq``, oldest first, and the
+        newest number given (0 before the first).
+
+        The push stream's cursor is ``seq``: it reads its live tail and
+        any gap the ring still holds here, and an older gap from the file.
+        """
+        with self._lock:
+            newer = []
+            for entry in reversed(self._events):
+                if entry["seq"] <= seq:
+                    break
+                newer.append(entry)
+            newer.reverse()
+            return newer, self._log.position - 1
 
     def story_ids(self) -> List[str]:
         with self._lock:

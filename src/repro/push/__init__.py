@@ -2,8 +2,9 @@
 
 An :class:`EventBus` tails the structured DecisionLog and fans
 created/extended/split/merged/aligned/refined events out to subscribers
-over Server-Sent Events (long-poll fallback) with a generation-cursor
-resume protocol backed by a bounded :class:`ReplayRing`.  Each
+over Server-Sent Events (long-poll fallback).  A decision's ``seq`` is
+its cursor, and resume replays from the log itself: its ring, or for
+an older gap its file, so a cursor outlives a restart.  Each
 subscriber owns a bounded queue reusing the runtime backpressure
 policies, so a slow client sheds its own events instead of convoying
 the pipeline.
@@ -15,7 +16,6 @@ from repro.push.bus import (
     PushError,
     Subscription,
 )
-from repro.push.ring import DEFAULT_RING_CAPACITY, ReplayRing
 from repro.push.transport import (
     HEARTBEAT_FRAME,
     SSE_HEADERS,
@@ -27,11 +27,9 @@ from repro.push.transport import (
 
 __all__ = [
     "CONTROL_EVENTS",
-    "DEFAULT_RING_CAPACITY",
     "EventBus",
     "HEARTBEAT_FRAME",
     "PushError",
-    "ReplayRing",
     "SSE_HEADERS",
     "Subscription",
     "event_id",

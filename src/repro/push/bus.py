@@ -3,9 +3,11 @@
 The :class:`~repro.obs.decisions.DecisionLog` already records exactly
 the events a watcher of an evolving story wants — ``created``,
 ``extended``, ``split``, ``merged``, ``aligned``, ``refined`` — so the
-push layer does not invent a second event stream: the bus registers a
-listener on the log and republishes every recorded decision, stamped
-with a monotonic *cursor* and the current ReadView *generation*, to
+push layer does not invent a second event stream: a decision's ``seq``
+is its cursor, and the log is the only replay store.  The bus registers
+a listener on the log and takes each call as a wake-up: it reads every
+decision numbered after the last one it delivered from the log's ring
+and fans them out, stamped with the current ReadView *generation*, to
 every matching subscriber.
 
 Fan-out discipline (the part that keeps one slow client from convoying
@@ -17,19 +19,23 @@ everything else):
   counted), ``sample`` (a representative trickle survives overload), or
   ``block`` with a short mandatory ``put_timeout`` so even the lossless
   policy bounds how long a publish can stall;
-* the publisher holds the bus lock only to stamp the cursor, append to
-  the replay ring, and snapshot the subscriber list — queue puts happen
-  outside it, so subscribers only contend on their own queue;
+* one delivery lock serializes fan-out, so every queue receives
+  decisions in ascending ``seq`` order whichever recording thread
+  wakes the bus; the registry lock is held only to snapshot the
+  subscriber list;
 * delivery failures are *accounting*, never errors: drops show up in
   per-subscriber and aggregate metrics and the client can detect the
-  gap from the cursor sequence and resume through the replay ring.
+  gap from the cursor sequence and resume.
 
-Resume rides :class:`~repro.push.ring.ReplayRing`: a subscriber that
-reconnects with its last cursor replays exactly the missed events, or
-receives a ``reset`` event (gap pruned, or the gap would overflow its
-queue) telling it to re-snapshot via the read API at the carried
-generation.  Control events (``hello``/``generation``/``reset``/
-``goodbye``) bypass filters — they are the protocol, not the data.
+Resume reads the log: a subscriber that reconnects with its last cursor
+replays exactly the missed decisions — from the log's ring, or, for a
+gap the ring no longer holds, from ``decisions.jsonl``, so a cursor
+stays valid across a restart on the same state directory.  A cursor
+ahead of the log, a gap with no file behind it, or a gap wider than the
+subscriber's queue gets a ``reset`` event telling it to re-snapshot via
+the read API at the carried generation.  Control events
+(``hello``/``generation``/``reset``/``goodbye``) bypass filters and
+consume no cursor: each carries the last delivered ``seq``.
 
 Entity filters match against the *aligned story* entity profiles of the
 most recent ReadView (fed by :meth:`EventBus.note_view` from the view
@@ -42,11 +48,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StoryPivotError
 from repro.obs.trace import NULL_TRACER, add_event
-from repro.push.ring import DEFAULT_RING_CAPACITY, ReplayRing
+from repro.recordlog import TAIL, RecordLog
 from repro.runtime.queues import (
     BACKPRESSURE_POLICIES,
     BoundedQueue,
@@ -175,7 +181,6 @@ class EventBus:
 
     def __init__(
         self,
-        replay_capacity: int = DEFAULT_RING_CAPACITY,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         policy: str = "drop",
         sample_every: int = 10,
@@ -198,12 +203,14 @@ class EventBus:
         self.metrics = metrics
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._clock = clock
+        #: one fan-out at a time, so queues fill in seq order; taken
+        #: before ``_lock``, never inside it
+        self._deliver = threading.Lock()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)  # long-poll waiters
-        self._ring = ReplayRing(replay_capacity)
         self._subs: Dict[int, Subscription] = {}
         self._next_sub_id = 0
-        self._cursor = 0
+        self._last = 0  # seq of the last decision fanned out
         self._generation = 0
         self._closed = False
         self._decisions = None
@@ -224,15 +231,19 @@ class EventBus:
             metrics.counter("push.rejected")
             metrics.counter("push.publish_errors")
             metrics.gauge("push.subscribers")
-            metrics.gauge("push.ring.size")
             metrics.histogram("push.fanout_seconds")
 
     # -- DecisionLog tail ---------------------------------------------------
 
     def attach(self, decisions) -> "EventBus":
-        """Tail ``decisions``: every recorded entry is republished."""
+        """Tail ``decisions`` from its newest entry on."""
+        with self._deliver:
+            self._decisions = decisions
+            # an infinite bound returns no entries, only the newest seq
+            _, newest = decisions.since(float("inf"))
+            with self._lock:
+                self._last = newest
         decisions.add_listener(self.on_decision)
-        self._decisions = decisions
         return self
 
     def detach(self) -> None:
@@ -244,7 +255,7 @@ class EventBus:
     def on_decision(self, entry: dict) -> None:
         """DecisionLog listener — must never raise into the ingest path."""
         try:
-            self._publish(dict(entry))
+            self._publish(entry)
         except Exception as exc:
             # fan-out failure is an observability loss, not an ingest
             # failure: account it and keep the recorder alive
@@ -258,8 +269,8 @@ class EventBus:
         """Adopt a freshly installed ReadView.
 
         Rebuilds the entity/alignment indexes the filters match against
-        and publishes a ``generation`` event so every subscriber learns
-        the new snapshot generation (their re-snapshot coordinate).
+        and sends every subscriber a ``generation`` control frame (their
+        re-snapshot coordinate), which consumes no cursor.
         """
         entity_index: Dict[str, frozenset] = {}
         aligned_of: Dict[str, str] = {}
@@ -271,42 +282,66 @@ class EventBus:
             for story_id in aligned.story_ids:
                 aligned_of[story_id] = aligned.aligned_id
                 entity_index[story_id] = entities
-        with self._lock:
-            self._entity_index = entity_index
-            self._aligned_of = aligned_of
-            self._generation = view.generation
-        self._publish({
-            "event": "generation",
-            "generation": view.generation,
-            "stories": len(view.stories),
-        })
+        with self._deliver:
+            with self._lock:
+                self._entity_index = entity_index
+                self._aligned_of = aligned_of
+                self._generation = view.generation
+                if self._closed:
+                    return
+                subs = list(self._subs.values())
+            self._fan_out({
+                "event": "generation",
+                "cursor": self._last,
+                "generation": view.generation,
+                "stories": len(view.stories),
+            }, subs)
 
     # -- publishing ---------------------------------------------------------
 
-    def _publish(self, payload: dict) -> Optional[dict]:
-        """Stamp, ring, and fan out one event; returns the stamped event.
+    def _publish(self, entry: dict) -> None:
+        """Fan out ``entry`` and whatever else is not delivered yet.
 
-        Runs in whichever thread recorded the decision, so the ambient
-        span (the ingest trace that caused the event) becomes the parent
-        of the ``push.publish`` span — publish latency is attributed to
-        the trace that paid it.
+        Whichever recording thread gets the delivery lock first delivers
+        every decision the log holds past the last one delivered, in
+        ``seq`` order; a wake-up for a decision already delivered that
+        way does nothing.
         """
-        kind = payload.get("event", "?")
+        with self._deliver:
+            if entry["seq"] > self._last:
+                self._pump()
+
+    def _pump(self) -> None:
+        """Deliver the log's decisions after ``_last``; holds ``_deliver``."""
+        entries, _ = self._since(self._last)
+        if not entries:
+            return
+        with self._lock:
+            if self._closed:
+                return
+            self._last = entries[-1]["seq"]
+            subs = list(self._subs.values())
+            self._cond.notify_all()
+        for entry in entries:
+            self._fan_out(self._stamp(entry), subs)
+
+    def _stamp(self, entry: dict) -> dict:
+        return dict(entry, cursor=entry["seq"], generation=self._generation)
+
+    def _fan_out(self, event: dict, subs: List[Subscription]) -> None:
+        """Offer one event to every matching subscriber; holds ``_deliver``.
+
+        Runs in whichever thread woke the bus, so the ambient span (the
+        ingest trace that recorded the decision) becomes the parent of
+        the ``push.publish`` span — publish latency is attributed to the
+        trace that paid it.
+        """
+        kind = event.get("event", "?")
         with self.tracer.span("push.publish", kind=kind) as span:
             started = time.perf_counter()
-            with self._lock:
-                if self._closed:
-                    return None
-                self._cursor += 1
-                event = dict(payload)
-                event["cursor"] = self._cursor
-                event.setdefault("generation", self._generation)
-                self._ring.append(event)
-                subs = list(self._subs.values())
-                entity_index = self._entity_index
-                aligned_of = self._aligned_of
-                self.published += 1
-                self._cond.notify_all()
+            entity_index = self._entity_index
+            aligned_of = self._aligned_of
+            self.published += 1
             delivered = dropped = 0
             for sub in subs:
                 if not _matches(
@@ -331,7 +366,72 @@ class EventBus:
                 self.metrics.histogram("push.fanout_seconds").observe(
                     time.perf_counter() - started
                 )
-        return event
+
+    # -- replay -------------------------------------------------------------
+
+    def _older(
+        self, after: int, matches: Callable[[dict], bool], most: int
+    ) -> Optional[Tuple[List[dict], int]]:
+        """The part of the gap after ``after`` that the log's ring lost.
+
+        Returns ``(found, through)``: up to ``most`` decisions ``matches``
+        accepts, read from the log's file, and the last ``seq`` read —
+        ``([], after)`` when the ring still reaches back to ``after + 1``.
+        None means the gap cannot be served: a cursor ahead of the log,
+        or a gap with no file (or no line) behind it.  Never called
+        under a bus lock: the file may be long.
+        """
+        held, newest = self._since(after)
+        if after > newest:
+            return None
+        if (held[0]["seq"] if held else newest + 1) == after + 1:
+            return [], after
+        found, through = [], after
+        path = getattr(self._decisions, "path", None)
+        for entry in RecordLog(path).read(TAIL):
+            seq = entry.get("seq", 0)
+            if seq <= after:
+                continue
+            if seq != through + 1:
+                return None
+            through = seq
+            if matches(entry):
+                found.append(entry)
+                if len(found) >= most:
+                    break
+        return (found, through) if through > after else None
+
+    def _newer(
+        self,
+        part: Optional[Tuple[List[dict], int]],
+        upto: Optional[int],
+        matches: Callable[[dict], bool],
+        most: int,
+    ) -> Optional[List[dict]]:
+        """``part`` joined to the ring's decisions after it, through
+        ``upto`` (the newest when None); None if the two do not meet.
+        A part that already holds ``most`` decisions needs no join."""
+        if part is None:
+            return None
+        found, through = part
+        if len(found) >= most:
+            return found
+        held, newest = self._since(through)
+        last = newest if upto is None else upto
+        held = [e for e in held if e["seq"] <= last]
+        if through < last and (not held or held[0]["seq"] != through + 1):
+            return None
+        return found + [e for e in held if matches(e)]
+
+    def _since(self, seq: int) -> Tuple[List[dict], int]:
+        decisions = self._decisions
+        return decisions.since(seq) if decisions is not None else ([], 0)
+
+    def _matcher(self, story, entity, source) -> Callable[[dict], bool]:
+        return lambda event: _matches(
+            story, entity, source, event,
+            self._entity_index, self._aligned_of,
+        )
 
     # -- subscriptions ------------------------------------------------------
 
@@ -346,10 +446,11 @@ class EventBus:
     ) -> Subscription:
         """Admit one subscriber; preloads hello + any resume replay.
 
-        ``last_cursor`` is the resume protocol: events after it still in
-        the replay ring are preloaded into the queue (exactly the gap),
-        a pruned or bogus cursor preloads a ``reset`` event instead.
-        Raises :class:`PushError` when the bus is draining or full.
+        ``last_cursor`` is the resume protocol: the decisions after it
+        are preloaded into the queue (exactly the gap); a gap that
+        cannot be served, or would not fit the queue, preloads a
+        ``reset`` event instead.  Raises :class:`PushError` when the bus
+        is draining or full.
         """
         policy = policy if policy is not None else self.policy
         if policy not in BACKPRESSURE_POLICIES:
@@ -370,50 +471,50 @@ class EventBus:
             sample_every=self.sample_every,
             put_timeout=self.put_timeout,
         )
-        with self._lock:
-            if self._closed:
-                self._count("push.rejected")
-                raise PushError(503, "server is shutting down")
-            if len(self._subs) >= self.max_subscribers:
-                self._count("push.rejected")
-                raise PushError(
-                    503,
-                    f"subscriber limit reached ({self.max_subscribers})",
-                )
-            self._next_sub_id += 1
-            sub = Subscription(
-                self._next_sub_id, queue,
-                story=story, entity=entity, source=source,
-                created_at=self._clock(),
+        entity = entity.lower() if entity else None
+        matches = self._matcher(story, entity, source)
+        room = capacity - 1  # the hello frame takes one slot
+        part = (
+            self._older(last_cursor, matches, room + 1)
+            if last_cursor is not None else None
+        )
+        with self._deliver:
+            # everything recorded so far goes out first, so the replay
+            # ends where live delivery to this subscriber starts
+            self._pump()
+            replay = (
+                self._newer(part, self._last, matches, room + 1)
+                if last_cursor is not None else None
             )
-            preload: List[dict] = [self._control_locked("hello", sub)]
-            if last_cursor is not None:
-                sub.resumed = True
-                replayed, reset = self._ring.replay(last_cursor)
-                if not reset and last_cursor > self._cursor:
-                    reset = True  # a cursor from another bus lifetime
-                matched = [
-                    e for e in replayed
-                    if _matches(
-                        sub.story, sub.entity, sub.source, e,
-                        self._entity_index, self._aligned_of,
+            with self._lock:
+                if self._closed:
+                    self._count("push.rejected")
+                    raise PushError(503, "server is shutting down")
+                if len(self._subs) >= self.max_subscribers:
+                    self._count("push.rejected")
+                    raise PushError(
+                        503,
+                        f"subscriber limit reached ({self.max_subscribers})",
                     )
-                ]
-                # a gap wider than the queue cannot be replayed losslessly
-                # — same contract as pruning: tell the client to re-snapshot
-                if reset or len(matched) > capacity - len(preload):
-                    preload.append(self._control_locked("reset", sub))
-                    self._count("push.resets")
-                else:
-                    preload.extend(matched)
-                    self._count("push.resumes")
-            # preload under the bus lock: publishers snapshot the registry
-            # under this lock too, so replay and live delivery can neither
-            # overlap nor leave a gap
-            for event in preload:
-                sub.offer(event)
-            self._subs[sub.id] = sub
-            count = len(self._subs)
+                self._next_sub_id += 1
+                sub = Subscription(
+                    self._next_sub_id, queue,
+                    story=story, entity=entity, source=source,
+                    created_at=self._clock(),
+                )
+                preload: List[dict] = [self._control_locked("hello", sub)]
+                if last_cursor is not None:
+                    sub.resumed = True
+                    if replay is None or len(replay) > room:
+                        preload.append(self._control_locked("reset", sub))
+                        self._count("push.resets")
+                    else:
+                        preload.extend(self._stamp(e) for e in replay)
+                        self._count("push.resumes")
+                for event in preload:
+                    sub.offer(event)
+                self._subs[sub.id] = sub
+                count = len(self._subs)
         self._count("push.subscribed")
         self._gauge("push.subscribers", count)
         return sub
@@ -444,53 +545,54 @@ class EventBus:
         timeout: float = 0.0,
         limit: int = 100,
     ) -> Dict[str, object]:
-        """Stateless long-poll against the replay ring.
+        """Stateless long-poll against the decision log.
 
-        Returns events after ``cursor`` matching the filters, waiting up
-        to ``timeout`` seconds for the first one.  ``reset: true`` means
-        the cursor is unresumable (pruned or from another lifetime) and
+        Returns decisions after ``cursor`` matching the filters, waiting
+        up to ``timeout`` seconds for the first one.  ``reset: true``
+        means the cursor is unresumable (see :meth:`subscribe`) and
         carries the generation to re-snapshot at.  The client's next
-        request quotes ``next_cursor``.
+        request quotes ``next_cursor``; with no match that is the last
+        decision read, so the same decisions are not read again.
         """
-        entity = entity.lower() if entity else None
+        matches = self._matcher(story, entity.lower() if entity else None,
+                                source)
         limit = max(1, min(int(limit), 1000))
         deadline = time.monotonic() + max(0.0, timeout)
-        with self._lock:
-            while True:
-                replayed, reset = self._ring.replay(cursor)
-                if not reset and cursor > self._cursor:
-                    reset = True
-                if reset:
+        while True:
+            mark = self._last
+            events = self._newer(
+                self._older(cursor, matches, limit), None, matches, limit
+            )
+            with self._lock:
+                if events is None:
                     self._count("push.resets")
                     return {
                         "reset": True,
                         "events": [],
-                        "next_cursor": self._cursor,
+                        "next_cursor": self._last,
                         "generation": self._generation,
                     }
-                matched = [
-                    e for e in replayed
-                    if _matches(
-                        story, entity, source, e,
-                        self._entity_index, self._aligned_of,
-                    )
-                ][:limit]
-                if matched:
+                if events:
+                    events = [self._stamp(e) for e in events[:limit]]
                     return {
                         "reset": False,
-                        "events": matched,
-                        "next_cursor": matched[-1]["cursor"],
+                        "events": events,
+                        "next_cursor": events[-1]["cursor"],
                         "generation": self._generation,
                     }
+                # the read covered every decision through the mark and
+                # none matched: read on from there, not from the file again
+                cursor = max(cursor, mark)
                 remaining = deadline - time.monotonic()
                 if self._closed or remaining <= 0:
                     return {
                         "reset": False,
                         "events": [],
-                        "next_cursor": max(cursor, 0),
+                        "next_cursor": cursor,
                         "generation": self._generation,
                     }
-                self._cond.wait(min(remaining, 0.25))
+                if self._last == mark:  # nothing delivered since the read
+                    self._cond.wait(min(remaining, 0.25))
 
     # -- shutdown -----------------------------------------------------------
 
@@ -503,7 +605,7 @@ class EventBus:
         transport thread blocked in :meth:`Subscription.pop`.
         """
         self.detach()
-        with self._lock:
+        with self._deliver, self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -511,7 +613,7 @@ class EventBus:
             self._subs.clear()
             goodbye = {
                 "event": "goodbye",
-                "cursor": self._cursor,
+                "cursor": self._last,
                 "generation": self._generation,
                 "reason": "drain",
             }
@@ -529,7 +631,7 @@ class EventBus:
 
     @property
     def latest_cursor(self) -> int:
-        return self._cursor
+        return self._last
 
     @property
     def generation(self) -> int:
@@ -545,15 +647,8 @@ class EventBus:
             subs = list(self._subs.values())
             payload = {
                 "published": self.published,
-                "cursor": self._cursor,
+                "cursor": self._last,
                 "generation": self._generation,
-                "ring": {
-                    "size": len(self._ring),
-                    "capacity": self._ring.capacity,
-                    "earliest": self._ring.earliest_cursor,
-                    "latest": self._ring.latest_cursor,
-                    "pruned": self._ring.pruned,
-                },
                 "subscribers": [sub.describe() for sub in subs],
             }
         return payload
@@ -569,9 +664,7 @@ class EventBus:
             return
         with self._lock:
             subs = list(self._subs.values())
-            cursor = self._cursor
-            ring_size = len(self._ring)
-        self.metrics.gauge("push.ring.size").set(ring_size)
+            cursor = self._last
         self.metrics.gauge("push.subscribers").set(len(subs))
         for sub in subs:
             self.metrics.gauge("push.queue_depth", sub=sub.id).set(sub.depth)
@@ -587,10 +680,9 @@ class EventBus:
     def _control_locked(self, kind: str, sub: Subscription) -> dict:
         return {
             "event": kind,
-            "cursor": self._cursor,
+            "cursor": self._last,
             "generation": self._generation,
             "subscription": sub.name,
-            "earliest": self._ring.earliest_cursor,
         }
 
     def _count(self, name: str, amount: int = 1) -> None:

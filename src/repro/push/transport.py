@@ -9,11 +9,12 @@ automatically.  No upgrade handshake, no frame masking, no second
 protocol state machine — see DESIGN.md for the SSE-vs-WebSocket
 rationale.
 
-The event id is ``<generation>-<cursor>``: the cursor addresses the
-replay ring for exact resume, the generation names the ReadView
-snapshot to re-fetch if the server answers with a ``reset`` event
-instead.  ``parse_last_event_id`` accepts either the full form or a
-bare cursor.
+The event id is ``<generation>-<cursor>``: the cursor is the
+decision's ``seq`` in the decision log (a control frame carries the
+last delivered one), so it addresses the log for exact resume, across
+a restart too; the generation names the ReadView snapshot to re-fetch
+if the server answers with a ``reset`` event instead.
+``parse_last_event_id`` accepts either the full form or a bare cursor.
 """
 
 from __future__ import annotations

@@ -84,8 +84,6 @@ def build_parser(prog: str = "storypivot-api") -> argparse.ArgumentParser:
                         choices=["block", "drop", "sample"],
                         help="backpressure for slow subscribers (default "
                              "drop; block still bounds the wait)")
-    parser.add_argument("--push-ring", type=int, default=4096, metavar="N",
-                        help="replay ring for resume (default 4096 events)")
     parser.add_argument("--max-subscribers", type=int, default=4096,
                         metavar="N", help="concurrent /subscribez streams "
                         "before 503 (default 4096)")
@@ -135,8 +133,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             metrics, decisions = MetricsRegistry(), DecisionLog()
         bus = EventBus(
-            replay_capacity=args.push_ring, queue_capacity=args.push_queue,
-            policy=args.push_policy, max_subscribers=args.max_subscribers,
+            queue_capacity=args.push_queue, policy=args.push_policy,
+            max_subscribers=args.max_subscribers,
             metrics=metrics, tracer=tracer,
         ).attach(decisions)
         if runtime is None:

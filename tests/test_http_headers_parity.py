@@ -115,7 +115,7 @@ def sse_head(inputs):
     corpus = inputs.make_corpus("read_static", 60, 4, 1)
     store = ViewStore(dataset="read_static")
     view = store.install(StoryPivot().run(corpus), corpus=corpus)
-    bus = EventBus(replay_capacity=16)
+    bus = EventBus()
     bus.note_view(view)
     with StoryPivotAPI(store, port=0, node_id=NODE, bus=bus) as api:
         connection = connect(api)

@@ -1,4 +1,4 @@
-"""Unit tests for repro.push: ring, bus, filters, resume, backpressure."""
+"""Unit tests for repro.push: bus, filters, resume, backpressure."""
 
 import threading
 import time
@@ -8,7 +8,7 @@ import pytest
 from repro.core.pipeline import StoryPivot
 from repro.eventdata.handcrafted import demo_config
 from repro.obs.decisions import DecisionLog
-from repro.push import EventBus, PushError, ReplayRing
+from repro.push import EventBus, PushError
 from repro.push.transport import format_sse, parse_last_event_id
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import QueueClosed
@@ -32,40 +32,6 @@ def drain_sub(sub, timeout=0.2):
 def data_events(events):
     return [e for e in events if e["event"] not in
             ("hello", "goodbye", "reset", "generation")]
-
-
-class TestReplayRing:
-    def test_replay_exact_tail(self):
-        ring = ReplayRing(capacity=8)
-        for cursor in range(1, 6):
-            ring.append({"cursor": cursor})
-        events, reset = ring.replay(2)
-        assert not reset
-        assert [e["cursor"] for e in events] == [3, 4, 5]
-        assert ring.earliest_cursor == 1 and ring.latest_cursor == 5
-
-    def test_replay_from_head_is_empty_not_reset(self):
-        ring = ReplayRing(capacity=8)
-        for cursor in range(1, 4):
-            ring.append({"cursor": cursor})
-        events, reset = ring.replay(3)
-        assert events == [] and not reset
-
-    def test_pruned_gap_resets(self):
-        ring = ReplayRing(capacity=4)
-        for cursor in range(1, 11):  # retains 7..10
-            ring.append({"cursor": cursor})
-        assert ring.pruned == 6
-        events, reset = ring.replay(2)
-        assert reset and events == []
-        # cursor 6 is exactly the pruning boundary: 7 is retained
-        events, reset = ring.replay(6)
-        assert not reset and [e["cursor"] for e in events] == [7, 8, 9, 10]
-
-    def test_empty_ring_resumable_only_before_any_prune(self):
-        ring = ReplayRing(capacity=4)
-        events, reset = ring.replay(0)
-        assert events == [] and not reset
 
 
 class TestBusDelivery:
@@ -100,6 +66,34 @@ class TestBusDelivery:
             log.record("created", f"a/c{i:06d}")
         for sub in subs:
             assert len(data_events(drain_sub(sub))) == 3
+
+
+class TestDeliveryOrder:
+    def test_a_stalled_recorder_cannot_reorder_the_stream(self):
+        """Seq 1 is numbered first but its recording thread stalls in an
+        earlier listener while seq 2 is recorded: the subscriber still
+        reads 1 then 2, each with ``cursor == seq``."""
+        log = DecisionLog()
+        entered, release = threading.Event(), threading.Event()
+
+        def stall(entry):
+            if entry["seq"] == 1:
+                entered.set()
+                release.wait(timeout=10.0)
+
+        log.add_listener(stall)
+        bus = EventBus().attach(log)
+        sub = bus.subscribe()
+        first = threading.Thread(
+            target=log.record, args=("created", "a/c000001"), daemon=True
+        )
+        first.start()
+        assert entered.wait(timeout=10.0)
+        log.record("created", "b/c000002")
+        release.set()
+        first.join(timeout=10.0)
+        events = data_events(drain_sub(sub))
+        assert [(e["seq"], e["cursor"]) for e in events] == [(1, 1), (2, 2)]
 
 
 class TestResume:
@@ -145,8 +139,8 @@ class TestResume:
         assert cursors == list(range(1, total + 1))
 
     def test_pruned_cursor_yields_reset(self):
-        log = DecisionLog()
-        bus = EventBus(replay_capacity=4).attach(log)
+        log = DecisionLog(capacity=4)
+        bus = EventBus().attach(log)
         for i in range(12):
             log.record("created", f"a/c{i:06d}")
         sub = bus.subscribe(last_cursor=1)
@@ -163,7 +157,7 @@ class TestResume:
 
     def test_gap_wider_than_queue_capacity_resets(self):
         log = DecisionLog()
-        bus = EventBus(replay_capacity=1024).attach(log)
+        bus = EventBus().attach(log)
         for i in range(50):
             log.record("created", f"a/c{i:06d}")
         sub = bus.subscribe(last_cursor=0, queue_capacity=8)
@@ -171,8 +165,8 @@ class TestResume:
 
     def test_resume_counts_in_metrics(self):
         metrics = MetricsRegistry()
-        log = DecisionLog()
-        bus = EventBus(replay_capacity=4, metrics=metrics).attach(log)
+        log = DecisionLog(capacity=4)
+        bus = EventBus(metrics=metrics).attach(log)
         log.record("created", "a/c000000")
         bus.subscribe(last_cursor=0)
         for i in range(12):
@@ -333,13 +327,22 @@ class TestPoll:
         assert [e["cursor"] for e in rest["events"]] == [5]
 
     def test_poll_pruned_cursor_resets(self):
-        log = DecisionLog()
-        bus = EventBus(replay_capacity=4).attach(log)
+        log = DecisionLog(capacity=4)
+        bus = EventBus().attach(log)
         for i in range(12):
             log.record("created", f"a/c{i:06d}")
         payload = bus.poll(1)
         assert payload["reset"] and payload["events"] == []
         assert payload["next_cursor"] == bus.latest_cursor
+
+    def test_poll_without_a_match_moves_past_what_it_read(self):
+        log = DecisionLog()
+        bus = EventBus().attach(log)
+        for i in range(5):
+            log.record("created", f"a/c{i:06d}")
+        payload = bus.poll(1, source="b")
+        assert payload["events"] == [] and not payload["reset"]
+        assert payload["next_cursor"] == 5
 
     def test_poll_waits_for_first_event(self):
         log = DecisionLog()
@@ -446,7 +449,6 @@ class TestObservability:
         log.record("created", "a/c000001")
         stats = bus.stats()
         assert stats["published"] == 1 and stats["cursor"] == 1
-        assert stats["ring"]["size"] == 1
         [row] = stats["subscribers"]
         assert row["story"] == "a/c000001" and row["delivered"] == 2
         assert row["id"] == sub.name

@@ -10,6 +10,7 @@ on ``bus.num_subscribers``.
 
 import http.client
 import json
+import os
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.eventdata.eventregistry import ResilientFeed
 from repro.eventdata.handcrafted import demo_config
 from repro.obs.decisions import DecisionLog
 from repro.push import EventBus
+from repro.recordlog import RecordLog
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.runtime import RuntimeOptions, ShardedRuntime
 from repro.server import StoryPivotAPI, ViewStore
@@ -68,9 +70,9 @@ def push_api(two_source_corpus):
     result = StoryPivot(demo_config()).run(two_source_corpus)
     store = ViewStore(dataset=two_source_corpus.name)
     view = store.install(result, corpus=two_source_corpus)
-    decisions = DecisionLog()
+    decisions = DecisionLog(capacity=64)
     metrics = MetricsRegistry()
-    bus = EventBus(replay_capacity=64, metrics=metrics).attach(decisions)
+    bus = EventBus(metrics=metrics).attach(decisions)
     bus.note_view(view)
     api = StoryPivotAPI(
         store, port=0, metrics=metrics, decisions=decisions, bus=bus
@@ -123,8 +125,8 @@ class TestSSE:
         api, bus, decisions = push_api
         for i in range(6):
             decisions.record("created", f"a/c{i:06d}", snippet_id=f"a:{i}")
-        # "reconnect" claiming we saw through cursor 3 (hello counts no
-        # cursor; data cursors start after note_view's generation event)
+        # "reconnect" claiming we saw through cursor 3 (control frames
+        # count no cursor: data cursors are the decisions' seqs)
         last_seen = bus.latest_cursor - 3
         status, headers, body = _get(
             api.port,
@@ -139,7 +141,7 @@ class TestSSE:
 
     def test_pruned_cursor_gets_reset_event(self, push_api):
         api, bus, decisions = push_api
-        for i in range(80):  # replay ring holds 64: cursor 1 is pruned
+        for i in range(80):  # the log's ring holds 64: cursor 1 is pruned
             decisions.record("created", f"a/c{i:06d}")
         result = subscribe_async(
             api.port, "/subscribez?cursor=1&limit=1"
@@ -221,7 +223,7 @@ class TestLongPoll:
         payload = json.loads(body)
         assert not payload["reset"]
         kinds = [e["event"] for e in payload["events"]]
-        assert kinds == ["generation"] + ["created"] * 4
+        assert kinds == ["created"] * 4
         assert payload["next_cursor"] == bus.latest_cursor
 
         # quoting next_cursor returns only what happened since
@@ -291,9 +293,7 @@ class TestChaosReconciliation:
         runtime = ShardedRuntime(
             StoryPivotConfig(), RuntimeOptions(num_shards=2)
         ).start()
-        bus = EventBus(
-            replay_capacity=65536, queue_capacity=65536
-        ).attach(runtime.decisions)
+        bus = EventBus(queue_capacity=65536).attach(runtime.decisions)
         sub = bus.subscribe()
         injector = FaultInjector(
             seed=seed, profile="default", metrics=runtime.metrics
@@ -331,3 +331,81 @@ class TestChaosReconciliation:
         # cursors are gapless: nothing was lost between log and bus
         cursors = [e["cursor"] for e in delivered]
         assert cursors == list(range(cursors[0], cursors[0] + len(cursors)))
+
+
+def read_data(sub):
+    """The decisions a subscription holds now (control frames dropped)."""
+    events = []
+    while True:
+        event = sub.pop(timeout=0.0)
+        if event is None:
+            return events
+        if event["event"] not in ("hello", "generation", "reset"):
+            events.append(event)
+
+
+class TestRestartResume:
+    @pytest.mark.parametrize("ring,resume_from", [
+        (20000, "before the restart"),
+        (16, "after the restart, older than the ring"),
+    ])
+    def test_cursor_resumes_across_a_restart(
+        self, tmp_path, small_synthetic, ring, resume_from
+    ):
+        """A cursor read before a restart on the same ``wal_dir``, or one
+        older than the log's ring, resumes from ``decisions.jsonl``:
+        exactly its entries after the cursor, in order, no ``reset``."""
+        wal_dir = str(tmp_path)
+        path = os.path.join(wal_dir, "decisions.jsonl")
+        snippets = list(small_synthetic.snippets_by_publication())
+        half = len(snippets) // 2
+
+        def ingest(runtime, part):
+            bus = EventBus(queue_capacity=65536).attach(runtime.decisions)
+            sub = bus.subscribe()
+            try:
+                for snippet in part:
+                    runtime.offer(snippet)
+                runtime.flush()
+            finally:
+                runtime.stop()
+            return bus, read_data(sub)
+
+        _, before = ingest(ShardedRuntime(
+            StoryPivotConfig(),
+            RuntimeOptions(num_shards=2, wal_dir=wal_dir),
+            decisions=DecisionLog(capacity=ring, path=path),
+        ).start(), snippets[:half])
+        bus, after = ingest(ShardedRuntime.resume(
+            wal_dir, decisions=DecisionLog(capacity=ring, path=path),
+        ), snippets[half:])
+        if resume_from == "before the restart":
+            last = before[len(before) // 2]["cursor"]
+        else:
+            last = after[2]["cursor"]
+        expected = [e for e in RecordLog(path).read() if e["seq"] > last]
+        assert len(expected) > min(ring, len(after))
+
+        resumed = bus.subscribe(last_cursor=last, queue_capacity=65536)
+        first = resumed.pop(timeout=0.0)
+        assert first["event"] == "hello"
+        replayed = read_data(resumed)
+        assert resumed.dropped == 0
+        assert [e["cursor"] for e in replayed] == [e["seq"] for e in expected]
+        strip = ("cursor", "generation")
+        assert [
+            {k: v for k, v in e.items() if k not in strip} for e in replayed
+        ] == expected
+
+        polled, cursor = [], last
+        while True:
+            # pages smaller than the gap: some end inside the file's part
+            payload = bus.poll(cursor, limit=50)
+            assert not payload["reset"]
+            if not payload["events"]:
+                break
+            polled.extend(payload["events"])
+            cursor = payload["next_cursor"]
+        assert [(e["seq"], e["cursor"]) for e in polled] == [
+            (e["seq"], e["seq"]) for e in expected
+        ]
