@@ -7,8 +7,8 @@ candidate pool instead of everything in the temporal window.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Hashable, Iterable, Set, Tuple
 
 
 class InvertedIndex:
@@ -24,10 +24,6 @@ class InvertedIndex:
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._features_of
-
-    @property
-    def num_features(self) -> int:
-        return len(self._postings)
 
     def insert(self, item_id: str, features: Iterable[Hashable]) -> None:
         """Index ``item_id`` under each feature (ValueError on duplicate)."""
@@ -47,30 +43,9 @@ class InvertedIndex:
                 if not posting:
                     del self._postings[feature]
 
-    def posting(self, feature: Hashable) -> Set[str]:
-        """Ids containing ``feature`` (a copy; empty set if unseen)."""
-        return set(self._postings.get(feature, ()))
-
-    def features_of(self, item_id: str) -> Tuple[Hashable, ...]:
-        return self._features_of[item_id]
-
     def candidates(self, features: Iterable[Hashable]) -> Set[str]:
         """Union of postings — ids sharing >= 1 feature with the query."""
         found: Set[str] = set()
         for feature in set(features):
             found |= self._postings.get(feature, set())
         return found
-
-    def ranked_candidates(
-        self, features: Iterable[Hashable], min_overlap: int = 1
-    ) -> List[Tuple[str, int]]:
-        """Candidates with their feature-overlap count, highest first."""
-        overlap: Counter = Counter()
-        for feature in set(features):
-            for item_id in self._postings.get(feature, ()):
-                overlap[item_id] += 1
-        return sorted(
-            ((item_id, count) for item_id, count in overlap.items()
-             if count >= min_overlap),
-            key=lambda kv: (-kv[1], kv[0]),
-        )

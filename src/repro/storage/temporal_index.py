@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 
 class TemporalIndex:
@@ -41,9 +41,6 @@ class TemporalIndex:
         # bisect_left lands exactly on the entry because entries are unique.
         del self._entries[index]
 
-    def timestamp_of(self, item_id: str) -> float:
-        return self._positions[item_id]
-
     def window(self, start: float, end: float) -> List[str]:
         """Item ids with ``start <= timestamp <= end``, in time order."""
         if end < start:
@@ -58,20 +55,6 @@ class TemporalIndex:
         """Ids within ``radius`` of ``timestamp`` — the ω-window of Fig. 2b."""
         return self.window(timestamp - radius, timestamp + radius)
 
-    def before(self, timestamp: float, limit: Optional[int] = None) -> List[str]:
-        """Ids strictly before ``timestamp``, most recent first."""
-        hi = bisect.bisect_left(self._entries, (timestamp, ""))
-        selected = self._entries[:hi][::-1]
-        if limit is not None:
-            selected = selected[:limit]
-        return [item_id for _, item_id in selected]
-
     def items(self) -> Iterator[Tuple[float, str]]:
         """All (timestamp, id) pairs in time order."""
         return iter(list(self._entries))
-
-    def span(self) -> Tuple[float, float]:
-        """(min, max) timestamp (ValueError when empty)."""
-        if not self._entries:
-            raise ValueError("temporal index is empty")
-        return self._entries[0][0], self._entries[-1][0]
