@@ -5,8 +5,8 @@ Two measurements, two gates:
 **Gated — bounded fan-out at scale.**  An :class:`~repro.push.EventBus`
 tails a :class:`~repro.obs.decisions.DecisionLog` while N in-process
 subscribers (10 → 1000+) hold lossless queues; every recorded decision
-is timed end to end (log append + cursor stamp + ring append + N queue
-puts).  The gate: p95 publish latency at the largest subscriber count
+is timed end to end (log append + the bus reading it back from the
+log's ring + N queue puts).  The gate: p95 publish latency at the largest subscriber count
 must stay under a fixed bound — fan-out is O(subscribers) by design,
 and this keeps the constant honest.
 
@@ -43,7 +43,7 @@ from repro.obs.decisions import DecisionLog  # noqa: E402
 from repro.push import EventBus  # noqa: E402
 from repro.runtime.metrics import MetricsRegistry  # noqa: E402
 
-#: p95 of one publish (append + stamp + fan-out) at the largest fleet.
+#: p95 of one publish (append + read-back + fan-out) at the largest fleet.
 #: ~1000 queue puts cost well under a millisecond each on any host this
 #: runs on; 50 ms is the "bounded, with room for a noisy CI box" bar.
 FANOUT_P95_GATE_SECONDS = 0.050
