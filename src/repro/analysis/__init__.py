@@ -3,10 +3,12 @@
 Two complementary halves:
 
 * :mod:`repro.analysis.engine` / :mod:`repro.analysis.rules` — the
-  ``storypivot-lint`` AST engine enforcing the invariants PRs 1–4
-  established (deterministic core paths, no blocking under locks,
-  errors recorded not swallowed, spans/deadlines context-managed,
-  canonical metric names).
+  ``storypivot-lint`` AST engine: per-module rules (deterministic core
+  paths, no blocking under locks, errors recorded not swallowed,
+  spans/deadlines context-managed, canonical metric names) and, over
+  the project call graph, untrusted-input taint (SP4xx), blocking
+  reachable under a lock (SP201) and resource lifecycle (SP6xx).  The
+  gate is zero findings: a finding is fixed or suppressed at its line.
 * :mod:`repro.analysis.lockwatch` — an opt-in dynamic detector that
   wraps the runtime's locks, records the per-thread acquisition graph,
   and reports lock-order inversions (potential deadlocks), long holds,
@@ -17,15 +19,7 @@ Two complementary halves:
 from repro.analysis.callgraph import Project
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.engine import LintConfig, LintEngine, iter_python_files
-from repro.analysis.findings import (
-    Finding,
-    apply_baseline,
-    load_baseline,
-    render_report,
-    summarize,
-    to_sarif,
-    write_baseline,
-)
+from repro.analysis.findings import Finding, render_report, summarize
 from repro.analysis.lockwatch import InstrumentedLock, LockWatch
 from repro.analysis.rules import CORE_MARKERS, REGISTRY, all_rules
 
@@ -37,12 +31,8 @@ __all__ = [
     "CFG",
     "build_cfg",
     "Finding",
-    "apply_baseline",
-    "load_baseline",
     "render_report",
     "summarize",
-    "to_sarif",
-    "write_baseline",
     "InstrumentedLock",
     "LockWatch",
     "CORE_MARKERS",

@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for interprocedural rules.
 
 The intra-function rules (SP1xx–SP3xx) see one module at a time; the
-taint (SP4xx), contract (SP5xx) and lifecycle (SP6xx) passes need to
+taint (SP4xx), may-block (SP201) and lifecycle (SP6xx) passes need to
 answer "who calls whom" across the whole ``src/`` tree.  This module
 builds that answer from the same parsed :class:`ModuleInfo` objects the
 engine already holds — nothing is re-parsed.
@@ -28,8 +28,8 @@ Resolution strategy (deliberately *partial*, with the holes counted):
 
 Calls into the standard library or other non-project code are
 *external*: not edges, but not soundness holes either — the taint and
-contract passes model them with explicit tables (sanitizers, blocking
-calls, non-raising builtins).
+may-block passes model them with explicit tables (sanitizers, blocking
+calls).
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class FunctionInfo:
 
     __slots__ = (
         "key", "name", "qualname", "class_name", "node", "module",
-        "contracts", "taint_marks", "params", "decorators", "lineno",
+        "taint_marks", "params", "decorators", "lineno",
     )
 
     def __init__(self, module, node, class_name: Optional[str],
-                 marks: Dict[int, List[Tuple[str, str]]]) -> None:
+                 marks: Dict[int, List[str]]) -> None:
         self.module = module
         self.node = node
         self.name = node.name
@@ -98,17 +98,14 @@ class FunctionInfo:
             _dotted(d.func) if isinstance(d, ast.Call) else _dotted(d)
             for d in node.decorator_list
         ]
-        #: contract / taint annotations attached on the line of (or the
-        #: line above) the ``def`` or its first decorator
-        self.contracts: Set[str] = set()
-        self.taint_marks: Set[str] = set()
+        #: taint annotations attached on the line of (or the line above)
+        #: the ``def`` or its first decorator
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        for line in (first - 1, first, node.lineno):
-            for kind, value in marks.get(line, ()):
-                if kind == "contract":
-                    self.contracts.add(value)
-                else:
-                    self.taint_marks.add(value)
+        self.taint_marks: Set[str] = {
+            value
+            for line in (first - 1, first, node.lineno)
+            for value in marks.get(line, ())
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FunctionInfo {self.key}>"
@@ -171,21 +168,16 @@ def _param_types(fn_node) -> Dict[str, str]:
     return types
 
 
-def _annotation_marks(module) -> Dict[int, List[Tuple[str, str]]]:
-    """``# sp-contract:`` / ``# sp-taint:`` directives by line number."""
+def _annotation_marks(module) -> Dict[int, List[str]]:
+    """``# sp-taint:`` directives by line number."""
     import re
 
-    pattern = re.compile(
-        r"#\s*sp-(contract|taint):\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)"
-    )
-    marks: Dict[int, List[Tuple[str, str]]] = {}
+    pattern = re.compile(r"#\s*sp-taint:\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)")
+    marks: Dict[int, List[str]] = {}
     for lineno, line in enumerate(module.source.splitlines(), start=1):
         match = pattern.search(line)
-        if not match:
-            continue
-        kind, values = match.groups()
-        for value in values.split(","):
-            marks.setdefault(lineno, []).append((kind, value.strip()))
+        if match:
+            marks[lineno] = [v.strip() for v in match.group(1).split(",")]
     return marks
 
 

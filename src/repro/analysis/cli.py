@@ -4,16 +4,12 @@ Examples::
 
     storypivot-lint src/                     # CI gate: exit 1 on findings
     storypivot-lint src/ --format=json       # machine-readable findings
-    storypivot-lint src/ --format=sarif      # CI annotation artifact
     storypivot-lint --list-rules             # rule catalogue
-    storypivot-lint src/ --select SP4,SP5,SP6   # family prefixes work
-    storypivot-lint src/ --baseline lint-baseline.json
-    storypivot-lint src/ --write-baseline lint-baseline.json
+    storypivot-lint src/ --select SP4,SP6    # family prefixes work
 
-Exit status: 0 when clean, 1 when any finding survives suppression,
-selection, and the baseline (or a baseline entry went stale, or the
-call-graph unresolved ratio exceeds ``--max-unresolved-ratio``), 2 on
-usage errors.
+Exit status: 0 when clean, 1 when any finding survives suppression and
+selection (or the call-graph unresolved ratio exceeds
+``--max-unresolved-ratio``), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -24,14 +20,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.analysis.engine import LintConfig, LintEngine
-from repro.analysis.findings import (
-    apply_baseline,
-    load_baseline,
-    render_report,
-    summarize,
-    to_sarif,
-    write_baseline,
-)
+from repro.analysis.findings import render_report, summarize
 from repro.analysis.rules import all_rules
 from repro.nodecli import console_entry
 
@@ -42,7 +31,7 @@ def build_parser(prog: str = "storypivot-lint") -> argparse.ArgumentParser:
         description="Project-aware static analysis for the StoryPivot tree.",
     )
     parser.add_argument("paths", nargs="*", help="files or directories")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
+    parser.add_argument("--format", choices=["text", "json"],
                         default="text",
                         help="output format (default text)")
     parser.add_argument("--select", default=None, metavar="CODES",
@@ -54,13 +43,6 @@ def build_parser(prog: str = "storypivot-lint") -> argparse.ArgumentParser:
     parser.add_argument("--root", default=None, metavar="DIR",
                         help="relativize reported paths against DIR "
                              "(default: current directory)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="suppress findings recorded in FILE; stale "
-                             "entries (fixed findings still listed) fail "
-                             "the run so the debt only shrinks")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="record current findings as the accepted "
-                             "baseline and exit 0")
     parser.add_argument("--callgraph-stats", action="store_true",
                         help="print call-graph resolution stats to stderr")
     parser.add_argument("--max-unresolved-ratio", type=float, default=None,
@@ -110,20 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps({"callgraph": stats}, sort_keys=True),
               file=sys.stderr)
 
-    if args.write_baseline:
-        count = write_baseline(findings, args.write_baseline)
-        print(f"baseline: {count} finding(s) recorded in "
-              f"{args.write_baseline}")
-        return 0
-
-    stale: List[dict] = []
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.exit(2, f"error: cannot read baseline: {exc}\n")
-        findings, stale = apply_baseline(findings, baseline)
-
     if args.format == "json":
         payload = {
             "findings": [f.to_dict() for f in findings],
@@ -133,20 +101,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         if stats:
             payload["callgraph"] = stats
-        if args.baseline:
-            payload["baseline_stale"] = stale
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        rule_index = {rule.code: rule.summary for rule in all_rules()}
-        print(json.dumps(to_sarif(findings, rule_index), indent=2,
-                         sort_keys=True))
     else:
         print(render_report(findings, checked_files=checked))
-        for entry in stale:
-            print(f"stale baseline entry (fixed? remove it): "
-                  f"{entry['code']} {entry['path']}: {entry['message']}")
 
-    failed = bool(findings) or bool(stale)
+    failed = bool(findings)
     if args.max_unresolved_ratio is not None and stats:
         ratio = stats.get("unresolved_ratio", 0.0)
         if ratio > args.max_unresolved_ratio:

@@ -1,26 +1,13 @@
-"""Exception/blocking contracts (SP5xx) and resource lifecycle (SP6xx).
+"""Interprocedural may-block (SP201) and resource lifecycle (SP6xx).
 
-``# sp-contract: never-raises`` / ``never-blocks`` annotations promise
-behaviour that used to be enforced only by review: the Normalizer entry
-point must not throw into the ingest loop, DecisionLog listeners must
-not raise back into ``record()``, nothing reachable while holding a
-runtime lock may block.  This pass verifies those promises by computing
-may-raise and may-block sets over the project call graph, and upgrades
-SP201 from "blocking call *lexically* under a lock" to "blocking call
-*reachable* under a lock".
-
-Modelling policy (the unsoundness is deliberate and documented in
-DESIGN.md):
-
-* an explicit ``raise`` counts unless it is lexically inside a ``try``
-  whose handlers catch ``Exception``/``BaseException`` or are bare;
-* calls into project functions propagate may-raise/may-block along
-  call-graph edges, with the witness chain preserved for the report;
-* calls into external code are assumed non-raising — stdlib raising
-  behaviour is endless, and the contract annotations sit exactly on the
-  functions whose job is to stop propagation — while blocking external
-  calls come from the same positive table SP201 uses;
-* ``assert`` never counts (stripped under ``-O``).
+This pass computes a may-block set over the project call graph and
+upgrades SP201 from "blocking call *lexically* under a lock" to
+"blocking call *reachable* under a lock".  A function may block when
+it makes a call from the positive table SP201 uses (``time.sleep``,
+``open``, socket/subprocess calls, thread/future joins) or calls a
+project function that may; the witness chain is kept for the report.
+It also rejects an unknown ``# sp-taint:`` mark (SP503), since the
+taint pass reads those marks and a typo would silently drop one.
 
 The SP6xx lifecycle pass runs on the per-function CFG
 (:mod:`repro.analysis.cfg`): a lock ``.acquire()``, ``open()``/
@@ -38,7 +25,7 @@ which that is right.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.findings import Finding
@@ -46,12 +33,9 @@ from repro.analysis.rules import (
     BlockingUnderLock,
     _LockScopeVisitor,
     _attr_chain,
-    _handler_catches_broad,
     _is_lockish,
-    _terminal_name,
 )
 
-KNOWN_CONTRACTS = {"never-raises", "never-blocks"}
 KNOWN_TAINT_MARKS = {"source", "sanitizer"}
 
 _MAX_CHAIN = 8
@@ -60,61 +44,12 @@ _MAX_CHAIN = 8
 Witness = Tuple[str, int, str, Tuple[str, ...]]
 
 
-class _ProtectionVisitor(ast.NodeVisitor):
-    """Raise statements and call sites, each tagged with whether a
-    broad ``except`` lexically shields it from escaping."""
-
-    def __init__(self) -> None:
-        self._depth = 0
-        self.raises: List[Tuple[ast.Raise, bool]] = []
-        self.calls: Dict[int, bool] = {}
-
-    def visit_Try(self, node: ast.Try) -> None:
-        broad = any(
-            handler.type is None or _handler_catches_broad(handler)
-            for handler in node.handlers
-        )
-        if broad:
-            self._depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        if broad:
-            self._depth -= 1
-        # handler and finally bodies are NOT shielded by their own try
-        for handler in node.handlers:
-            for stmt in handler.body:
-                self.visit(stmt)
-        for stmt in node.finalbody:
-            self.visit(stmt)
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        self.raises.append((node, self._depth > 0))
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self.calls[id(node)] = self._depth > 0
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node) -> None:  # nested scopes run later
-        pass
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node) -> None:
-        pass
-
-    def visit_ClassDef(self, node) -> None:
-        pass
-
-
 class ContractAnalysis:
-    """May-raise / may-block fixpoint plus the findings built on it."""
+    """May-block fixpoint plus the findings built on it."""
 
     def __init__(self, project) -> None:
         self.project = project
-        self.may_raise: Dict[str, Optional[Witness]] = {}
         self.may_block: Dict[str, Optional[Witness]] = {}
-        self._protection: Dict[str, _ProtectionVisitor] = {}
         self.findings: List[Finding] = []
         self._seed()
         self._propagate()
@@ -124,25 +59,8 @@ class ContractAnalysis:
 
     def _seed(self) -> None:
         for key, fn in self.project.functions.items():
-            visitor = _ProtectionVisitor()
-            for stmt in fn.node.body:
-                visitor.visit(stmt)
-            self._protection[key] = visitor
-
-            raise_witness: Optional[Witness] = None
-            for node, protected in visitor.raises:
-                if not protected:
-                    raise_witness = (
-                        fn.module.display_path, node.lineno,
-                        "explicit raise",
-                        (f"{fn.module.display_path}:{node.lineno} raise in "
-                         f"{fn.qualname}()",),
-                    )
-                    break
-            self.may_raise[key] = raise_witness
-
             block_witness: Optional[Witness] = None
-            for call_id, site in self._sites(key).items():
+            for site in self.project.calls.get(key, ()):
                 label = BlockingUnderLock._blocking_label(site.node)
                 if label is not None:
                     block_witness = (
@@ -164,39 +82,28 @@ class ContractAnalysis:
         for _ in range(20):
             changed = False
             for key, fn in self.project.functions.items():
-                protection = self._protection[key].calls
+                if self.may_block[key] is not None:
+                    continue
                 for site in self.project.calls.get(key, ()):
-                    for target in site.targets:
-                        t_raise = self.may_raise.get(target.key)
-                        if (
-                            t_raise is not None
-                            and self.may_raise[key] is None
-                            and not protection.get(id(site.node), False)
-                        ):
-                            step = (
-                                f"{fn.module.display_path}:"
-                                f"{site.node.lineno} {fn.qualname}() calls "
-                                f"{target.qualname}()"
-                            )
-                            self.may_raise[key] = (
-                                fn.module.display_path, site.node.lineno,
-                                f"calls {target.qualname}() which may raise",
-                                (step,) + t_raise[3][:_MAX_CHAIN],
-                            )
-                            changed = True
-                        t_block = self.may_block.get(target.key)
-                        if t_block is not None and self.may_block[key] is None:
-                            step = (
-                                f"{fn.module.display_path}:"
-                                f"{site.node.lineno} {fn.qualname}() calls "
-                                f"{target.qualname}()"
-                            )
-                            self.may_block[key] = (
-                                fn.module.display_path, site.node.lineno,
-                                f"calls {target.qualname}() which may block",
-                                (step,) + t_block[3][:_MAX_CHAIN],
-                            )
-                            changed = True
+                    target = next((
+                        t for t in site.targets
+                        if self.may_block.get(t.key) is not None
+                    ), None)
+                    if target is None:
+                        continue
+                    t_block = self.may_block[target.key]
+                    step = (
+                        f"{fn.module.display_path}:"
+                        f"{site.node.lineno} {fn.qualname}() calls "
+                        f"{target.qualname}()"
+                    )
+                    self.may_block[key] = (
+                        fn.module.display_path, site.node.lineno,
+                        f"calls {target.qualname}() which may block",
+                        (step,) + t_block[3][:_MAX_CHAIN],
+                    )
+                    changed = True
+                    break
             if not changed:
                 break
 
@@ -204,18 +111,7 @@ class ContractAnalysis:
 
     def _report(self) -> None:
         out = self.findings
-        for key, fn in self.project.functions.items():
-            for contract in sorted(fn.contracts - KNOWN_CONTRACTS):
-                out.append(Finding(
-                    code="SP503",
-                    message=(
-                        f"unknown sp-contract annotation {contract!r} on "
-                        f"{fn.qualname}(); known contracts: "
-                        + ", ".join(sorted(KNOWN_CONTRACTS))
-                    ),
-                    path=fn.module.display_path,
-                    line=fn.lineno,
-                ))
+        for fn in self.project.functions.values():
             for mark in sorted(fn.taint_marks - KNOWN_TAINT_MARKS):
                 out.append(Finding(
                     code="SP503",
@@ -227,32 +123,6 @@ class ContractAnalysis:
                     path=fn.module.display_path,
                     line=fn.lineno,
                 ))
-            if "never-raises" in fn.contracts:
-                witness = self.may_raise.get(key)
-                if witness is not None:
-                    out.append(Finding(
-                        code="SP501",
-                        message=(
-                            f"{fn.qualname}() is annotated never-raises "
-                            f"but {witness[2]} at {witness[0]}:{witness[1]}"
-                        ),
-                        path=fn.module.display_path,
-                        line=fn.lineno,
-                        detail={"chain": list(witness[3])},
-                    ))
-            if "never-blocks" in fn.contracts:
-                witness = self.may_block.get(key)
-                if witness is not None:
-                    out.append(Finding(
-                        code="SP502",
-                        message=(
-                            f"{fn.qualname}() is annotated never-blocks "
-                            f"but {witness[2]} at {witness[0]}:{witness[1]}"
-                        ),
-                        path=fn.module.display_path,
-                        line=fn.lineno,
-                        detail={"chain": list(witness[3])},
-                    ))
         self._report_blocking_under_lock(out)
         self._report_lifecycle(out)
         out.sort(key=Finding.sort_key)
@@ -301,7 +171,7 @@ class ContractAnalysis:
     # -- SP6xx lifecycle ----------------------------------------------------
 
     def _report_lifecycle(self, out: List[Finding]) -> None:
-        for key, fn in self.project.functions.items():
+        for fn in self.project.functions.values():
             out.extend(_lifecycle_findings(fn))
 
 
@@ -517,7 +387,7 @@ def _lifecycle_findings(fn) -> List[Finding]:
 
 
 def contract_findings(project) -> List[Finding]:
-    """Run (or reuse) the contract/lifecycle analysis for a project."""
+    """Run (or reuse) the may-block/lifecycle analysis for a project."""
     cached = getattr(project, "_contracts", None)
     if cached is None:
         cached = ContractAnalysis(project)

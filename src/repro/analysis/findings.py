@@ -7,10 +7,8 @@ operators consume a single shape (``to_dict`` is the JSON contract).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -45,17 +43,6 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def fingerprint(self) -> str:
-        """Stable identity for baselining.
-
-        Line numbers are deliberately excluded so unrelated edits above
-        a legacy finding do not churn the baseline; code + path +
-        message is specific enough in practice (messages embed the
-        function/resource names).
-        """
-        blob = f"{self.code}|{self.path}|{self.message}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
 
 def summarize(findings: List[Finding]) -> Dict[str, int]:
     """``{code: count}`` over a finding list, sorted by code."""
@@ -75,119 +62,3 @@ def render_report(
     suffix = f" across {checked_files} file(s)" if checked_files is not None else ""
     lines.append(f"{len(findings)} finding(s){suffix}: {tally}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Baseline ratchet
-# ---------------------------------------------------------------------------
-
-
-def write_baseline(findings: List[Finding], path: str) -> int:
-    """Record current findings as the accepted legacy set."""
-    entries = [
-        {
-            "fingerprint": f.fingerprint(),
-            "code": f.code,
-            "path": f.path,
-            "message": f.message,
-        }
-        for f in sorted(findings, key=Finding.sort_key)
-    ]
-    payload = {"version": 1, "entries": entries}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return len(entries)
-
-
-def load_baseline(path: str) -> Dict[str, Dict[str, object]]:
-    """``{fingerprint: entry}`` from a baseline file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    entries = payload.get("entries", [])
-    return {entry["fingerprint"]: entry for entry in entries}
-
-
-def apply_baseline(
-    findings: List[Finding], baseline: Dict[str, Dict[str, object]]
-) -> Tuple[List[Finding], List[Dict[str, object]]]:
-    """Split findings against a baseline: the ratchet.
-
-    Returns ``(new_findings, stale_entries)``.  A finding whose
-    fingerprint is baselined is filtered out; a baseline entry whose
-    finding no longer occurs is *stale* and must be removed — CI fails
-    on stale entries so the accepted-debt list only ever shrinks.
-    """
-    seen: set = set()
-    new: List[Finding] = []
-    for finding in findings:
-        fingerprint = finding.fingerprint()
-        if fingerprint in baseline:
-            seen.add(fingerprint)
-        else:
-            new.append(finding)
-    stale = [
-        entry for fingerprint, entry in sorted(baseline.items())
-        if fingerprint not in seen
-    ]
-    return new, stale
-
-
-# ---------------------------------------------------------------------------
-# SARIF 2.1.0 (the subset CI annotation consumers read)
-# ---------------------------------------------------------------------------
-
-
-def to_sarif(
-    findings: List[Finding],
-    rule_index: Optional[Dict[str, str]] = None,
-    tool_version: str = "0",
-) -> Dict[str, object]:
-    """SARIF run for CI annotation.
-
-    ``rule_index`` maps rule code → one-line description; codes seen in
-    findings but absent from the index still get a rule stanza.
-    """
-    rules: Dict[str, str] = dict(rule_index or {})
-    for finding in findings:
-        rules.setdefault(finding.code, finding.message)
-    driver = {
-        "name": "storypivot-lint",
-        "version": tool_version,
-        "informationUri": "https://example.invalid/storypivot-lint",
-        "rules": [
-            {
-                "id": code,
-                "shortDescription": {"text": rules[code]},
-            }
-            for code in sorted(rules)
-        ],
-    }
-    results = []
-    for finding in sorted(findings, key=Finding.sort_key):
-        results.append({
-            "ruleId": finding.code,
-            "level": "error" if finding.severity == "error" else "warning",
-            "message": {"text": finding.message},
-            "partialFingerprints": {"storypivotLint/v1": finding.fingerprint()},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": max(finding.line, 1),
-                        "startColumn": max(finding.col, 0) + 1,
-                    },
-                },
-            }],
-        })
-    return {
-        "version": "2.1.0",
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "runs": [{
-            "tool": {"driver": driver},
-            "results": results,
-        }],
-    }

@@ -577,7 +577,7 @@ class TaintedExec(_TaintRule):
 
 
 # ---------------------------------------------------------------------------
-# SP5xx — exception/blocking contracts (see contracts.py for the engine)
+# SP5xx — annotation checks (see contracts.py for the engine)
 # ---------------------------------------------------------------------------
 
 
@@ -592,25 +592,9 @@ class _ContractRule(Rule):
                 yield finding
 
 
-class NeverRaisesViolation(_ContractRule):
-    code = "SP501"
-    summary = (
-        "function annotated `# sp-contract: never-raises` may raise "
-        "(witness chain in detail)"
-    )
-
-
-class NeverBlocksViolation(_ContractRule):
-    code = "SP502"
-    summary = (
-        "function annotated `# sp-contract: never-blocks` may block "
-        "(witness chain in detail)"
-    )
-
-
 class UnknownContractAnnotation(_ContractRule):
     code = "SP503"
-    summary = "unknown sp-contract / sp-taint annotation value"
+    summary = "unknown sp-taint annotation value"
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +642,6 @@ REGISTRY: Dict[str, Rule] = {
         TaintedResponseWrite(),
         TaintedWalAppend(),
         TaintedExec(),
-        NeverRaisesViolation(),
-        NeverBlocksViolation(),
         UnknownContractAnnotation(),
         LockNotReleased(),
         HandleNotClosed(),

@@ -223,7 +223,6 @@ class Normalizer:
     # -- public API --------------------------------------------------------
 
     # sp-taint: sanitizer -- the gauntlet: output is clean or a Rejection
-    # sp-contract: never-raises
     def normalize(
         self, raw: RawItem
     ) -> Union[NormalizedItem, Rejection]:

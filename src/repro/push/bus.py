@@ -251,7 +251,6 @@ class EventBus:
             self._decisions.remove_listener(self.on_decision)
             self._decisions = None
 
-    # sp-contract: never-raises
     def on_decision(self, entry: dict) -> None:
         """DecisionLog listener — must never raise into the ingest path."""
         try:
@@ -387,8 +386,8 @@ class EventBus:
         if (held[0]["seq"] if held else newest + 1) == after + 1:
             return [], after
         found, through = [], after
-        path = getattr(self._decisions, "path", None)
-        for entry in RecordLog(path).read(TAIL):
+        log = RecordLog(getattr(self._decisions, "path", None))
+        for entry in log.read(TAIL, start=log.offset_after(after)):
             seq = entry.get("seq", 0)
             if seq <= after:
                 continue

@@ -43,6 +43,16 @@ def atomic_write(path: str, write: Callable[[IO[str]], object]) -> int:
     return size
 
 
+def _seq_of(line: bytes) -> Optional[int]:
+    """The integer ``seq`` of one JSON-object line, else None."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    seq = record.get("seq") if isinstance(record, dict) else None
+    return seq if isinstance(seq, int) else None
+
+
 class RecordLog:
     """An append-only JSON-lines file with sequence numbers and segments.
 
@@ -170,13 +180,15 @@ class RecordLog:
         mode: str = LENIENT,
         path: Optional[str] = None,
         on_bad: Optional[Callable[[str, int, Exception], object]] = None,
+        start: int = 0,
     ) -> Iterator[dict]:
         """The records of the active file (or of ``path``), in order.
 
         A bad line is one that does not decode to a JSON object or that
         ``check`` rejects; blank lines are not records.  ``LENIENT``
         passes each bad line to ``on_bad(path, line_no, error)`` and
-        reads on.
+        reads on.  ``start`` is a line's byte offset (see
+        :meth:`offset_after`) to read from; line numbers count from it.
         """
         path = path or self.path
         try:
@@ -184,6 +196,7 @@ class RecordLog:
         except (FileNotFoundError, TypeError):  # no file yet, or no path
             return
         with handle:
+            handle.seek(start)
             for line_no, line in enumerate(handle, start=1):
                 if mode == TAIL and not line.endswith("\n"):
                     return
@@ -203,6 +216,40 @@ class RecordLog:
                         on_bad(path, line_no, exc)
                     continue
                 yield record
+
+    def offset_after(self, seq: int) -> int:
+        """The byte offset of a line of the active file at or before its
+        first record numbered above ``seq``; every record before it is
+        numbered ``seq`` or below.
+
+        Records are appended in ``seq`` order, so this bisects byte
+        offsets: seek, skip to the next line, parse it.  A line that does
+        not parse (or has no ``seq``) moves the probe on to the next one;
+        an unterminated last line counts as past the end.
+        """
+        try:
+            handle = open(self.path, "rb")
+        except (FileNotFoundError, TypeError):  # no file yet, or no path
+            return 0
+        with handle:
+            lo, hi = 0, os.fstat(handle.fileno()).st_size
+            while lo < hi:
+                mid = (lo + hi) // 2
+                handle.seek(max(mid - 1, 0))
+                if mid:
+                    handle.readline()  # on to the first line at or after mid
+                found = None
+                for line in iter(handle.readline, b""):
+                    if not line.endswith(b"\n"):
+                        break
+                    found = _seq_of(line)
+                    if found is not None:
+                        break
+                if found is not None and found <= seq:
+                    lo = handle.tell()
+                else:
+                    hi = mid
+        return lo
 
     # -- rotation ----------------------------------------------------------
 

@@ -236,13 +236,23 @@ class ShardedRuntime:
         return runtime.start()
 
     def start(self) -> "ShardedRuntime":
+        """Start the shard workers.  A ``wal_dir`` that already holds a
+        runtime is only opened by :meth:`resume`: started empty, the
+        shards would append every re-fed snippet to its WAL again."""
         if self._started:
             return self
-        self._started = True
         options = self.options
         if options.wal_dir is not None:
-            self._store = CheckpointStore(options.wal_dir)
-            self._store.write_manifest(options.num_shards, self.config)
+            store = CheckpointStore(options.wal_dir)
+            resumed = any(pivot is not None for pivot in self._restored)
+            if not resumed and store.read_manifest() is not None:
+                raise ConfigurationError(
+                    f"{options.wal_dir!r} already holds a runtime: resume "
+                    "it or give an empty directory"
+                )
+            self._store = store
+            store.write_manifest(options.num_shards, self.config)
+        self._started = True
         for shard_id in range(options.num_shards):
             queue = BoundedQueue(
                 capacity=options.queue_capacity,

@@ -7,7 +7,8 @@ Three modes over the same endpoints:
 * ``--follow``: ingest the corpus through a live
   :class:`~repro.runtime.runtime.ShardedRuntime` *while serving* — a
   background refresher rebuilds and atomically swaps the view as
-  ingestion advances, so clients watch the story set grow;
+  ingestion advances, so clients watch the story set grow.  Restarted
+  on a ``--wal-dir`` it already used, the leader resumes that runtime;
 * ``--demo``: the built-in MH17 two-source corpus (either mode).
 
 Examples::
@@ -46,6 +47,7 @@ from repro.obs.fleet import FleetCollector
 from repro.push import EventBus
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.runtime import RuntimeOptions, ShardedRuntime
+from repro.runtime.wal import CheckpointStore
 
 from repro.server.views import ViewRefresher, ViewStore
 
@@ -128,7 +130,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         store = ViewStore(dataset=corpus.name)
         runtime = None
         if args.follow:
-            runtime = ShardedRuntime(config, options, tracer=tracer).start()
+            try:
+                # a used state dir is resumed: its manifest's shard count
+                # wins and re-fed snippets are dedup hits, not new records
+                if args.wal_dir and CheckpointStore(args.wal_dir).read_manifest():
+                    runtime = ShardedRuntime.resume(
+                        args.wal_dir, config, options, tracer=tracer
+                    )
+                else:
+                    runtime = ShardedRuntime(config, options, tracer=tracer)
+                    runtime.start()
+            except StoryPivotError as exc:
+                parser.exit(2, f"error: {exc}\n")
             metrics, decisions = runtime.metrics, runtime.decisions
         else:
             metrics, decisions = MetricsRegistry(), DecisionLog()

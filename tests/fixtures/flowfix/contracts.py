@@ -1,4 +1,5 @@
-"""Seeded-bad contract annotations: raises, blocks, and a typo."""
+"""Seeded-bad annotations and blocking: a taint-mark typo and a sleep
+reachable under a lock."""
 
 import threading
 import time
@@ -6,27 +7,13 @@ import time
 _lock = threading.Lock()
 
 
-def fail_fast(value):
-    raise ValueError(value)
-
-
-# sp-contract: never-raises
-def should_not_raise(value):
-    return fail_fast(value)
-
-
 def nap():
     time.sleep(0.5)
 
 
-# sp-contract: never-blocks
-def should_not_block():
-    nap()
-
-
-# sp-contract: never-sleeps
-def unknown_contract():
-    return None
+# sp-taint: sanitiser
+def misspelt_sanitizer(value):
+    return str(value)
 
 
 def blocks_under_lock():

@@ -210,19 +210,20 @@ def test_stats_on_empty_project():
     assert stats["unresolved_ratio"] == 0.0
 
 
-# -- contract / taint annotations --------------------------------------------
+# -- taint annotations --------------------------------------------------------
 
 
 def test_annotations_parsed_from_decorator_adjacent_comments():
     proj = project({"src/repro/a.py": (
-        "# sp-contract: never-raises\n"
-        "def safe():\n"
+        "# sp-taint: source\n"
+        "@staticmethod\n"
+        "def fetch():\n"
         "    return 1\n"
         "# sp-taint: sanitizer -- scrubs everything\n"
         "def scrub(value):\n"
         "    return str(value)\n"
     )})
-    assert proj.functions["src/repro/a.py::safe"].contracts == {"never-raises"}
+    assert proj.functions["src/repro/a.py::fetch"].taint_marks == {"source"}
     assert proj.functions["src/repro/a.py::scrub"].taint_marks == {"sanitizer"}
 
 

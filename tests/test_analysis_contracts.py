@@ -1,4 +1,4 @@
-"""Exception contracts, interprocedural blocking, and resource lifecycle."""
+"""Annotation checks, interprocedural blocking, and resource lifecycle."""
 
 from __future__ import annotations
 
@@ -15,82 +15,17 @@ def lint(source, path=PATH):
     return LintEngine().check_source(source, display_path=path)
 
 
-# -- SP501: never-raises -----------------------------------------------------
-
-
-def test_sp501_raise_via_callee_breaks_the_contract():
-    findings = lint(
-        "def explode(value):\n"
-        "    raise ValueError(value)\n"
-        "# sp-contract: never-raises\n"
-        "def safe(value):\n"
-        "    return explode(value)\n"
-    )
-    assert codes(findings) == ["SP501"]
-    assert "explode" in findings[0].message
-    assert findings[0].detail.get("chain")
-
-
-def test_sp501_broad_except_protects_the_contract():
-    assert lint(
-        "import logging\n"
-        "def explode(value):\n"
-        "    raise ValueError(value)\n"
-        "# sp-contract: never-raises\n"
-        "def safe(value):\n"
-        "    try:\n"
-        "        return explode(value)\n"
-        "    except Exception as exc:\n"
-        "        logging.error('normalize failed: %s', exc)\n"
-        "        return None\n"
-    ) == []
-
-
-def test_sp501_direct_raise_in_annotated_function():
-    findings = lint(
-        "# sp-contract: never-raises\n"
-        "def safe(value):\n"
-        "    raise RuntimeError(value)\n"
-    )
-    assert codes(findings) == ["SP501"]
-
-
-# -- SP502: never-blocks -----------------------------------------------------
-
-
-def test_sp502_sleep_via_callee_breaks_the_contract():
-    findings = lint(
-        "import time\n"
-        "def nap():\n"
-        "    time.sleep(0.5)\n"
-        "# sp-contract: never-blocks\n"
-        "def fast():\n"
-        "    nap()\n"
-    )
-    assert codes(findings) == ["SP502"]
-
-
-def test_sp502_nonblocking_chain_is_fine():
-    assert lint(
-        "def add(a, b):\n"
-        "    return a + b\n"
-        "# sp-contract: never-blocks\n"
-        "def fast():\n"
-        "    return add(1, 2)\n"
-    ) == []
-
-
 # -- SP503: unknown annotations ----------------------------------------------
 
 
-def test_sp503_flags_contract_typos():
+def test_sp503_flags_taint_mark_typos():
     findings = lint(
-        "# sp-contract: never-sleeps\n"
-        "def typo():\n"
-        "    return None\n"
+        "# sp-taint: sanitiser\n"
+        "def typo(value):\n"
+        "    return str(value)\n"
     )
     assert codes(findings) == ["SP503"]
-    assert "never-sleeps" in findings[0].message
+    assert "sanitiser" in findings[0].message
 
 
 # -- SP201 upgraded: blocking *reachable* under a lock -----------------------

@@ -1,9 +1,14 @@
 """Unit tests for repro.push: bus, filters, resume, backpressure."""
 
+import json
+import os
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
+
+from repro import recordlog
 
 from repro.core.pipeline import StoryPivot
 from repro.eventdata.handcrafted import demo_config
@@ -12,6 +17,7 @@ from repro.push import EventBus, PushError
 from repro.push.transport import format_sse, parse_last_event_id
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import QueueClosed
+from repro.recordlog import TAIL, RecordLog
 from repro.server.views import ReadView, canonicalize_result_ids
 
 
@@ -362,6 +368,107 @@ class TestPoll:
         bus = EventBus()
         payload = bus.poll(0, timeout=0.01)
         assert payload["events"] == [] and not payload["reset"]
+
+
+def decision_line(seq):
+    return json.dumps({
+        "event": "created", "seq": seq, "snippet_id": f"n{seq}",
+        "source_id": f"s{seq % 3}", "story_id": f"s{seq % 3}/c{seq:06d}",
+    }, sort_keys=True) + "\n"
+
+
+def linear_older(bus, after, matches, most):
+    """The gap reader as a scan of ``decisions.jsonl`` from the top: the
+    oracle the bisecting reader must equal."""
+    held, newest = bus._since(after)
+    if after > newest:
+        return None
+    if (held[0]["seq"] if held else newest + 1) == after + 1:
+        return [], after
+    found, through = [], after
+    for entry in RecordLog(bus._decisions.path).read(TAIL):
+        seq = entry.get("seq", 0)
+        if seq <= after:
+            continue
+        if seq != through + 1:
+            return None
+        through = seq
+        if matches(entry):
+            found.append(entry)
+            if len(found) >= most:
+                break
+    return (found, through) if through > after else None
+
+
+class TestOlderGap:
+    """A gap older than the log's ring is read from ``decisions.jsonl``
+    starting at a bisected offset, not from the top."""
+
+    def test_bisected_read_equals_the_linear_scan_at_every_cursor(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "decisions.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(decision_line(seq) for seq in range(1, 31))
+            fh.write('{"seq": 31, "event": "crea\n')  # torn, then reopened
+            fh.write("[1, 2]\n")                       # not an object
+            fh.write('{"event": "created"}\n')         # no seq
+            fh.write("\n")
+            fh.writelines(decision_line(seq) for seq in range(31, 51))
+            fh.writelines(decision_line(seq) for seq in range(55, 71))  # gap
+        log = DecisionLog(capacity=4, path=path)
+        bus = EventBus().attach(log)
+        for i in range(4):
+            log.record("created", f"s1/c9{i:05d}")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(decision_line(75).rstrip("\n"))  # an append racing us
+        matchers = [
+            lambda entry: True,
+            bus._matcher(None, None, "s1"),
+            bus._matcher(None, None, "nobody"),
+        ]
+        reader = RecordLog(path)
+        everything = list(reader.read(TAIL))
+        for after in range(0, 80):
+            offset = reader.offset_after(after)
+            with open(path, "rb") as fh:
+                assert offset == 0 or fh.read(offset).endswith(b"\n")
+            # reading from the offset loses nothing numbered past the cursor
+            assert [
+                e for e in reader.read(TAIL, start=offset)
+                if e.get("seq", 0) > after
+            ] == [e for e in everything if e.get("seq", 0) > after]
+            for matches in matchers:
+                for most in (1, 3, 100):
+                    assert bus._older(after, matches, most) == linear_older(
+                        bus, after, matches, most
+                    ), (after, most)
+
+    def test_an_old_cursor_parses_a_page_not_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "decisions.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(decision_line(seq) for seq in range(1, 5001))
+        log = DecisionLog(capacity=4, path=path)
+        bus = EventBus().attach(log)
+        log.record("created", "s1/c999999")
+        parsed = []
+
+        def loads(text):
+            parsed.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(
+            recordlog, "json", SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
+        payload = bus.poll(4900, limit=100)
+        assert [e["cursor"] for e in payload["events"]] == list(
+            range(4901, 5001)
+        )
+        # ~13 bisection probes plus the page, where a scan from the top
+        # parses all 5,000 lines
+        assert len(parsed) < 200, len(parsed)
 
 
 class TestDrain:
