@@ -42,7 +42,7 @@ def test_match_terms_cold(benchmark):
     def run():
         # strip the per-instance cache so the full path is measured
         for snippet in snippets[:100]:
-            snippet.__dict__.pop("_match_terms", None)
+            object.__setattr__(snippet, "_match_terms", None)
             match_terms(snippet)
 
     benchmark(run)

@@ -98,13 +98,8 @@ class FunctionInfo:
             _dotted(d.func) if isinstance(d, ast.Call) else _dotted(d)
             for d in node.decorator_list
         ]
-        #: taint annotations attached on the line of (or the line above)
-        #: the ``def`` or its first decorator
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         self.taint_marks: Set[str] = {
-            value
-            for line in (first - 1, first, node.lineno)
-            for value in marks.get(line, ())
+            value for line in _mark_lines(node) for value in marks.get(line, ())
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -168,16 +163,28 @@ def _param_types(fn_node) -> Dict[str, str]:
     return types
 
 
-def _annotation_marks(module) -> Dict[int, List[str]]:
-    """``# sp-taint:`` directives by line number."""
-    import re
+def _mark_lines(node) -> Tuple[int, int, int]:
+    """The lines a ``# sp-taint:`` mark attaches to a function from: the
+    line of (or the line above) the ``def`` or its first decorator."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return (first - 1, first, node.lineno)
 
-    pattern = re.compile(r"#\s*sp-taint:\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)")
+
+def _annotation_marks(module) -> Dict[int, List[str]]:
+    """``# sp-taint:`` directives by line number, read from comments only
+    (a docstring that quotes one is not a mark)."""
+    import io
+    import re
+    import tokenize
+
     marks: Dict[int, List[str]] = {}
-    for lineno, line in enumerate(module.source.splitlines(), start=1):
-        match = pattern.search(line)
+    if "sp-taint" not in module.source:
+        return marks
+    pattern = re.compile(r"#\s*sp-taint:\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)")
+    for token in tokenize.generate_tokens(io.StringIO(module.source).readline):
+        match = token.type == tokenize.COMMENT and pattern.match(token.string)
         if match:
-            marks[lineno] = [v.strip() for v in match.group(1).split(",")]
+            marks[token.start[0]] = [v.strip() for v in match.group(1).split(",")]
     return marks
 
 
@@ -197,6 +204,9 @@ class Project:
         self.calls: Dict[str, List[CallSite]] = {}
         self._counts = {"project": 0, "external": 0, "unresolved": 0}
         self._unresolved_sites: List[Tuple[str, int, str]] = []
+        #: (module, line, marks) of each ``# sp-taint:`` line that attaches
+        #: to no collected function, which the taint pass would never read
+        self.stray_taint_marks: List[Tuple[object, int, List[str]]] = []
         self._collect()
         self._link()
 
@@ -214,6 +224,15 @@ class Project:
                 self._collect_stmt(module, node, None, marks, imports, tables)
             self._imports[module.display_path] = imports
             self._dispatch_tables[module.display_path] = tables
+            if marks:
+                attached = {
+                    line for fn in self.functions.values()
+                    if fn.module is module for line in _mark_lines(fn.node)
+                }
+                self.stray_taint_marks.extend(
+                    (module, line, values) for line, values in marks.items()
+                    if line not in attached
+                )
         # subclass index over project classes (by bare base name — base
         # expressions are matched leniently, a miss just loses dispatch)
         for cls in self.classes.values():

@@ -6,8 +6,9 @@ upgrades SP201 from "blocking call *lexically* under a lock" to
 it makes a call from the positive table SP201 uses (``time.sleep``,
 ``open``, socket/subprocess calls, thread/future joins) or calls a
 project function that may; the witness chain is kept for the report.
-It also rejects an unknown ``# sp-taint:`` mark (SP503), since the
-taint pass reads those marks and a typo would silently drop one.
+It also rejects an unknown ``# sp-taint:`` mark, and one that attaches
+to no function (SP503), since the taint pass reads those marks and a
+typo or a misplaced comment would silently drop one.
 
 The SP6xx lifecycle pass runs on the per-function CFG
 (:mod:`repro.analysis.cfg`): a lock ``.acquire()``, ``open()``/
@@ -123,6 +124,17 @@ class ContractAnalysis:
                     path=fn.module.display_path,
                     line=fn.lineno,
                 ))
+        for module, line, marks in self.project.stray_taint_marks:
+            out.append(Finding(
+                code="SP503",
+                message=(
+                    f"sp-taint annotation {', '.join(marks)!r} attaches to no "
+                    "function; put it on the def line, its first decorator's "
+                    "line or the line above"
+                ),
+                path=module.display_path,
+                line=line,
+            ))
         self._report_blocking_under_lock(out)
         self._report_lifecycle(out)
         out.sort(key=Finding.sort_key)

@@ -594,7 +594,7 @@ class _ContractRule(Rule):
 
 class UnknownContractAnnotation(_ContractRule):
     code = "SP503"
-    summary = "unknown sp-taint annotation value"
+    summary = "unknown or unattached sp-taint annotation"
 
 
 # ---------------------------------------------------------------------------

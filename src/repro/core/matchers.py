@@ -30,10 +30,10 @@ from repro.text.similarity import (
 def snippet_features(snippet: Snippet) -> Tuple[frozenset, frozenset]:
     """(entities, stemmed terms) — the match features of one snippet.
 
-    Memoized on the (immutable) snippet instance: pairwise scoring calls
-    this for every comparison.
+    Memoized in the (immutable) snippet's ``_features`` slot: pairwise
+    scoring calls this for every comparison.
     """
-    cached = snippet.__dict__.get("_features")
+    cached = snippet._features
     if cached is not None:
         return cached
     features = (snippet.entities, frozenset(match_terms(snippet)))

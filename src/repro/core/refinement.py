@@ -75,6 +75,7 @@ class RefinementResult:
 
 
 Votes = Dict[str, Dict[str, float]]  # other source -> story id -> vote mass
+Tally = Dict[str, List]  # story id -> [voters, vote mass summed in member order]
 
 
 class StoryRefiner:
@@ -252,9 +253,9 @@ class StoryRefiner:
                     skipped += 1
                     continue
                 clean = True
-                for position, snippet in enumerate(members):
-                    conflict = self._find_conflict(position, ballots)
-                    result.conflicts_checked += 1
+                conflicts = self._find_conflicts(ballots)
+                result.conflicts_checked += len(members)
+                for snippet, conflict in zip(members, conflicts):
                     if conflict is None:
                         continue
                     clean = False
@@ -271,11 +272,23 @@ class StoryRefiner:
         result.stories_certified.append(skipped)
         return moves
 
+    def _find_conflicts(
+        self, ballots: Tuple[Votes, ...]
+    ) -> List[Optional[Tuple[Set[str], float]]]:
+        """:meth:`_find_conflict` for every member of a story whose members'
+        votes are ``ballots``, the ballots folded once for all of them."""
+        tallies = _tally(ballots)
+        leaders = {source_id: max(tally, key=lambda k: (tally[k][1], k))
+                   for source_id, tally in tallies.items()}
+        return [self._find_conflict(position, ballots, tallies, leaders)
+                for position in range(len(ballots))]
+
     def _find_conflict(
-        self, position: int, ballots: Tuple[Votes, ...]
+        self, position: int, ballots: Tuple[Votes, ...],
+        tallies: Dict[str, Tally], leaders: Dict[str, str],
     ) -> Optional[Tuple[Set[str], float]]:
-        """Does the evidence of the member at ``position`` (of a story whose
-        members' votes are ``ballots``) point elsewhere than its mates'?
+        """Does the evidence of the member at ``position`` point elsewhere
+        than its mates'?
 
         For each other source, compare the snippet's top-voted counterpart
         story with the story its mates collectively vote for.  A conflict
@@ -287,20 +300,17 @@ class StoryRefiner:
         my_votes = ballots[position]
         if not my_votes:
             return None
-        mates = ballots[:position] + ballots[position + 1:]
         evidence_stories: Set[str] = set()
         evidence_mass = 0.0
         agreements = 0
         conflicts = 0
         for source_id, per_source in my_votes.items():
             my_top = max(per_source, key=lambda k: (per_source[k], k))
-            rest: Dict[str, float] = {}
-            for votes in mates:
-                for story_id, mass in votes.get(source_id, {}).items():
-                    rest[story_id] = rest.get(story_id, 0.0) + mass
-            if not rest:
+            rest_top = _rest_top(
+                position, source_id, ballots, tallies[source_id], leaders[source_id]
+            )
+            if rest_top is None:
                 continue
-            rest_top = max(rest, key=lambda k: (rest[k], k))
             if rest_top == my_top:
                 agreements += 1
                 continue
@@ -373,3 +383,60 @@ class StoryRefiner:
             to_story=best_story.story_id,
             evidence=evidence,
         )
+
+
+def _tally(ballots: Tuple[Votes, ...]) -> Dict[str, Tally]:
+    """Every member's votes folded once, per source and story, in member
+    order: the sum a member's mates make is this one less its own term."""
+    tallies: Dict[str, Tally] = {}
+    for votes in ballots:
+        for source_id, per_source in votes.items():
+            tally = tallies.setdefault(source_id, {})
+            for story_id, mass in per_source.items():
+                entry = tally.setdefault(story_id, [0, 0.0])
+                entry[0] += 1
+                entry[1] += mass
+    return tallies
+
+
+def _rest_top(
+    position: int, source_id: str, ballots: Tuple[Votes, ...],
+    tally: Tally, leader: str,
+) -> Optional[str]:
+    """The story the mates of the member at ``position`` vote for most on
+    ``source_id``, ranked by ``(mass, id)`` with each mass summed in member
+    order; ``None`` when no mate votes there.
+
+    The mates' sums are the tally's, one term dropped.  A left fold of
+    non-negative masses never grows when a term is dropped (rounding is
+    monotone), so a member that did not vote for the ``leader`` (the
+    tally's top by ``(mass, id)``) leaves it on top, with the same float.
+    Otherwise ``total − own`` is within a rounding bound of each mates'
+    sum, and only the stories the bound cannot separate from the best are
+    summed again, exactly.
+    """
+    own = ballots[position][source_id]
+    if leader not in own:
+        return leader
+    # a story only the member voted for is not among its mates' sums
+    approx = {story_id: mass - own.get(story_id, 0.0)
+              for story_id, (voters, mass) in tally.items()
+              if voters > (story_id in own)}
+    if not approx:
+        return None
+    # two folds and a subtraction: < 2n roundings, each off by at most
+    # 2⁻⁵³ of the leader's mass; the bound is four times that
+    bound = len(ballots) * 2.0 ** -50 * tally[leader][1]
+    floor = max(approx.values()) - 2 * bound
+    contenders = [story_id for story_id, mass in approx.items() if mass >= floor]
+    if len(contenders) == 1:
+        return contenders[0]
+    exact = dict.fromkeys(contenders, 0.0)
+    for at, votes in enumerate(ballots):
+        per_source = votes.get(source_id)
+        if at == position or not per_source:
+            continue
+        for story_id in contenders:
+            if story_id in per_source:
+                exact[story_id] += per_source[story_id]
+    return max(exact, key=lambda k: (exact[k], k))

@@ -115,7 +115,7 @@ class Document:
         return text[:97] + "..."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snippet:
     """An information snippet — the elemental unit StoryPivot processes.
 
@@ -123,6 +123,13 @@ class Snippet:
     attach; ``description`` is the short event description from the paper's
     tuple format; ``text`` is the underlying excerpt.  ``timestamp`` is the
     real-world occurrence time; ``published`` defaults to it but can lag.
+
+    Every snippet seen is kept, once per copy of the state, so a snippet
+    has slots and no ``__dict__``: nothing but a declared slot can be set
+    on one.  ``_match_terms`` and ``_features`` are the memos of
+    :func:`repro.storage.event_store.match_terms` and
+    :func:`repro.core.matchers.snippet_features`; they are outside
+    ``==``, ``hash`` and ``repr`` and are never copied or pickled.
     """
 
     snippet_id: str
@@ -136,6 +143,12 @@ class Snippet:
     document_id: str = ""
     url: str = ""
     published: Optional[float] = None
+    _match_terms: Optional[Tuple[str, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _features: Optional[Tuple[FrozenSet[str], FrozenSet[str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.snippet_id:
@@ -145,6 +158,14 @@ class Snippet:
         if self.published is None:
             # frozen dataclass: write through object.__setattr__
             object.__setattr__(self, "published", self.timestamp)
+
+    def __reduce__(self):
+        # through __init__ on every Python: the memos are rebuilt, not shipped
+        return Snippet, (
+            self.snippet_id, self.source_id, self.timestamp, self.description,
+            self.entities, self.keywords, self.text, self.event_type,
+            self.document_id, self.url, self.published,
+        )
 
     @property
     def content(self) -> str:

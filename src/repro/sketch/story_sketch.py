@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain
-from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.eventdata.models import DAY
 from repro.sketch.minhash import MinHash, MinHashSignature
@@ -44,7 +44,8 @@ class StorySketch:
         self.term_mass = 0
         self._span: Optional[Tuple[float, float]] = None  # None = recompute
         self._timestamps: Dict[str, float] = {}
-        self._entities: Dict[str, Tuple[str, ...]] = {}
+        #: a member's entities: the snippet's own frozenset, held not copied
+        self._entities: Dict[str, Collection[str]] = {}
         self._terms: Dict[str, Tuple[str, ...]] = {}
         self._signatures: Dict[str, MinHashSignature] = {}
         self._merged_signature: Optional[MinHashSignature] = None
@@ -70,10 +71,15 @@ class StorySketch:
         terms: Iterable[str],
         shingles: Optional[Set] = None,
     ) -> None:
-        """Add one snippet's contribution (ValueError on duplicates)."""
+        """Add one snippet's contribution (ValueError on duplicates).
+
+        A frozenset of ``entities`` is held as it is: immutable, and it
+        iterates in the order a tuple of it would, so every count and sum
+        is the same.  Any other iterable is held as a tuple.
+        """
         if snippet_id in self._timestamps:
             raise ValueError(f"snippet {snippet_id!r} already in sketch")
-        entity_tuple = tuple(entities)
+        entity_keys = entities if isinstance(entities, frozenset) else tuple(entities)
         term_tuple = tuple(terms)
         if not self._timestamps:
             self._span = (timestamp, timestamp)
@@ -81,11 +87,11 @@ class StorySketch:
             start, end = self._span
             self._span = (min(start, timestamp), max(end, timestamp))
         self._timestamps[snippet_id] = timestamp
-        self._entities[snippet_id] = entity_tuple
+        self._entities[snippet_id] = entity_keys
         self._terms[snippet_id] = term_tuple
-        self.entity_counts.update(entity_tuple)
+        self.entity_counts.update(entity_keys)
         self.term_counts.update(term_tuple)
-        self.entity_mass += len(entity_tuple)
+        self.entity_mass += len(entity_keys)
         self.term_mass += len(term_tuple)
         if self.minhash is not None:
             elements = shingles if shingles is not None else set(term_tuple)
@@ -120,13 +126,13 @@ class StorySketch:
         """Exactly undo one snippet's contribution (KeyError if absent)."""
         del self._timestamps[snippet_id]
         self._span = None
-        entity_tuple = self._entities.pop(snippet_id)
+        entity_keys = self._entities.pop(snippet_id)
         term_tuple = self._terms.pop(snippet_id)
-        self.entity_mass -= len(entity_tuple)
+        self.entity_mass -= len(entity_keys)
         self.term_mass -= len(term_tuple)
         # only the removed snippet's own keys can have dropped to zero
         for counter, removed in (
-            (self.entity_counts, entity_tuple), (self.term_counts, term_tuple)
+            (self.entity_counts, entity_keys), (self.term_counts, term_tuple)
         ):
             counter.subtract(removed)
             for key in set(removed):
@@ -185,9 +191,9 @@ class StorySketch:
         if at_time is None:
             return dict(self.entity_counts)
         profile: Dict[str, float] = {}
-        for snippet_id, entity_tuple in self._entities.items():
+        for snippet_id, entity_keys in self._entities.items():
             weight = self._decay_weight(self._timestamps[snippet_id], at_time)
-            for entity in entity_tuple:
+            for entity in entity_keys:
                 profile[entity] = profile.get(entity, 0.0) + weight
         return profile
 
@@ -221,7 +227,7 @@ class StorySketch:
         entity_mass = term_mass = 0.0
         nearest = math.inf
         # add() and remove() keep the three per-member maps in one order
-        for timestamp, entity_tuple, term_tuple in zip(
+        for timestamp, entity_keys, term_tuple in zip(
             self._timestamps.values(), self._entities.values(), self._terms.values()
         ):
             distance = abs(near - timestamp)
@@ -229,8 +235,8 @@ class StorySketch:
                 nearest = distance
             # _decay_weight, inlined: the same expression, the same float
             weight = math.pow(0.5, abs(at_time - timestamp) / half_life)
-            entity_mass += weight * len(entity_tuple)
-            for entity in entity_tuple:
+            entity_mass += weight * len(entity_keys)
+            for entity in entity_keys:
                 if entity in entities:
                     entity_shared[entity] = entity_shared.get(entity, 0.0) + weight
             term_mass += weight * len(term_tuple)

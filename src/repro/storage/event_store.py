@@ -21,11 +21,11 @@ def match_terms(snippet: Snippet) -> Tuple[str, ...]:
     """The term features a snippet is matched on.
 
     Keywords (annotations) plus description words, stemmed, stopword-free,
-    deduplicated with stable order.  The result is memoized on the snippet
-    instance (snippets are immutable), because matchers call this on every
-    pairwise comparison.
+    deduplicated with stable order.  The result is memoized in the
+    snippet's ``_match_terms`` slot (snippets are immutable), because
+    matchers call this on every pairwise comparison.
     """
-    cached = snippet.__dict__.get("_match_terms")
+    cached = snippet._match_terms
     if cached is not None:
         return cached
     raw = list(snippet.keywords) + word_tokens(snippet.description)

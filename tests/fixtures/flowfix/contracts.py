@@ -19,3 +19,9 @@ def misspelt_sanitizer(value):
 def blocks_under_lock():
     with _lock:
         nap()
+
+
+# sp-taint: sanitizer
+# (a mark two lines above its def attaches to nothing)
+def detached_sanitizer(value):
+    return str(value)

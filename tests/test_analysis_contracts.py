@@ -28,6 +28,34 @@ def test_sp503_flags_taint_mark_typos():
     assert "sanitiser" in findings[0].message
 
 
+def test_sp503_flags_a_mark_that_attaches_to_no_function():
+    findings = lint(
+        "# sp-taint: sanitizer\n"
+        "\n"
+        "def detached(value):\n"
+        "    return str(value)\n"
+    )
+    assert codes(findings) == ["SP503"]
+    assert findings[0].line == 1
+    assert "attaches to no function" in findings[0].message
+
+
+def test_sp503_accepts_marks_where_they_attach():
+    assert lint(
+        "import functools\n"
+        "# sp-taint: source\n"
+        "@functools.lru_cache\n"
+        "def above_decorator(value):\n"
+        "    return value\n"
+        "def on_def_line(value):  # sp-taint: sanitizer\n"
+        "    return value\n"
+        "class Holder:\n"
+        "    # sp-taint: source\n"
+        "    def method(self):\n"
+        "        return 1\n"
+    ) == []
+
+
 # -- SP201 upgraded: blocking *reachable* under a lock -----------------------
 
 
