@@ -33,6 +33,7 @@ from repro.core.matchers import SnippetMatcher, snippet_features
 from repro.core.stories import Story, StorySet
 from repro.errors import AlignmentError
 from repro.eventdata.models import DEFAULT_TRUST, Snippet, format_timestamp
+from repro.storage.event_store import match_terms
 
 _aligned_counter = itertools.count()
 #: stamps every counterpart graph's changes: none is ever handed out twice
@@ -230,7 +231,8 @@ class CounterpartGraph:
 
     def _clear(self) -> None:
         self._snippets: Dict[str, Snippet] = {}
-        #: per source, its snippets as sorted (timestamp, id, features, snippet)
+        #: per source, its snippets as sorted
+        #: (timestamp, id, entities, term tuple, snippet)
         self._timelines: Dict[str, List[tuple]] = defaultdict(list)
         self._pairs: Dict[str, List[Pair]] = {}
         self._stamps: Dict[str, int] = {}
@@ -282,7 +284,9 @@ class CounterpartGraph:
 
     def _add(self, snippet: Snippet, stamp: int) -> int:
         snippet_id, timestamp, scored = snippet.snippet_id, snippet.timestamp, 0
-        entities, terms = features = snippet_features(snippet)
+        # the one term set built for this snippet; the others' tuples are read
+        entities, terms = snippet_features(snippet)
+        score = self.matcher.prepared_score
         # inclusive bounds whatever the ids' characters
         low = (timestamp - self.radius,)
         high = (math.nextafter(timestamp + self.radius, math.inf),)
@@ -292,25 +296,25 @@ class CounterpartGraph:
                 continue
             window = timeline[bisect.bisect_left(timeline, low):
                               bisect.bisect_left(timeline, high)]
-            for other_timestamp, other_id, other_features, other in window:
-                other_entities, other_terms = other_features
+            for other_timestamp, other_id, other_entities, other_terms, other in window:
                 shared = not (entities.isdisjoint(other_entities)
                               and terms.isdisjoint(other_terms))
                 if not shared and not self._keep_disjoint:
                     continue
-                score = self.matcher.snippet_score(snippet, other)  # symmetric
+                # snippet_score(snippet, other), symmetric
+                value = score(entities, terms, timestamp, other)
                 scored += 1
-                if score < self.threshold:
+                if value < self.threshold:
                     continue
-                mine.append((other_timestamp, other_id, score, shared))
+                mine.append((other_timestamp, other_id, value, shared))
                 bisect.insort(self._pairs[other_id],
-                              (timestamp, snippet_id, score, shared))
+                              (timestamp, snippet_id, value, shared))
                 self._stamps[other_id] = stamp
         mine.sort()
         self._pairs[snippet_id] = mine
         self._snippets[snippet_id] = snippet
         bisect.insort(self._timelines[snippet.source_id],
-                      (timestamp, snippet_id, features, snippet))
+                      (timestamp, snippet_id, entities, match_terms(snippet), snippet))
         self._stamps[snippet_id] = stamp
         return scored
 

@@ -36,6 +36,7 @@ from repro.errors import DuplicateSnippetError, UnknownSnippetError
 from repro.eventdata.models import Snippet
 from repro.sketch.lsh import LshIndex
 from repro.sketch.minhash import MinHash
+from repro.storage.event_store import match_terms
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.temporal_index import TemporalIndex
 
@@ -116,9 +117,10 @@ class BaseIdentifier:
         if snippet.snippet_id in self._snippets:
             raise DuplicateSnippetError(snippet.snippet_id)
         self._build_indexes()
-        ranked = self._score_candidates(snippet)
+        shingles = snippet_shingles(snippet)  # one feature set for both hooks
+        ranked = self._score_candidates(snippet, shingles)
         story = self._place(snippet, ranked)
-        self._index(snippet)
+        self._index(snippet, shingles)
         self._post_assign(snippet, story, ranked)
         self.stats.snippets += 1
         return self.stories.story_of(snippet.snippet_id)
@@ -149,7 +151,7 @@ class BaseIdentifier:
                 raise DuplicateSnippetError(snippet.snippet_id)
             self.stories.assign(snippet, story)
             self._snippets[snippet.snippet_id] = snippet
-            self._index(snippet)
+            self._index(snippet, snippet_shingles(snippet))
             self.stats.snippets += 1
         if self.decisions is not None:
             self.decisions.record(
@@ -171,7 +173,7 @@ class BaseIdentifier:
 
     def _build_indexes(self) -> None:
         for snippet in () if self._indexed else self._snippets.values():
-            self._index(snippet)
+            self._index(snippet, snippet_shingles(snippet))
         self._indexed = True
 
     def remove(self, snippet_id: str) -> Snippet:
@@ -187,23 +189,26 @@ class BaseIdentifier:
 
     # -- candidate retrieval (mode-specific) ---------------------------------
 
-    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
+    def _candidate_story_ids(self, snippet: Snippet,
+                             shingles: Optional[Set] = None) -> Set[str]:
+        """Candidate story ids; :func:`snippet_shingles` built if not given."""
         raise NotImplementedError
 
-    def _score_candidates(self, snippet: Snippet) -> List[Tuple[Story, float]]:
-        candidate_ids = self._candidate_story_ids(snippet)
+    def _score_candidates(
+        self, snippet: Snippet, shingles: Set
+    ) -> List[Tuple[Story, float]]:
+        candidate_ids = self._candidate_story_ids(snippet, shingles)
         self.stats.candidates += len(candidate_ids)
+        # one term set for every candidate; temporal reads decayed profiles
+        decayed, terms = self.mode == "temporal", frozenset(match_terms(snippet))
         scored: List[Tuple[Story, float]] = []
         for story_id in sorted(candidate_ids):
             story = self.stories.story(story_id)
-            score = self._score(snippet, story)
+            score = self.matcher.story_score(snippet, story, decayed=decayed, terms=terms)
             self.stats.comparisons += 1
             scored.append((story, score))
         scored.sort(key=lambda pair: (-pair[1], pair[0].story_id))
         return scored
-
-    def _score(self, snippet: Snippet, story: Story) -> float:
-        raise NotImplementedError
 
     # -- placement -------------------------------------------------------------
 
@@ -296,8 +301,8 @@ class BaseIdentifier:
     def _new_indexes(self) -> None:
         """Build this mode's empty candidate indexes (single-pass: none)."""
 
-    def _index(self, snippet: Snippet) -> None:
-        """Enter ``snippet`` into this mode's candidate indexes."""
+    def _index(self, snippet: Snippet, shingles: Set) -> None:
+        """Enter ``snippet`` and its shingles into this mode's candidate indexes."""
 
     def _unindex(self, snippet: Snippet) -> None:
         """Exactly undo :meth:`_index`."""
@@ -308,19 +313,15 @@ class BaseIdentifier:
             self._lsh = LshIndex(self.config.minhash_permutations, self.config.lsh_bands)
         return self.config.use_sketches
 
-    def _index_signature(self, snippet: Snippet) -> None:
-        assert self._lsh is not None
-        self._lsh.insert(snippet.snippet_id, self._snippet_signature(snippet))
-
-    def _snippet_signature(self, snippet: Snippet):
-        assert self._minhash is not None
-        return self._minhash.signature(snippet_shingles(snippet))
+    def _index_signature(self, snippet: Snippet, shingles: Set) -> None:
+        assert self._lsh is not None and self._minhash is not None
+        self._lsh.insert(snippet.snippet_id, self._minhash.signature(shingles))
 
     def _stories_of_snippets(self, snippet_ids: Iterable[str]) -> Set[str]:
         homes = self.stories.snippet_homes
         return {homes[snippet_id] for snippet_id in snippet_ids}
 
-    def _sketch_candidates(self, snippet: Snippet) -> Set[str]:
+    def _sketch_candidates(self, shingles: Set) -> Set[str]:
         """Candidate *snippet* ids colliding with the query in the LSH.
 
         The LSH indexes snippet signatures, not merged story signatures:
@@ -328,8 +329,8 @@ class BaseIdentifier:
         grows, which would defeat the banding; snippet-to-snippet Jaccard
         stays meaningful, and candidates map to their stories afterwards.
         """
-        assert self._lsh is not None
-        signature = self._snippet_signature(snippet)
+        assert self._lsh is not None and self._minhash is not None
+        signature = self._minhash.signature(shingles)
         return {
             snippet_id
             for snippet_id, similarity in self._lsh.query(
@@ -356,12 +357,12 @@ class TemporalIdentifier(BaseIdentifier):
             #: feature -> time-ordered entries; one entry tuple per snippet
             self._postings: Dict[Tuple[str, str], List[Tuple[float, str]]] = {}
 
-    def _index(self, snippet: Snippet) -> None:
+    def _index(self, snippet: Snippet, shingles: Set) -> None:
         if self._lsh is not None:
             self._temporal.insert(snippet.snippet_id, snippet.timestamp)
-            return self._index_signature(snippet)
+            return self._index_signature(snippet, shingles)
         entry = (snippet.timestamp, snippet.snippet_id)
-        for feature in snippet_shingles(snippet):
+        for feature in shingles:
             insort(self._postings.setdefault(feature, []), entry)
 
     def _unindex(self, snippet: Snippet) -> None:
@@ -375,11 +376,13 @@ class TemporalIdentifier(BaseIdentifier):
             if not posting:
                 del self._postings[feature]
 
-    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
+    def _candidate_story_ids(self, snippet: Snippet,
+                             shingles: Optional[Set] = None) -> Set[str]:
+        shingles = snippet_shingles(snippet) if shingles is None else shingles
         start = snippet.timestamp - self.config.window
         end = snippet.timestamp + self.config.window
         if self._lsh is not None:
-            ids = self._sketch_candidates(snippet)
+            ids = self._sketch_candidates(shingles)
             ids.intersection_update(self._temporal.window(start, end))
             ids.discard(snippet.snippet_id)
             return self._stories_of_snippets(ids)
@@ -387,15 +390,12 @@ class TemporalIdentifier(BaseIdentifier):
         # before every entry of their timestamp, whatever its id
         lo, hi = (start,), (math.nextafter(end, math.inf),)
         entries: Set[Tuple[float, str]] = set()
-        for feature in snippet_shingles(snippet):
+        for feature in shingles:
             posting = self._postings.get(feature)
             if posting:
                 entries.update(posting[bisect_left(posting, lo):bisect_left(posting, hi)])
         own = snippet.snippet_id
         return self._stories_of_snippets(sid for _, sid in entries if sid != own)
-
-    def _score(self, snippet: Snippet, story: Story) -> float:
-        return self.matcher.story_score(snippet, story, decayed=True)
 
 
 class CompleteIdentifier(BaseIdentifier):
@@ -408,25 +408,24 @@ class CompleteIdentifier(BaseIdentifier):
         if not self._use_lsh():
             self._inverted = InvertedIndex()
 
-    def _index(self, snippet: Snippet) -> None:
+    def _index(self, snippet: Snippet, shingles: Set) -> None:
         if self._lsh is not None:
-            return self._index_signature(snippet)
-        self._inverted.insert(snippet.snippet_id, snippet_shingles(snippet))
+            return self._index_signature(snippet, shingles)
+        self._inverted.insert(snippet.snippet_id, shingles)
 
     def _unindex(self, snippet: Snippet) -> None:
         if self._lsh is not None:
             return self._lsh.remove(snippet.snippet_id)
         self._inverted.remove(snippet.snippet_id)
 
-    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
+    def _candidate_story_ids(self, snippet: Snippet,
+                             shingles: Optional[Set] = None) -> Set[str]:
+        shingles = snippet_shingles(snippet) if shingles is None else shingles
         if self._lsh is not None:
-            return self._stories_of_snippets(self._sketch_candidates(snippet))
-        ids = self._inverted.candidates(snippet_shingles(snippet))
+            return self._stories_of_snippets(self._sketch_candidates(shingles))
+        ids = self._inverted.candidates(shingles)
         ids.discard(snippet.snippet_id)
         return self._stories_of_snippets(ids)
-
-    def _score(self, snippet: Snippet, story: Story) -> float:
-        return self.matcher.story_score(snippet, story, decayed=False)
 
 
 class SinglePassIdentifier(BaseIdentifier):
@@ -435,11 +434,9 @@ class SinglePassIdentifier(BaseIdentifier):
 
     mode = "single_pass"
 
-    def _candidate_story_ids(self, snippet: Snippet) -> Set[str]:
+    def _candidate_story_ids(self, snippet: Snippet,
+                             shingles: Optional[Set] = None) -> Set[str]:
         return set(self.stories.story_ids())
-
-    def _score(self, snippet: Snippet, story: Story) -> float:
-        return self.matcher.story_score(snippet, story, decayed=False)
 
 
 _IDENTIFIER_CLASSES = {

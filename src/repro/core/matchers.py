@@ -13,7 +13,7 @@ evolving stories.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Tuple
+from typing import AbstractSet, FrozenSet, Mapping, Optional, Tuple
 
 from repro.core.config import StoryPivotConfig
 from repro.core.stories import Story
@@ -28,17 +28,14 @@ from repro.text.similarity import (
 
 
 def snippet_features(snippet: Snippet) -> Tuple[frozenset, frozenset]:
-    """(entities, stemmed terms) — the match features of one snippet.
+    """(entities, stemmed terms) — the match features of one snippet, as sets.
 
-    Memoized in the (immutable) snippet's ``_features`` slot: pairwise
-    scoring calls this for every comparison.
+    The term set is built on every call and stored nowhere: a snippet
+    holds its features once, as ``entities`` and the :func:`match_terms`
+    tuple.  Scorers build one term set per arriving snippet and read the
+    other side's tuple.
     """
-    cached = snippet._features
-    if cached is not None:
-        return cached
-    features = (snippet.entities, frozenset(match_terms(snippet)))
-    object.__setattr__(snippet, "_features", features)
-    return features
+    return snippet.entities, frozenset(match_terms(snippet))
 
 
 #: where ``snippet_score`` puts each channel; any other name reads the 0.0
@@ -58,23 +55,32 @@ class SnippetMatcher:
     # -- snippet vs snippet ------------------------------------------------
 
     def snippet_score(self, a: Snippet, b: Snippet) -> float:
-        """Pairwise similarity of two snippets in [0, 1].
+        """Pairwise similarity of two snippets in [0, 1], symmetric."""
+        terms = frozenset(match_terms(a))
+        return self.prepared_score(a.entities, terms, a.timestamp, b)
+
+    def prepared_score(
+        self, entities: AbstractSet[str], terms: FrozenSet[str],
+        timestamp: float, other: Snippet,
+    ) -> float:
+        """:meth:`snippet_score` of a snippet with these features (its
+        terms as a set) against ``other``, whose term tuple is read as it
+        is: a caller scoring one snippet against many builds one set.
 
         ``combine_weighted`` over ``overlap_coefficient`` (entities),
         ``jaccard_similarity`` (terms) and ``temporal_proximity``, inlined:
         alignment's and refinement's hottest call builds no dict.  The same
         products through builtin ``sum`` in the same order: the same float.
         """
-        entities_a, terms_a = snippet_features(a)
-        entities_b, terms_b = snippet_features(b)
+        other_entities, other_terms = other.entities, match_terms(other)
         entity = term = 0.0
-        if entities_a and entities_b:
-            smaller = min(len(entities_a), len(entities_b))
-            entity = len(entities_a & entities_b) / smaller
-        if terms_a and terms_b:
-            shared = len(terms_a & terms_b)
-            term = shared / (len(terms_a) + len(terms_b) - shared)
-        proximity = math.exp(-abs(a.timestamp - b.timestamp) / self.config.window)
+        if entities and other_entities:
+            smaller = min(len(entities), len(other_entities))
+            entity = len(entities & other_entities) / smaller
+        if terms and other_terms:  # a term tuple holds no repeats
+            shared = len(terms.intersection(other_terms))
+            term = shared / (len(terms) + len(other_terms) - shared)
+        proximity = math.exp(-abs(timestamp - other.timestamp) / self.config.window)
         channels = (entity, term, proximity, 0.0)
         return sum([w * channels[at] for w, at in self._weighted]) / self._total_weight
 
@@ -86,6 +92,7 @@ class SnippetMatcher:
         story: Story,
         at_time: Optional[float] = None,
         decayed: Optional[bool] = None,
+        terms: Optional[FrozenSet[str]] = None,
     ) -> float:
         """Similarity of ``snippet`` to ``story``.
 
@@ -93,13 +100,18 @@ class SnippetMatcher:
         contributions toward ``at_time`` (defaults to the snippet's own
         timestamp) — the temporal mode; ``False`` uses raw counts — the
         complete mode.  When ``None`` it follows the configured mode.
+        ``terms`` is the snippet's term set if the caller built it (one
+        per snippet, however many stories it is scored against); it must
+        be ``frozenset(match_terms(snippet))``, whose order the sums follow.
         """
         if len(story) == 0:
             return 0.0
         if decayed is None:
             decayed = self.config.identification_mode == "temporal"
         sketch = story.sketch
-        entities, terms = snippet_features(snippet)
+        entities = snippet.entities
+        if terms is None:
+            terms = frozenset(match_terms(snippet))
         if decayed:
             reference = at_time if at_time is not None else snippet.timestamp
             entity_weights, entity_mass, term_weights, term_mass, nearest = (
@@ -138,7 +150,7 @@ class SnippetMatcher:
 
 
 def _profile_overlap(
-    features: frozenset, weights: Mapping[str, float], mass: float
+    features: AbstractSet[str], weights: Mapping[str, float], mass: float
 ) -> float:
     """Overlap-coefficient analogue of a feature set vs a weighted profile.
 

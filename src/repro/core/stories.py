@@ -83,7 +83,7 @@ class Story:
         clone = object.__new__(Story)
         clone.story_id, clone.source_id = self.story_id, self.source_id
         clone.sketch = self.sketch.copy()
-        clone._snippets = {sid: self._snippets[sid] for sid in clone.sketch._timestamps}
+        clone._snippets = {sid: self._snippets[sid] for sid in clone.sketch._members}
         clone._ordered = None
         return clone
 

@@ -126,10 +126,10 @@ class Snippet:
 
     Every snippet seen is kept, once per copy of the state, so a snippet
     has slots and no ``__dict__``: nothing but a declared slot can be set
-    on one.  ``_match_terms`` and ``_features`` are the memos of
-    :func:`repro.storage.event_store.match_terms` and
-    :func:`repro.core.matchers.snippet_features`; they are outside
-    ``==``, ``hash`` and ``repr`` and are never copied or pickled.
+    on one.  Its features are held once: ``entities`` and the one memo,
+    ``_match_terms`` (the tuple :func:`repro.storage.event_store.match_terms`
+    builds), outside ``==``, ``hash`` and ``repr`` and never copied or
+    pickled.  Scoring builds its term sets per call and stores none.
     """
 
     snippet_id: str
@@ -146,9 +146,6 @@ class Snippet:
     _match_terms: Optional[Tuple[str, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _features: Optional[Tuple[FrozenSet[str], FrozenSet[str]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.snippet_id:
@@ -160,7 +157,7 @@ class Snippet:
             object.__setattr__(self, "published", self.timestamp)
 
     def __reduce__(self):
-        # through __init__ on every Python: the memos are rebuilt, not shipped
+        # through __init__ on every Python: the memo is rebuilt, not shipped
         return Snippet, (
             self.snippet_id, self.source_id, self.timestamp, self.description,
             self.entities, self.keywords, self.text, self.event_type,

@@ -24,9 +24,18 @@ from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Set,
 from repro.eventdata.models import DAY
 from repro.sketch.minhash import MinHash, MinHashSignature
 
+#: a member's contribution: (timestamp, entities, terms)
+Member = Tuple[float, Collection[str], Tuple[str, ...]]
+
 
 class StorySketch:
-    """Incremental, removable summary of a set of snippets."""
+    """Incremental, removable summary of a set of snippets.
+
+    A member is one entry of one map, ``(timestamp, entities, terms)``,
+    holding the containers :meth:`add` was given: a story passes its
+    snippet's own ``entities`` frozenset and ``match_terms`` tuple, so each
+    feature is held once however many sketches and copies hold the member.
+    """
 
     def __init__(
         self,
@@ -43,25 +52,23 @@ class StorySketch:
         self.entity_mass = 0
         self.term_mass = 0
         self._span: Optional[Tuple[float, float]] = None  # None = recompute
-        self._timestamps: Dict[str, float] = {}
-        #: a member's entities: the snippet's own frozenset, held not copied
-        self._entities: Dict[str, Collection[str]] = {}
-        self._terms: Dict[str, Tuple[str, ...]] = {}
+        #: id -> (timestamp, entities, terms), in insertion order
+        self._members: Dict[str, Member] = {}
         self._signatures: Dict[str, MinHashSignature] = {}
         self._merged_signature: Optional[MinHashSignature] = None
 
     # -- membership -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._timestamps)
+        return len(self._members)
 
     def __contains__(self, snippet_id: str) -> bool:
-        return snippet_id in self._timestamps
+        return snippet_id in self._members
 
     @property
     def snippet_ids(self) -> List[str]:
         """Member ids ordered by (timestamp, id)."""
-        return sorted(self._timestamps, key=lambda sid: (self._timestamps[sid], sid))
+        return sorted(self._members, key=lambda sid: (self._members[sid][0], sid))
 
     def add(
         self,
@@ -73,22 +80,20 @@ class StorySketch:
     ) -> None:
         """Add one snippet's contribution (ValueError on duplicates).
 
-        A frozenset of ``entities`` is held as it is: immutable, and it
-        iterates in the order a tuple of it would, so every count and sum
-        is the same.  Any other iterable is held as a tuple.
+        A frozenset of ``entities`` and a tuple of ``terms`` are held as
+        they are (a frozenset iterates in the order a tuple of it would, so
+        every count and sum is the same); other iterables as tuples.
         """
-        if snippet_id in self._timestamps:
+        if snippet_id in self._members:
             raise ValueError(f"snippet {snippet_id!r} already in sketch")
         entity_keys = entities if isinstance(entities, frozenset) else tuple(entities)
         term_tuple = tuple(terms)
-        if not self._timestamps:
+        if not self._members:
             self._span = (timestamp, timestamp)
         elif self._span is not None:
             start, end = self._span
             self._span = (min(start, timestamp), max(end, timestamp))
-        self._timestamps[snippet_id] = timestamp
-        self._entities[snippet_id] = entity_keys
-        self._terms[snippet_id] = term_tuple
+        self._members[snippet_id] = (timestamp, entity_keys, term_tuple)
         self.entity_counts.update(entity_keys)
         self.term_counts.update(term_tuple)
         self.entity_mass += len(entity_keys)
@@ -110,24 +115,22 @@ class StorySketch:
         sum reads the same floats, and the merged signature (a
         coordinate-wise minimum) is this one's."""
         clone = StorySketch(self.minhash, self.decay_half_life)
-        order = sorted(sorted(self._timestamps), key=self._timestamps.get)
-        clone._timestamps, clone._entities, clone._terms, clone._signatures = (
-            {sid: held[sid] for sid in order} if held else {} for held in
-            (self._timestamps, self._entities, self._terms, self._signatures))
+        clone._members = members = dict(sorted(
+            self._members.items(), key=lambda item: (item[1][0], item[0])))
+        held = self._signatures
+        clone._signatures = {sid: held[sid] for sid in members} if held else {}
         # keys in first-seen order, as add() puts them
-        clone.entity_counts.update(chain.from_iterable(clone._entities.values()))
-        clone.term_counts.update(chain.from_iterable(clone._terms.values()))
+        clone.entity_counts.update(chain.from_iterable(m[1] for m in members.values()))
+        clone.term_counts.update(chain.from_iterable(m[2] for m in members.values()))
         clone.entity_mass, clone.term_mass = self.entity_mass, self.term_mass
-        clone._span = self.span if order else None
+        clone._span = self.span if members else None
         clone._merged_signature = self._merged_signature
         return clone
 
     def remove(self, snippet_id: str) -> None:
         """Exactly undo one snippet's contribution (KeyError if absent)."""
-        del self._timestamps[snippet_id]
+        _, entity_keys, term_tuple = self._members.pop(snippet_id)
         self._span = None
-        entity_keys = self._entities.pop(snippet_id)
-        term_tuple = self._terms.pop(snippet_id)
         self.entity_mass -= len(entity_keys)
         self.term_mass -= len(term_tuple)
         # only the removed snippet's own keys can have dropped to zero
@@ -155,11 +158,10 @@ class StorySketch:
     def span(self) -> Tuple[float, float]:
         """(start, end): kept current by add, recomputed after a remove."""
         if self._span is None:
-            if not self._timestamps:
+            if not self._members:
                 raise ValueError("empty sketch has no start or end")
-            self._span = (
-                min(self._timestamps.values()), max(self._timestamps.values())
-            )
+            timestamps = [member[0] for member in self._members.values()]
+            self._span = (min(timestamps), max(timestamps))
         return self._span
 
     @property
@@ -171,14 +173,14 @@ class StorySketch:
         return self.span[1]
 
     def timestamp_of(self, snippet_id: str) -> float:
-        return self._timestamps[snippet_id]
+        return self._members[snippet_id][0]
 
     def timestamps(self) -> List[float]:
-        return sorted(self._timestamps.values())
+        return sorted(member[0] for member in self._members.values())
 
     def nearest(self, timestamp: float) -> float:
         """Distance from ``timestamp`` to the closest member's."""
-        return min(abs(timestamp - t) for t in self._timestamps.values())
+        return min(abs(timestamp - member[0]) for member in self._members.values())
 
     # -- profiles -----------------------------------------------------------------
 
@@ -191,8 +193,8 @@ class StorySketch:
         if at_time is None:
             return dict(self.entity_counts)
         profile: Dict[str, float] = {}
-        for snippet_id, entity_keys in self._entities.items():
-            weight = self._decay_weight(self._timestamps[snippet_id], at_time)
+        for member_time, entity_keys, _ in self._members.values():
+            weight = self._decay_weight(member_time, at_time)
             for entity in entity_keys:
                 profile[entity] = profile.get(entity, 0.0) + weight
         return profile
@@ -202,8 +204,8 @@ class StorySketch:
         if at_time is None:
             return dict(self.term_counts)
         profile: Dict[str, float] = {}
-        for snippet_id, term_tuple in self._terms.items():
-            weight = self._decay_weight(self._timestamps[snippet_id], at_time)
+        for member_time, _, term_tuple in self._members.values():
+            weight = self._decay_weight(member_time, at_time)
             for term in term_tuple:
                 profile[term] = profile.get(term, 0.0) + weight
         return profile
@@ -226,10 +228,7 @@ class StorySketch:
         term_shared: Dict[str, float] = {}
         entity_mass = term_mass = 0.0
         nearest = math.inf
-        # add() and remove() keep the three per-member maps in one order
-        for timestamp, entity_keys, term_tuple in zip(
-            self._timestamps.values(), self._entities.values(), self._terms.values()
-        ):
+        for timestamp, entity_keys, term_tuple in self._members.values():
             distance = abs(near - timestamp)
             if distance < nearest:
                 nearest = distance

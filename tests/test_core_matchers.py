@@ -39,9 +39,14 @@ class TestSnippetFeatures:
         assert entities == frozenset({"UKR", "MAS"})
         assert "crash" in terms
 
-    def test_memoized(self):
+    def test_nothing_is_stored(self):
+        """A fresh term set per call, equal each time, built from the
+        snippet's one stored container, the ``match_terms`` tuple."""
         snippet = crash_snippet("v")
-        assert snippet_features(snippet) is snippet_features(snippet)
+        first, second = snippet_features(snippet), snippet_features(snippet)
+        assert first == second and first[1] is not second[1]
+        assert first[0] is snippet.entities
+        assert list(first[1]) == list(frozenset(snippet._match_terms))
 
 
 class TestSnippetScore:

@@ -174,8 +174,8 @@ class TestCounterpartGraphOracle:
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_a_sync_that_raised_is_forgotten(self, monkeypatch, config):
-        """``snippet_score`` raises once inside a warm ``finish()``: the
-        next ``finish()`` equals a fresh pivot's."""
+        """The graph's scoring kernel raises once inside a warm
+        ``finish()``: the next ``finish()`` equals a fresh pivot's."""
         config = StoryPivotConfig.temporal(**CONFIGS[config])
         pivot = StoryPivot(config)
         for snippet in POOL[:-12]:
@@ -185,22 +185,22 @@ class TestCounterpartGraphOracle:
             pivot.add_snippet(snippet)
         for snippet in POOL[3:30:5]:
             pivot.remove_snippet(snippet.snippet_id)
-        score = SnippetMatcher.snippet_score
+        score = SnippetMatcher.prepared_score
         linked = []
 
-        def raising_once(matcher, a, b):
+        def raising_once(matcher, *pair):
             # right after a pair that is stored, so that the graph is
             # half-updated when the error leaves it
             if len(linked) == 1:
                 linked.append("raised")
                 raise RuntimeError("injected")
-            result = score(matcher, a, b)
+            result = score(matcher, *pair)
             if not linked and result >= config.snippet_align_threshold:
                 linked.append("stored")
             return result
 
         with monkeypatch.context() as patched:
-            patched.setattr(SnippetMatcher, "snippet_score", raising_once)
+            patched.setattr(SnippetMatcher, "prepared_score", raising_once)
             with pytest.raises(RuntimeError, match="injected"):
                 pivot.finish()
         fresh = restored(pivot)

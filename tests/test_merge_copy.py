@@ -63,8 +63,7 @@ def sketched(story):
         story.story_id, story.source_id, list(story.members.items()),
         list(sketch.entity_counts.items()), list(sketch.term_counts.items()),
         sketch.entity_mass, sketch.term_mass, sketch.span,
-        list(sketch._timestamps.items()), list(sketch._entities.items()),
-        list(sketch._terms.items()), list(sketch._signatures.items()),
+        list(sketch._members.items()), list(sketch._signatures.items()),
         sketch.signature, sketch.decay_half_life,
     )
 

@@ -1,9 +1,10 @@
-"""What a snippet holds in memory: its fields, two memo slots, no ``__dict__``.
+"""What a snippet holds in memory: its fields, one memo slot, no ``__dict__``.
 
 Every snippet seen is kept once per copy of the state (shards, merged
-pivots, views), so ``Snippet`` is a slotted frozen dataclass and a story
-sketch holds each member's own ``entities`` frozenset instead of a tuple
-copy.  These tests pin that layout and that results do not move with it.
+pivots, views), so ``Snippet`` is a slotted frozen dataclass whose only
+memo is the ``match_terms`` tuple, and a story sketch holds each member's
+own ``entities`` frozenset and term tuple instead of copies.  These tests
+pin that layout and that results do not move with it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def warm_snippet() -> Snippet:
         entities=frozenset({"Ukraine", "Malaysian Airlines"}),
         keywords=("crash", "plane"), published=1405558800.0,
     )
-    snippet_features(snippet)  # fills both memos
+    snippet_features(snippet)  # fills the one memo, through match_terms
     return snippet
 
 
@@ -41,25 +42,28 @@ def test_a_snippet_has_no_dict():
 
 
 def test_memos_fill_their_slots():
+    """Exactly one memo slot, ``_match_terms``; scoring stores no set."""
     snippet = warm_snippet()
+    memos = [f.name for f in dataclasses.fields(Snippet) if not f.init]
+    assert memos == ["_match_terms"]
+    assert set(Snippet.__slots__) == {f.name for f in dataclasses.fields(Snippet)}
     assert snippet._match_terms is match_terms(snippet)
-    assert snippet._features is snippet_features(snippet)
-    assert snippet._features[0] is snippet.entities
+    assert isinstance(snippet._match_terms, tuple)
 
 
 def test_memos_are_outside_eq_hash_and_repr():
     warm = warm_snippet()
     cold = dataclasses.replace(warm)
-    assert cold._features is None and warm._features is not None
+    assert cold._match_terms is None and warm._match_terms is not None
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
-    assert "_features" not in repr(warm) and "_match_terms" not in repr(warm)
+    assert "_match_terms" not in repr(warm)
 
 
 def test_replace_returns_empty_memos():
     changed = dataclasses.replace(warm_snippet(), description="Plane shot down")
-    assert changed._match_terms is None and changed._features is None
+    assert changed._match_terms is None
     assert "shot" in match_terms(changed)
 
 
@@ -75,22 +79,26 @@ def test_copies_round_trip_equal_without_memos(clone):
     copied = clone(snippet)
     assert copied == snippet
     assert copied.published == 1405558800.0
-    assert copied._match_terms is None and copied._features is None
+    assert copied._match_terms is None
     assert snippet_features(copied) == snippet_features(snippet)
 
 
 def test_a_sketch_holds_the_snippets_own_entities():
+    """A member is one map entry holding the snippet's own containers."""
     snippet = warm_snippet()
     story = Story("c1", "s1")
     story.add(snippet)
-    assert story.sketch._entities[snippet.snippet_id] is snippet.entities
-    assert story.sketch.copy()._entities[snippet.snippet_id] is snippet.entities
+    for sketch in (story.sketch, story.sketch.copy(), story.copy().sketch):
+        timestamp, entities, terms = sketch._members[snippet.snippet_id]
+        assert timestamp == snippet.timestamp
+        assert entities is snippet.entities
+        assert terms is snippet._match_terms
 
 
 def test_other_iterables_are_held_as_tuples():
     sketch = StorySketch()
     sketch.add("v1", 0.0, ["b", "a", "b"], ["t"])
-    assert sketch._entities["v1"] == ("b", "a", "b")
+    assert sketch._members["v1"] == (0.0, ("b", "a", "b"), ("t",))
     assert sketch.entity_counts == {"b": 2, "a": 1}
 
 
