@@ -6,9 +6,9 @@ Two complementary halves:
   ``storypivot-lint`` AST engine: per-module rules (deterministic core
   paths, no blocking under locks, errors recorded not swallowed,
   spans/deadlines context-managed, canonical metric names) and, over
-  the project call graph, untrusted-input taint (SP4xx), blocking
-  reachable under a lock (SP201) and resource lifecycle (SP6xx).  The
-  gate is zero findings: a finding is fixed or suppressed at its line.
+  the project call graph, untrusted-input taint (SP4xx) and blocking
+  reachable under a lock (SP201).  The gate is zero findings: a
+  finding is fixed or suppressed at its line.
 * :mod:`repro.analysis.lockwatch` — an opt-in dynamic detector that
   wraps the runtime's locks, records the per-thread acquisition graph,
   and reports lock-order inversions (potential deadlocks), long holds,
@@ -17,7 +17,6 @@ Two complementary halves:
 """
 
 from repro.analysis.callgraph import Project
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.engine import LintConfig, LintEngine, iter_python_files
 from repro.analysis.findings import Finding, render_report, summarize
 from repro.analysis.lockwatch import InstrumentedLock, LockWatch
@@ -28,8 +27,6 @@ __all__ = [
     "LintEngine",
     "iter_python_files",
     "Project",
-    "CFG",
-    "build_cfg",
     "Finding",
     "render_report",
     "summarize",

@@ -1,8 +1,8 @@
 """Project-wide symbol table and call graph for interprocedural rules.
 
 The intra-function rules (SP1xx–SP3xx) see one module at a time; the
-taint (SP4xx), may-block (SP201) and lifecycle (SP6xx) passes need to
-answer "who calls whom" across the whole ``src/`` tree.  This module
+taint (SP4xx) and may-block (SP201) passes need to answer "who calls
+whom" across the whole ``src/`` tree.  This module
 builds that answer from the same parsed :class:`ModuleInfo` objects the
 engine already holds — nothing is re-parsed.
 

@@ -5,7 +5,7 @@ Examples::
     storypivot-lint src/                     # CI gate: exit 1 on findings
     storypivot-lint src/ --format=json       # machine-readable findings
     storypivot-lint --list-rules             # rule catalogue
-    storypivot-lint src/ --select SP4,SP6    # family prefixes work
+    storypivot-lint src/ --select SP4,SP5    # family prefixes work
 
 Exit status: 0 when clean, 1 when any finding survives suppression and
 selection (or the call-graph unresolved ratio exceeds

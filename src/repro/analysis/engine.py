@@ -46,7 +46,7 @@ class LintConfig:
         self.select = set(select) if select else None
         self.ignore = set(ignore) if ignore else set()
         for code in (self.select or set()) | self.ignore:
-            # a family prefix (SP4, SP60) selects every code under it
+            # a family prefix (SP4, SP40) selects every code under it
             if code not in known and not any(
                 k.startswith(code) for k in known
             ):

@@ -581,7 +581,9 @@ class TaintedExec(_TaintRule):
 # ---------------------------------------------------------------------------
 
 
-class _ContractRule(Rule):
+class UnknownContractAnnotation(Rule):
+    code = "SP503"
+    summary = "unknown or unattached sp-taint annotation"
     project_only = True
 
     def check_project(self, project) -> Iterator[Finding]:
@@ -590,40 +592,6 @@ class _ContractRule(Rule):
         for finding in contract_findings(project):
             if finding.code == self.code:
                 yield finding
-
-
-class UnknownContractAnnotation(_ContractRule):
-    code = "SP503"
-    summary = "unknown or unattached sp-taint annotation"
-
-
-# ---------------------------------------------------------------------------
-# SP6xx — resource lifecycle (CFG-based, see contracts.py)
-# ---------------------------------------------------------------------------
-
-
-class LockNotReleased(_ContractRule):
-    code = "SP601"
-    summary = (
-        "lock .acquire() with a path to the function exit that never "
-        ".release()s it"
-    )
-
-
-class HandleNotClosed(_ContractRule):
-    code = "SP602"
-    summary = (
-        "file/socket closed on some paths but leaked on others (partial "
-        "close; escaping handles are exempt)"
-    )
-
-
-class ThreadNotJoined(_ContractRule):
-    code = "SP603"
-    summary = (
-        "thread joined on some paths but not on others (partial join; "
-        "fire-and-forget daemons are exempt)"
-    )
 
 
 REGISTRY: Dict[str, Rule] = {
@@ -643,9 +611,6 @@ REGISTRY: Dict[str, Rule] = {
         TaintedWalAppend(),
         TaintedExec(),
         UnknownContractAnnotation(),
-        LockNotReleased(),
-        HandleNotClosed(),
-        ThreadNotJoined(),
     )
 }
 

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import ast
-
 from repro.analysis.callgraph import Project, module_name_for
-from repro.analysis.cfg import build_cfg
 from repro.analysis.engine import ModuleInfo
 
 
@@ -225,66 +222,3 @@ def test_annotations_parsed_from_decorator_adjacent_comments():
     )})
     assert proj.functions["src/repro/a.py::fetch"].taint_marks == {"source"}
     assert proj.functions["src/repro/a.py::scrub"].taint_marks == {"sanitizer"}
-
-
-# -- control-flow graphs -----------------------------------------------------
-
-
-def fn_node(source):
-    return ast.parse(source).body[0]
-
-
-def test_cfg_if_without_else_has_path_around_body():
-    cfg, _ = build_cfg(fn_node(
-        "def f(flag, lock):\n"
-        "    lock.acquire()\n"
-        "    if flag:\n"
-        "        lock.release()\n"
-        "    return None\n"
-    ))
-    acquire_nodes = [
-        idx for idx, node in enumerate(cfg.nodes)
-        if node.stmt is not None and isinstance(node.stmt, ast.Expr)
-        and "acquire" in ast.dump(node.stmt)
-    ]
-    # the False branch is a path to exit that avoids the release Expr
-    assert cfg.exists_path_avoiding(
-        acquire_nodes[0],
-        lambda stmt: isinstance(stmt, ast.Expr) and "release" in ast.dump(stmt),
-    )
-
-
-def test_cfg_straight_line_has_no_avoiding_path():
-    cfg, _ = build_cfg(fn_node(
-        "def f(lock):\n"
-        "    lock.acquire()\n"
-        "    lock.release()\n"
-    ))
-    acquire_nodes = [
-        idx for idx, node in enumerate(cfg.nodes)
-        if node.stmt is not None and "acquire" in ast.dump(node.stmt)
-    ]
-    assert not cfg.exists_path_avoiding(
-        acquire_nodes[0],
-        lambda stmt: "release" in ast.dump(stmt),
-    )
-
-
-def test_cfg_early_return_skips_later_statements():
-    cfg, _ = build_cfg(fn_node(
-        "def f(flag, lock):\n"
-        "    lock.acquire()\n"
-        "    if flag:\n"
-        "        return 1\n"
-        "    lock.release()\n"
-        "    return 0\n"
-    ))
-    acquire_nodes = [
-        idx for idx, node in enumerate(cfg.nodes)
-        if node.stmt is not None and "acquire" in ast.dump(node.stmt)
-    ]
-    # the early return is a path to exit that avoids the release
-    assert cfg.exists_path_avoiding(
-        acquire_nodes[0],
-        lambda stmt: "release" in ast.dump(stmt),
-    )

@@ -117,7 +117,8 @@ class TestGdeltConnector:
 
     def test_offset_tailing(self, tmp_path):
         path = tmp_path / "tail.tsv"
-        original = open(fixture("feed.tsv"), "rb").read()
+        with open(fixture("feed.tsv"), "rb") as handle:
+            original = handle.read()
         path.write_bytes(original)
         connector = open_source(f"gdelt:{path}")
         stream = ConnectorStream(connector, clock=lambda: NOW)

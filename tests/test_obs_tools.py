@@ -131,9 +131,8 @@ class TestTraceCli:
     def test_torn_tail_lines_are_skipped(self, stitched_exports, tmp_path):
         leader_path, _, trace_id = stitched_exports
         torn = tmp_path / "torn.jsonl"
-        torn.write_text(
-            open(leader_path, encoding="utf-8").read() + '{"trace_id": "tr'
-        )
+        with open(leader_path, encoding="utf-8") as fh:
+            torn.write_text(fh.read() + '{"trace_id": "tr')
         assert gather_spans([str(torn)], trace_id)
 
 

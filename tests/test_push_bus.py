@@ -443,6 +443,7 @@ class TestOlderGap:
                     assert bus._older(after, matches, most) == linear_older(
                         bus, after, matches, most
                     ), (after, most)
+        log.close()
 
     def test_an_old_cursor_parses_a_page_not_the_file(
         self, tmp_path, monkeypatch
@@ -469,6 +470,7 @@ class TestOlderGap:
         # ~13 bisection probes plus the page, where a scan from the top
         # parses all 5,000 lines
         assert len(parsed) < 200, len(parsed)
+        log.close()
 
 
 class TestDrain:

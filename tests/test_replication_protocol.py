@@ -87,6 +87,7 @@ class TestSnapshot:
         _, ship = leader
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(snapshot_url(ship.address, 7))
+        err.value.close()  # the error holds the response body open
         assert err.value.code == 404
 
 
@@ -132,6 +133,7 @@ class TestWal:
         _, ship = leader
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(ship.address + "/replication/v1/nope")
+        err.value.close()  # the error holds the response body open
         assert err.value.code == 404
 
 
@@ -160,12 +162,14 @@ class TestMisuse:
         url = f"{ship.address}/replication/v1/wal/{shard_id}?{query}"
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(url)
+        err.value.close()  # the error holds the response body open
         assert err.value.code == 400
 
     def test_out_of_range_wal_shard_is_404(self, leader):
         _, ship = leader
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(wal_url(ship.address, 7, 0))
+        err.value.close()  # the error holds the response body open
         assert err.value.code == 404
 
 

@@ -23,7 +23,9 @@ from tests.conftest import make_snippet
 
 @pytest.fixture
 def wal(tmp_path):
-    return ShardWal(str(tmp_path / "shard.wal.jsonl"))
+    wal = ShardWal(str(tmp_path / "shard.wal.jsonl"))
+    yield wal
+    wal.close()
 
 
 def fill(wal, count, start=0):
@@ -107,6 +109,7 @@ class TestSequences:
         assert reopened.position == 4
         fill(reopened, 2)
         seqs = [r["seq"] for r in reopened.iter_records()]
+        reopened.close()
         assert seqs == [0, 1, 2, 3, 4, 5]
 
     def test_bootstrap_sees_past_a_torn_middle_record(self, wal):
@@ -173,6 +176,7 @@ class TestRotation:
         assert [r["seq"] for r in wal.iter_records(from_seq=4)] == [
             4, 5, 6, 7
         ]
+        wal.close()
 
     def test_earliest_without_segments_is_active_base(self, wal):
         fill(wal, 3)
