@@ -192,8 +192,8 @@ def add_tracing_flags(parser: argparse.ArgumentParser) -> None:
                              "apply and request traces (error traces are "
                              "always kept; default 0.0)")
     parser.add_argument("--node-id", default=None, metavar="ID",
-                        help="fleet identity stamped on spans, /clusterz "
-                             "rows and the X-StoryPivot-Node header "
+                        help="fleet identity stamped on spans, /healthz "
+                             "and the X-StoryPivot-Node header "
                              "(default: role@host:port)")
     parser.add_argument("--trace-export-mb", type=int, default=64,
                         metavar="MB",

@@ -5,9 +5,7 @@ tracing across threads and queues (:mod:`repro.obs.trace`), a bounded
 span store behind ``/tracez`` (:mod:`repro.obs.store`), the story
 lifecycle decision log behind ``/storyz`` and ``storypivot explain``
 (:mod:`repro.obs.decisions`), and low-overhead profiling hooks
-(:mod:`repro.obs.profile`).  The fleet plane (:mod:`repro.obs.fleet`) is
-imported from its own module: it reads the runtime, which imports this
-package.
+(:mod:`repro.obs.profile`).
 """
 
 from repro.obs.decisions import DecisionLog, format_event

@@ -147,7 +147,7 @@ def make_node_id(role: str = "node", port: Optional[int] = None) -> str:
 
     ``role@host:pid`` (plus the serving port when known) — unique per
     process lifetime, stable across spans, and meaningful in a
-    ``/clusterz`` table without a lookup.  Restarts mint a new identity
+    stitched trace tree without a lookup.  Restarts mint a new identity
     on purpose: a restarted follower is a *different* participant whose
     spans must not be conflated with its previous life's.
     """

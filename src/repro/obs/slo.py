@@ -512,7 +512,7 @@ def default_objectives(
 
 
 def render_slo_table(payload: Dict[str, object]) -> str:
-    """Fixed-width /sloz table — the ``storypivot-top`` body."""
+    """Fixed-width /sloz table: the ``/sloz?format=text`` body."""
     lines = [
         f"{'objective':<20} {'state':<8} {'target':>7} {'fast burn':>10} "
         f"{'slow burn':>10} {'budget left':>12}  detail"

@@ -61,10 +61,6 @@ def build_parser(prog: str = "storypivot-replica") -> argparse.ArgumentParser:
     parser.add_argument("--persist-every", type=float, default=5.0,
                         metavar="SEC",
                         help="--state-dir checkpoint cadence (default 5s)")
-    parser.add_argument("--advertise-url", default=None, metavar="URL",
-                        help="base URL the leader should scrape this "
-                             "node's /metricz at (default: "
-                             "http://<host>:<port>)")
     add_tracing_flags(parser)
     return parser
 
@@ -79,7 +75,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.leader, poll_interval=args.poll_interval,
             lag_budget=args.lag_budget, tracer=tracer,
             state_dir=args.state_dir, persist_every=args.persist_every,
-            node_id=guard.node_id, advertise_url=args.advertise_url,
+            node_id=guard.node_id,
         )
         try:
             replica.start()
@@ -105,11 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ).start()
 
         def banner(api) -> None:
-            # the listener knows its real port only now: advertise it to
-            # the leader's registry so /clusterz can scrape its /metricz
-            if not replica.advertise_url:
-                replica.advertise_url = args.advertise_url or api.address
-            replica._maybe_register(force=True)
             print(f"replica of {args.leader} serving {replica.dataset} on "
                   f"{api.address} (generation {store.generation}) as "
                   f"{guard.node_id}", flush=True)

@@ -52,12 +52,10 @@ from repro.obs.trace import NULL_TRACER, add_event
 from repro.replication.protocol import (
     DEFAULT_BATCH_RECORDS,
     MANIFEST_KIND,
-    REGISTER_KIND,
     SNAPSHOT_KIND,
     WAL_KIND,
     check_payload,
     manifest_url,
-    register_url,
     snapshot_state,
     snapshot_url,
     wal_url,
@@ -161,12 +159,6 @@ class ReplicationClient:
             WAL_KIND,
         )
 
-    def register(self, node_id: str, metrics_url: str = "") -> Dict[str, object]:
-        return self._fetch_json(
-            register_url(self.leader_url, node_id, metrics_url),
-            REGISTER_KIND,
-        )
-
 
 class _ReplicaShard(Shard):
     """One follower shard: the runtime's shard, plus its tail position.
@@ -212,20 +204,14 @@ class ReplicaRuntime:
         state_dir: Optional[str] = None,
         persist_every: float = 5.0,
         node_id: Optional[str] = None,
-        advertise_url: Optional[str] = None,
-        register_interval: float = 10.0,
     ) -> None:
         self.leader_url = leader_url.rstrip("/")
         self.poll_interval = poll_interval
         self.batch_records = batch_records
         self.lag_budget = lag_budget
-        #: fleet identity announced to the leader's follower registry;
-        #: ``advertise_url`` is where this node's /metricz lives (the
-        #: CLI fills it in once the API listener knows its port)
+        #: fleet identity stamped on this node's spans and echoed in
+        #: X-StoryPivot-Node
         self.node_id = node_id if node_id else make_node_id("follower")
-        self.advertise_url = advertise_url
-        self.register_interval = register_interval
-        self._registered_at = 0.0
         #: a runtime WAL directory: a restarted follower recovers from
         #: it and tails from its WAL position instead of re-bootstrapping
         #: snapshot-then-segments; ``persist_every`` is its checkpoint
@@ -266,8 +252,6 @@ class ReplicaRuntime:
         self.metrics.counter("replication.errors")
         self.metrics.counter("replication.state_saves")
         self.metrics.counter("replication.warm_starts")
-        self.metrics.counter("replication.registrations")
-        self.metrics.counter("replication.register_failures")
         self.metrics.counter("wal.torn_records")
         self.metrics.gauge("replication.lag_seconds")
 
@@ -306,7 +290,6 @@ class ReplicaRuntime:
                 self._store.write_manifest(num_shards, self.config)
             boot.set(shards=num_shards, warm=warm)
         self._bootstrapped = True
-        self._maybe_register(force=True)
         self._tailer.start()
         return self
 
@@ -429,25 +412,7 @@ class ReplicaRuntime:
             self.metrics.counter("replication.errors").inc()
         self._refresh_lag_gauges()
         self._maybe_checkpoint()
-        self._maybe_register()
         return pause
-
-    def _maybe_register(self, force: bool = False) -> None:
-        """Refresh this node's entry in the leader's follower registry.
-
-        Best-effort on purpose: registration is observability plumbing
-        and must never be able to stall or fail replication — a leader
-        that predates the register endpoint 404s, and that is fine.
-        """
-        now = time.time()
-        if not force and now - self._registered_at < self.register_interval:
-            return
-        self._registered_at = now
-        try:
-            self.client.register(self.node_id, self.advertise_url or "")
-            self.metrics.counter("replication.registrations").inc()
-        except Exception:
-            self.metrics.counter("replication.register_failures").inc()
 
     def _poll_shard(self, shard: _ReplicaShard) -> bool:
         """One fetch+apply round; True when records were applied."""

@@ -20,8 +20,6 @@ ingestion.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Dict, List, Optional
 
 from repro.core.persistence import config_record
@@ -32,8 +30,6 @@ from repro.replication.protocol import (
     MANIFEST_KIND,
     MANIFEST_PATH,
     PROTOCOL_VERSION,
-    REGISTER_KIND,
-    REGISTER_PATH,
     SNAPSHOT_KIND,
     SNAPSHOT_PATH,
     WAL_KIND,
@@ -82,15 +78,9 @@ class ReplicationServer(Listener):
         self.tracer = tracer if tracer is not None else Tracer(sample_rate=0.0)
         self.routes = {
             MANIFEST_PATH: self._manifest,
-            REGISTER_PATH: self._register,
             SNAPSHOT_PATH + "/": self._snapshot,
             WAL_PATH + "/": self._wal,
         }
-        # soft-state follower registry for the observability plane:
-        # node id -> {url, registered_at, registrations}; populated by
-        # /replication/v1/register, consumed by the FleetCollector
-        self._followers: Dict[str, Dict[str, object]] = {}
-        self._followers_lock = threading.Lock()
         # touch the WAL accessor now: a runtime that cannot lead (no
         # wal_dir) must fail at construction, not on the first follower
         # request
@@ -101,7 +91,6 @@ class ReplicationServer(Listener):
         self.metrics.counter("replication.ship.bytes")
         self.metrics.counter("replication.ship.snapshots")
         self.metrics.counter("replication.ship.resets")
-        self.metrics.counter("replication.ship.registrations")
 
     # -- routes ------------------------------------------------------------
 
@@ -111,15 +100,6 @@ class ReplicationServer(Listener):
 
     def _manifest(self, request: Request) -> Reply:
         return Reply(200, json_bytes(self.manifest_payload()))
-
-    def _register(self, request: Request) -> Reply:
-        node_id = request.params.get("node", "")
-        request.root.set(kind="register", node=node_id)
-        if not node_id:
-            raise ApiError(400, "register requires ?node=<id>")
-        return Reply(200, json_bytes(
-            self.register_follower(node_id, request.params.get("url", ""))
-        ))
 
     def _snapshot(self, request: Request) -> Reply:
         shard_id = self._shard(request, SNAPSHOT_PATH)
@@ -230,41 +210,6 @@ class ReplicationServer(Listener):
                 span.set(links=links)
         return payload
 
-    # -- follower registry -------------------------------------------------
-
-    def register_follower(self, node_id: str, url: str = "") -> Dict[str, object]:
-        """Record (or refresh) a follower's presence; returns the ack."""
-        if not node_id:
-            raise ValueError("register requires a non-empty node id")
-        now = time.time()
-        with self._followers_lock:
-            entry = self._followers.get(node_id)
-            if entry is None:
-                entry = self._followers[node_id] = {
-                    "node": node_id,
-                    "first_seen": round(now, 3),
-                    "registrations": 0,
-                }
-            if url:
-                entry["url"] = url
-            entry["registered_at"] = round(now, 3)
-            entry["registrations"] = int(entry["registrations"]) + 1
-            count = len(self._followers)
-        self.metrics.counter("replication.ship.registrations").inc()
-        return {
-            "kind": REGISTER_KIND,
-            "version": PROTOCOL_VERSION,
-            "node": node_id,
-            "followers": count,
-        }
-
-    def followers(self) -> List[Dict[str, object]]:
-        """Registered followers, most recently refreshed first."""
-        with self._followers_lock:
-            entries = [dict(entry) for entry in self._followers.values()]
-        entries.sort(key=lambda e: -float(e.get("registered_at", 0)))
-        return entries
-
     def health(self) -> Dict[str, object]:
         """Leader-side replication component for ``/healthz``."""
         snap = self.metrics.snapshot()
@@ -272,8 +217,6 @@ class ReplicationServer(Listener):
         def value(name: str) -> int:
             return int(snap.get(name, {}).get("value", 0))
 
-        with self._followers_lock:
-            followers = len(self._followers)
         return {
             "status": "ok" if self._server is not None else "degraded",
             "role": "leader",
@@ -282,6 +225,5 @@ class ReplicationServer(Listener):
             "snapshots_shipped": value("replication.ship.snapshots"),
             "records_shipped": value("replication.ship.records"),
             "resets": value("replication.ship.resets"),
-            "followers": followers,
         }
 

@@ -23,16 +23,6 @@ endpoints, all GET:
     records — the follower re-bootstraps from a fresh snapshot instead
     of silently skipping a gap.
 
-``/replication/v1/register?node=<id>&url=<metrics-url>``
-    Follower presence for the observability plane: a follower announces
-    its node id and the base URL its ``/metricz`` lives on, piggybacked
-    on the replication channel it already authenticates nothing extra
-    for.  Registration is soft state — the leader's
-    :class:`~repro.obs.fleet.FleetCollector` scrapes registered nodes
-    and an unreachable one is *reported* as down, never unregistered by
-    the scrape itself; re-registration on every poll keeps the map
-    fresh across leader restarts.
-
 Record integrity: every shipped record carries the CRC32 frame stamped
 by :func:`repro.runtime.wal.frame_record`; the follower re-verifies on
 receipt, so corruption in transit is detected and the batch re-fetched.
@@ -51,12 +41,10 @@ PROTOCOL_VERSION = 1
 MANIFEST_PATH = "/replication/v1/manifest"
 SNAPSHOT_PATH = "/replication/v1/snapshot"
 WAL_PATH = "/replication/v1/wal"
-REGISTER_PATH = "/replication/v1/register"
 
 MANIFEST_KIND = "storypivot-replication-manifest"
 SNAPSHOT_KIND = "storypivot-replication-snapshot"
 WAL_KIND = "storypivot-replication-wal"
-REGISTER_KIND = "storypivot-replication-register"
 
 #: default records per WAL fetch — small enough to keep per-poll apply
 #: latency bounded, large enough to amortize the HTTP round trip
@@ -100,12 +88,3 @@ def wal_url(
     if max_records is not None:
         url += f"&max={max_records}"
     return url
-
-
-def register_url(base: str, node_id: str, metrics_url: str = "") -> str:
-    from urllib.parse import urlencode
-
-    params = {"node": node_id}
-    if metrics_url:
-        params["url"] = metrics_url
-    return f"{base.rstrip('/')}{REGISTER_PATH}?{urlencode(params)}"

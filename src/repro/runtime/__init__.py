@@ -28,7 +28,7 @@ from repro.runtime.runtime import (
     shard_of,
 )
 from repro.runtime.shard import Shard
-from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
+from repro.runtime.supervisor import BackoffPolicy, Supervisor
 from repro.runtime.wal import CheckpointStore, ShardWal
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "QueueClosed",
     "RuntimeOptions",
     "Shard",
-    "ShardCrashed",
     "ShardWal",
     "ShardedRuntime",
     "Supervisor",

@@ -43,7 +43,7 @@ from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BACKPRESSURE_POLICIES, BoundedQueue, QueueClosed
-from repro.runtime.shard import DEFAULT_SHARD_RETRY, POISON_POLICIES, Shard
+from repro.runtime.shard import DEFAULT_SHARD_RETRY, Shard
 from repro.runtime.supervisor import BackoffPolicy
 from repro.runtime.wal import CheckpointStore
 
@@ -73,17 +73,11 @@ class RuntimeOptions:
     wal_keep_segments: int = 6  # sealed WAL segments retained per shard
     fsync: bool = False
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    poison_policy: str = "quarantine"  # or "supervise": escalate snippet errors
     retry: RetryPolicy = DEFAULT_SHARD_RETRY  # per-snippet retry schedule
 
     def __post_init__(self) -> None:
         if self.num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
-        if self.poison_policy not in POISON_POLICIES:
-            raise ConfigurationError(
-                f"unknown poison policy {self.poison_policy!r}; "
-                f"choose from {POISON_POLICIES}"
-            )
         if self.executor not in EXECUTORS:
             raise ConfigurationError(
                 f"unknown executor {self.executor!r}; choose from {EXECUTORS}"
@@ -284,7 +278,6 @@ class ShardedRuntime:
                 dedup_capacity=options.dedup_capacity,
                 checkpoint_every=options.checkpoint_every,
                 checkpoint_fn=self._checkpoint_shard,
-                poison_policy=options.poison_policy,
                 retry=options.retry,
                 dlq=dlq,
                 tracer=self.tracer,

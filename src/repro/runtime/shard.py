@@ -7,19 +7,16 @@ cross-shard coordination at all.  Only alignment needs a global view,
 and it runs when a view is built, over a merged pivot.
 
 Each shard runs on its own :class:`~repro.loop.Loop`, whose step is
-:meth:`Shard.step`: one dequeue, then the consume.  Per-snippet failures
-are handled by **poison policy**:
-
-* ``quarantine`` (default) — the worker retries the snippet on its
-  :class:`~repro.resilience.policies.RetryPolicy` schedule and, when the
-  schedule is exhausted, routes it to the shard's dead-letter queue and
-  keeps consuming.  One bad record costs one quarantine entry, never the
-  shard.
-* ``supervise`` — legacy escalation: the exception escapes wrapped in
-  :class:`ShardCrashed` and the shard's supervisor, on the shard's own
-  thread, answers with the backoff before the restart or retires the
-  shard.  The in-flight item is acknowledged either way, so a poison
-  snippet cannot wedge the drain barrier.
+:meth:`Shard.step`: one dequeue, then the consume.  A snippet that fails
+is retried on the shard's
+:class:`~repro.resilience.policies.RetryPolicy` schedule and, when the
+schedule is exhausted, routed to the shard's dead-letter queue while the
+worker keeps consuming: one bad record costs one quarantine entry, never
+the shard.  A crash that escapes the consume (a dead-letter append that
+raises, say) goes to the shard's supervisor, on the shard's own thread,
+which answers with the backoff before the restart or retires the shard.
+The in-flight item is acknowledged either way, so a poison snippet
+cannot wedge the drain barrier.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from typing import Callable, Optional, Set
 from repro.core.config import StoryPivotConfig
 from repro.core.pipeline import StoryPivot
 from repro.core.streaming import BoundedSeenSet
-from repro.errors import ConfigurationError, DuplicateSnippetError
+from repro.errors import DuplicateSnippetError
 from repro.eventdata.models import Snippet
 from repro.loop import Loop
 from repro.obs.trace import NULL_TRACER, Envelope, add_event
@@ -40,10 +37,8 @@ from repro.resilience.dlq import DeadLetterQueue
 from repro.resilience.policies import RetryPolicy
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.queues import BoundedQueue, Empty, QueueClosed
-from repro.runtime.supervisor import BackoffPolicy, ShardCrashed, Supervisor
+from repro.runtime.supervisor import BackoffPolicy, Supervisor
 from repro.runtime.wal import CheckpointStore, ShardWal
-
-POISON_POLICIES = ("quarantine", "supervise")
 
 #: snippet-level retry schedule: quick, bounded, deterministic jitter
 DEFAULT_SHARD_RETRY = RetryPolicy(
@@ -66,18 +61,12 @@ class Shard:
         dedup_capacity: int = 100_000,
         checkpoint_every: int = 0,
         checkpoint_fn: Optional[Callable[["Shard"], None]] = None,
-        poison_policy: str = "quarantine",
         retry: Optional[RetryPolicy] = None,
         dlq: Optional[DeadLetterQueue] = None,
         tracer=None,
         decisions=None,
         backoff: Optional[BackoffPolicy] = None,
     ) -> None:
-        if poison_policy not in POISON_POLICIES:
-            raise ConfigurationError(
-                f"unknown poison policy {poison_policy!r}; "
-                f"choose from {POISON_POLICIES}"
-            )
         self.shard_id = shard_id
         self.queue = queue
         self._tracer = tracer if tracer is not None else NULL_TRACER
@@ -94,7 +83,6 @@ class Shard:
         self.failed = False  # parked by the supervisor as crash-looping
         self.supervisor = Supervisor(metrics, backoff)
         self.loop = Loop(f"storypivot-shard-{shard_id}", step=self.step)
-        self.poison_policy = poison_policy
         self.retry = retry if retry is not None else DEFAULT_SHARD_RETRY
         self.dlq = dlq
         self._seen = BoundedSeenSet(dedup_capacity)
@@ -255,7 +243,7 @@ class Shard:
     def step(self) -> Optional[float]:
         """One dequeue, then consume: the body of :attr:`loop`.
 
-        Per-snippet failures follow :attr:`poison_policy`; a crash returns
+        A failing snippet is retried, then quarantined; a crash returns
         :attr:`supervisor`'s answer (the backoff before the restart, or
         None once the shard is retired), and an item processed without
         raising ends a crash streak.
@@ -300,8 +288,6 @@ class Shard:
                 except Exception as exc:
                     self.failures += 1
                     self._failure_counter.inc()
-                    if self.poison_policy != "quarantine":
-                        raise ShardCrashed(self.shard_id, exc) from exc
                     recovered = self._retry_or_quarantine(snippet, exc)
                     outcome = "accepted" if recovered else "quarantined"
                 root.set(outcome=outcome)

@@ -37,15 +37,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger("repro.runtime.supervisor")
 
 
-class ShardCrashed(Exception):
-    """Wraps the exception that crashed a shard worker's step."""
-
-    def __init__(self, shard_id: int, cause: BaseException) -> None:
-        super().__init__(f"shard {shard_id} crashed: {cause!r}")
-        self.shard_id = shard_id
-        self.cause = cause
-
-
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Capped exponential backoff between restarts of one shard."""
@@ -62,9 +53,7 @@ class BackoffPolicy:
 
 
 def _crash_signature(exc: BaseException) -> str:
-    """A stable identity for 'the same crash': type + message of the cause."""
-    if isinstance(exc, ShardCrashed):
-        exc = exc.cause
+    """A stable identity for 'the same crash': its type and message."""
     return f"{type(exc).__name__}: {exc}"
 
 

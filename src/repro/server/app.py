@@ -4,8 +4,8 @@ Request flow (no locks on the read path):
 
 1. rate limiter — dry bucket answers ``429`` with ``Retry-After``;
 2. a route from the table — the live z-endpoints (``/metricz``,
-   ``/clusterz``, ``/sloz``, ``/tracez``, ``/storyz``, ``/subscribez``,
-   a live ``/healthz``) render on every request;
+   ``/sloz``, ``/tracez``, ``/storyz``, ``/subscribez``, a live
+   ``/healthz``) render on every request;
 3. everything else is data: grab the current
    :class:`~repro.server.views.ReadView` **once** — the whole response
    renders from that snapshot, and its generation is echoed in
@@ -31,7 +31,6 @@ from typing import IO, Dict, Optional
 from urllib.parse import unquote
 
 from repro.obs.decisions import format_event, merge_histories
-from repro.obs.fleet import federate_payload
 from repro.obs.propagate import make_node_id
 from repro.obs.slo import render_slo_table
 from repro.obs.trace import Tracer
@@ -51,7 +50,7 @@ from repro.runtime.metrics import (
 )
 
 from repro.server.cache import ResponseCache
-from repro.server.handlers import route
+from repro.server.handlers import limit_param, route
 from repro.server.kernel import (
     JSON_TYPE,
     ApiError,
@@ -112,7 +111,6 @@ class StoryPivotAPI(Listener):
         replication=None,
         bus=None,
         node_id=None,
-        fleet=None,
         slo=None,
     ) -> None:
         super().__init__(host, port, access_log)
@@ -124,8 +122,6 @@ class StoryPivotAPI(Listener):
         #: leader-side ReplicationServer whose shipping health should be
         #: surfaced in /healthz (followers report through runtime instead)
         self.replication = replication
-        #: leader-side FleetCollector serving /clusterz (None = 404)
-        self.fleet = fleet
         #: SLOEngine serving /sloz and the slo /healthz component
         self.slo = slo
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -134,8 +130,8 @@ class StoryPivotAPI(Listener):
         self.tracer = tracer if tracer is not None else Tracer(sample_rate=0.0)
         if self.tracer.enabled and self.tracer.metrics is None:
             self.tracer.metrics = self.metrics
-        #: fleet identity echoed in X-StoryPivot-Node and the federate
-        #: envelope; defaults to the tracer's (the CLI sets both)
+        #: fleet identity echoed in X-StoryPivot-Node and /healthz;
+        #: defaults to the tracer's (the CLI sets both)
         self.node_id = (
             node_id
             or getattr(self.tracer, "node_id", None)
@@ -150,7 +146,6 @@ class StoryPivotAPI(Listener):
         self.limiter = RateLimiter(rate=rate_limit, burst=burst)
         self.routes = {
             "/metricz": self._metricz,
-            "/clusterz": self._clusterz,
             "/sloz": self._sloz,
             "/tracez": self._tracez,
             "/storyz/": self._storyz,
@@ -287,15 +282,6 @@ class StoryPivotAPI(Listener):
         if self.bus is not None:
             # per-subscriber lag/depth/drop gauges, scrape-time fresh
             self.bus.refresh_metrics()
-        if request.params.get("federate", "") not in ("", "0"):
-            # the machine view the FleetCollector scrapes: the snapshot
-            # wrapped in a self-describing envelope (who, role, when)
-            return self._live(request, json_bytes(federate_payload(
-                self.metrics, self.node_id,
-                role=getattr(self.runtime, "role", None)
-                or ("leader" if self.replication is not None else "serve"),
-                generation=self.store.generation,
-            )))
         snapshot = self.metrics.snapshot()
         fmt = self._format(request)
         if fmt == "prometheus":
@@ -305,19 +291,6 @@ class StoryPivotAPI(Listener):
             body = (render_table(snapshot) + "\n").encode("utf-8")
             return self._live(request, body, "text/plain")
         return self._live(request, json_bytes(snapshot))
-
-    def _clusterz(self, request: Request) -> Reply:
-        if self.fleet is None:
-            raise ApiError(
-                404, "fleet federation is not enabled on this "
-                     "node (no FleetCollector attached)",
-            )
-        if self._format(request) == "prometheus":
-            return self._live(
-                request, self.fleet.prometheus().encode("utf-8"),
-                PROMETHEUS_TYPE,
-            )
-        return self._live(request, json_bytes(self.fleet.clusterz_payload()))
 
     def _sloz(self, request: Request) -> Reply:
         if self.slo is None:
@@ -331,10 +304,7 @@ class StoryPivotAPI(Listener):
 
     def _tracez(self, request: Request) -> Reply:
         """Recent traces + slow leaderboard + per-stage percentiles."""
-        try:
-            limit = int(request.params.get("limit", "20"))
-        except ValueError:
-            limit = 20
+        limit = limit_param(request.params, 20)
         payload = {
             "enabled": bool(self.tracer.enabled),
             "sample_rate": getattr(self.tracer, "sample_rate", 0.0),

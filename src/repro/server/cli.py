@@ -43,7 +43,6 @@ from repro.nodecli import (
     serve_until_signalled,
 )
 from repro.obs import DecisionLog
-from repro.obs.fleet import FleetCollector
 from repro.push import EventBus
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.runtime import RuntimeOptions, ShardedRuntime
@@ -164,7 +163,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         count_skipped_rows(metrics, tsv_skip_reasons)
         injector = guard.inject(runtime)
         replication = None
-        fleet = None
         if args.replication_port is not None:
             from repro.replication import ReplicationServer
             from repro.replication.follower import source_meta_record
@@ -174,11 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 dataset=corpus.name, sources=source_meta_record(corpus),
                 tracer=tracer,
             ).start()
-            # the fleet plane: /clusterz on any node that leads followers
-            fleet = FleetCollector(
-                metrics, guard.node_id, role="leader",
-                replication=replication, store=store,
-            )
         refresher = ViewRefresher(
             runtime, store, interval=args.refresh_interval, corpus=corpus,
             lag_budget=args.lag_budget, metrics=metrics, tracer=tracer,
@@ -204,7 +197,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return serve_until_signalled(
             args, guard, store, metrics=metrics, decisions=decisions,
             bus=bus, refresher=refresher, runtime=runtime,
-            replication=replication, fleet=fleet, teardown=teardown,
+            replication=replication, teardown=teardown,
             banner=lambda api: _banner(api, corpus, store, replication),
         )
 

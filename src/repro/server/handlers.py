@@ -62,16 +62,21 @@ def decode_cursor(cursor: str) -> int:
     return offset
 
 
-def _page_params(params: Dict[str, str]) -> Tuple[int, int]:
-    """(limit, offset) from ``?limit=&cursor=``, validated."""
+def limit_param(params: Dict[str, str], default: int) -> int:
+    """``?limit=`` as a positive integer; 400 for anything else."""
     raw_limit = params.get("limit", "")
     try:
-        limit = int(raw_limit) if raw_limit else DEFAULT_PAGE
+        limit = int(raw_limit) if raw_limit else default
     except ValueError:
         raise ApiError(400, f"limit must be an integer, got {raw_limit!r}")
     if limit <= 0:
         raise ApiError(400, "limit must be positive")
-    limit = min(limit, MAX_PAGE)
+    return limit
+
+
+def _page_params(params: Dict[str, str]) -> Tuple[int, int]:
+    """(limit, offset) from ``?limit=&cursor=``, validated."""
+    limit = min(limit_param(params, DEFAULT_PAGE), MAX_PAGE)
     cursor = params.get("cursor", "")
     offset = decode_cursor(cursor) if cursor else 0
     return limit, offset

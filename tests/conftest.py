@@ -15,6 +15,7 @@ from repro.eventdata.corpus import Corpus
 from repro.eventdata.handcrafted import demo_config, mh17_corpus
 from repro.eventdata.models import Snippet, Source, parse_timestamp
 from repro.eventdata.sourcegen import synthetic_corpus
+from repro.resilience import RetryPolicy
 from repro.sketch.lsh import LshIndex
 from repro.storage import InvertedIndex, TemporalIndex
 
@@ -90,6 +91,25 @@ def make_snippet(
         keywords=tuple(keywords),
         **kwargs,
     )
+
+
+#: no retries: a snippet that fails goes straight to the dead-letter queue
+ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+
+
+def crash_on_dead_letter(shard, message) -> None:
+    """Make every dead-letter append on ``shard`` raise.
+
+    With the runtime on :data:`ONE_ATTEMPT`, each snippet the shard's
+    ``fault_hook`` rejects is dead-lettered at once, and the append
+    raises ``OSError(message(snippet_id))``: a crash that escapes the
+    shard's consume and reaches its supervisor.
+    """
+
+    def append(snippet, error, attempts, shard_id=-1):
+        raise OSError(message(snippet.snippet_id))
+
+    shard.dlq.append = append
 
 
 #: the candidate indexes each (mode, sketches) reads, and so holds

@@ -170,7 +170,7 @@ def _console_scripts() -> dict:
 
 class TestConsoleScripts:
     def test_every_script_is_listed(self):
-        assert len(_console_scripts()) == 8
+        assert len(_console_scripts()) == 7
 
     @pytest.mark.parametrize("name", sorted(_console_scripts()))
     def test_help_exits_0(self, name, monkeypatch, capsys):

@@ -145,6 +145,20 @@ class TestTracez:
         assert payload["stages"]["shard.integrate"]["p95"] is not None
         assert payload["slow_traces"]
 
+    def test_limit_must_be_a_positive_integer(self, traced_api):
+        """A zero or negative limit once sliced the ring from the wrong
+        end (every trace, or all but the oldest few) and a non-integer
+        one silently became 20; all of them are client errors."""
+        api, _, span_store = traced_api
+        assert len(span_store.traces(limit=span_store.max_traces)) > 3
+        for bad in ("0", "-3", "abc", "2.5"):
+            status, _, payload = _get_json(api.port, f"/tracez?limit={bad}")
+            assert status == 400, bad
+            assert "limit" in payload["error"]
+        status, _, payload = _get_json(api.port, "/tracez?limit=3")
+        assert status == 200
+        assert len(payload["recent"]) == 3
+
     def test_view_refresh_links_ingest_traces(self, traced_api):
         api, _, span_store = traced_api
         refresh = next(

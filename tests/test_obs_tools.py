@@ -1,4 +1,4 @@
-"""Trace-export rotation and the storypivot-trace / storypivot-top CLIs."""
+"""Trace-export rotation and the storypivot-trace CLI."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import SpanStore, Tracer
 from repro.obs.propagate import parse_traceparent, span_traceparent
-from repro.obs.topcli import render_cluster_table
 from repro.obs.tracecli import gather_spans, main as trace_main, render_tree
 from repro.runtime.metrics import MetricsRegistry
 
@@ -135,30 +134,3 @@ class TestTraceCli:
             torn.write_text(fh.read() + '{"trace_id": "tr')
         assert gather_spans([str(torn)], trace_id)
 
-
-class TestTopCli:
-    def test_cluster_table_renders_live_and_dead_rows(self):
-        table = render_cluster_table({
-            "nodes": [
-                {
-                    "node": "leader@h:1", "role": "leader", "up": True,
-                    "generation": 42, "lag_seconds": 0.0,
-                    "subscribers": 0, "dlq_records": 0,
-                    "error_rate": 0.0125,
-                    "breakers": {"leader": 0, "push": 2},
-                },
-                {
-                    "node": "follower@h:2", "role": "follower",
-                    "up": False, "error": "connection refused",
-                },
-            ],
-            "fleet": {
-                "nodes": 2, "live": 1, "worst_lag_seconds": 0.0,
-                "subscribers": 0, "dlq_records": 0,
-            },
-        })
-        assert "leader@h:1" in table
-        assert "1.25" in table  # error rate rendered as a percentage
-        assert "push=2" in table and "leader=0" not in table
-        assert "connection refused" in table
-        assert "fleet: 1/2 up" in table

@@ -6,7 +6,7 @@ from repro.core.config import StoryPivotConfig
 from repro.resilience import DeadLetterQueue, RetryPolicy
 from repro.runtime import BackoffPolicy, ShardedRuntime
 
-from tests.conftest import make_snippet
+from tests.conftest import ONE_ATTEMPT, crash_on_dead_letter, make_snippet
 
 CONFIG = StoryPivotConfig()
 
@@ -267,7 +267,7 @@ class TestCrashLoopParking:
         runtime = ShardedRuntime(
             CONFIG,
             num_shards=1,
-            poison_policy="supervise",
+            retry=ONE_ATTEMPT,
             backoff=BackoffPolicy(
                 base_delay=0.01, factor=1.0, max_delay=0.01,
                 max_restarts=50, crash_loop_threshold=3,
@@ -281,6 +281,9 @@ class TestCrashLoopParking:
                 raise RuntimeError("deterministic poison")
 
             shard.fault_hook = always_same
+            crash_on_dead_letter(
+                shard, lambda snippet_id: "deterministic poison"
+            )
             import time
 
             deadline = time.monotonic() + 10.0
@@ -306,7 +309,7 @@ class TestCrashLoopParking:
         runtime = ShardedRuntime(
             CONFIG,
             num_shards=1,
-            poison_policy="supervise",
+            retry=ONE_ATTEMPT,
             backoff=BackoffPolicy(
                 base_delay=0.01, factor=1.0, max_delay=0.01,
                 max_restarts=3, crash_loop_threshold=10,
@@ -322,6 +325,9 @@ class TestCrashLoopParking:
                 raise RuntimeError(f"crash #{len(counter)}")
 
             shard.fault_hook = always_different
+            crash_on_dead_letter(
+                shard, lambda snippet_id: f"crash #{len(counter)}"
+            )
             import time
 
             deadline = time.monotonic() + 10.0
@@ -342,7 +348,7 @@ class TestCrashLoopParking:
     def crash_between_progress(backoff, message, crashes=6):
         """``crashes`` rounds of 20 good snippets, then one poison one."""
         runtime = ShardedRuntime(
-            CONFIG, num_shards=1, poison_policy="supervise", backoff=backoff
+            CONFIG, num_shards=1, retry=ONE_ATTEMPT, backoff=backoff
         )
         try:
             runtime.start()
@@ -353,6 +359,7 @@ class TestCrashLoopParking:
                     raise RuntimeError(message(snippet.snippet_id))
 
             shard.fault_hook = poison
+            crash_on_dead_letter(shard, message)
             for round_ in range(crashes):
                 for i in range(20):
                     runtime.offer(make_snippet(f"a:{round_}:{i}", "a"))

@@ -10,7 +10,7 @@ from repro.core.streaming import StreamProcessor
 from repro.errors import ConfigurationError
 from repro.runtime import RuntimeOptions, ShardedRuntime, shard_of
 
-from tests.conftest import make_snippet
+from tests.conftest import ONE_ATTEMPT, crash_on_dead_letter, make_snippet
 
 
 def source_clusters(result):
@@ -123,14 +123,13 @@ class TestMetricsExport:
 
 
 class TestSupervision:
-    """Legacy escalation path: ``poison_policy="supervise"`` lets
-    per-snippet failures crash the worker loop for the supervisor to
-    restart.  The default ``quarantine`` policy is covered in
-    test_resilience_dlq.py."""
+    """A crash that escapes the shard's consume (here a dead-letter
+    append that raises) is the supervisor's to restart or retire.
+    Per-snippet quarantine is covered in test_resilience_dlq.py."""
 
     def test_transient_crash_is_restarted_without_data_loss(self):
         runtime = ShardedRuntime(
-            StoryPivotConfig(), num_shards=1, poison_policy="supervise"
+            StoryPivotConfig(), num_shards=1, retry=ONE_ATTEMPT
         )
         try:
             runtime.start()
@@ -143,6 +142,7 @@ class TestSupervision:
                     raise RuntimeError("injected fault")
 
             shard.fault_hook = explode_once
+            crash_on_dead_letter(shard, lambda snippet_id: "log unwritable")
             for i in range(5):
                 runtime.offer(make_snippet(f"a:{i}", "a", f"2014-07-{i+1:02d}"))
             runtime.drain(timeout=10.0)
@@ -161,7 +161,7 @@ class TestSupervision:
         runtime = ShardedRuntime(
             StoryPivotConfig(),
             num_shards=1,
-            poison_policy="supervise",
+            retry=ONE_ATTEMPT,
             backoff=BackoffPolicy(
                 base_delay=0.01, factor=1.0, max_delay=0.01, max_restarts=2
             ),
@@ -174,6 +174,7 @@ class TestSupervision:
                 raise RuntimeError("poison")
 
             shard.fault_hook = always_explode
+            crash_on_dead_letter(shard, lambda snippet_id: "poison")
             offered = 0
             import time
 

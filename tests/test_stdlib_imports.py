@@ -26,7 +26,7 @@ SERVING = [
     "repro.resilience",
 ]
 
-#: the modules behind pyproject.toml's eight ``[project.scripts]``
+#: the modules behind pyproject.toml's seven ``[project.scripts]``
 CONSOLE_SCRIPTS = [
     "repro.runtime.serve",
     "repro.server.cli",
@@ -35,7 +35,6 @@ CONSOLE_SCRIPTS = [
     "repro.demo.app",
     "repro.analysis.cli",
     "repro.obs.tracecli",
-    "repro.obs.topcli",
 ]
 
 HEAVY = ("networkx", "numpy", "scipy")
